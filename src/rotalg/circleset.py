@@ -32,21 +32,77 @@ __all__ = [
 _Expr = tuple[Fraction, int]
 
 
-@dataclass(frozen=True, order=False)
 class CirclePoint:
-    """The point (q + n*rho) mod 1; q is stored reduced into [0, 1)."""
-    q: Fraction
-    n: int
+    """The point (q + n*rho) mod 1; q is stored reduced into [0, 1).
 
-    def __post_init__(self):
-        q = Fraction(self.q)
-        object.__setattr__(self, "q", q - (q // 1) if not (0 <= q < 1) else q)
+    Immutable, equal and hashed by (q, n).  Equal q values share one
+    interned Fraction, so tuple and set compares of points meet q by
+    identity instead of calling Fraction.__eq__; the hash of q and of the
+    point are computed once.  The hash is hash((q, n)), so a set of points
+    iterates in the order a set of the (q, n) pairs would.
+    """
+
+    __slots__ = ("q", "n", "_qhash", "_hash")
+
+    def __init__(self, q, n: int):
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        if not 0 <= q < 1:
+            q -= q // 1
+        entry = _INTERNED_Q.get(q)
+        if entry is None:
+            entry = _INTERNED_Q[q] = (q, hash(q))
+        q, qhash = entry
+        _set_q(self, q)
+        _set_n(self, n)
+        _set_qhash(self, qhash)
+        _set_hash(self, hash((qhash, n)))
 
     def shift(self, k: int) -> "CirclePoint":
-        return CirclePoint(self.q, self.n + k)
+        # q is already reduced and interned: copy it and its hash
+        p = _new_point(CirclePoint)
+        n = self.n + k
+        qhash = self._qhash
+        _set_q(p, self.q)
+        _set_n(p, n)
+        _set_qhash(p, qhash)
+        _set_hash(p, hash((qhash, n)))
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CirclePoint is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CirclePoint is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not CirclePoint:
+            return NotImplemented
+        # q is interned, so equal q are almost always one object; threads
+        # interning the same new q at once can leave two, hence the ==
+        return (self._hash == other._hash and self.n == other.n
+                and (self.q is other.q or self.q == other.q))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (CirclePoint, (self.q, self.n))
 
     def __repr__(self) -> str:
         return f"pt({self.q}{self.n:+}r)"
+
+
+# reduced q -> (the shared Fraction, its hash); new q values enter only
+# through the CirclePoint constructor, never through a set operation
+_INTERNED_Q: dict[Fraction, tuple[Fraction, int]] = {}
+_new_point = object.__new__
+_set_q = CirclePoint.q.__set__
+_set_n = CirclePoint.n.__set__
+_set_qhash = CirclePoint._qhash.__set__
+_set_hash = CirclePoint._hash.__set__
 
 
 @dataclass(frozen=True)

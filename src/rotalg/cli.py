@@ -18,6 +18,7 @@ from .circleset import render_svg, set_from_json, set_to_json
 from .idealfn import (canonical_decomposition, check_closed, classify_algebra,
                       closed_join, function_from_json, join_many, meet,
                       simplicity_report, values_equal)
+from .sandbox import PhaseSearchFailed
 
 SCHEMA_VERSION = "1"
 
@@ -359,12 +360,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except InputError as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "verb": args.verb,
-                          "ok": False, "error": str(exc)}, sort_keys=True),
-              file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as exc:
+    except (InputError, ValueError, KeyError, PhaseSearchFailed) as exc:
+        # PhaseSearchFailed: the angle has no conjugator phase close enough
+        # within the search bound, so the suite cannot run on this input
         print(json.dumps({"schema_version": SCHEMA_VERSION, "verb": args.verb,
                           "ok": False, "error": str(exc)}, sort_keys=True),
               file=sys.stderr)

@@ -1,8 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from rotalg import Arc, ClosedCircleSet, covering_index, golden_angle
+from rotalg import Arc, CirclePoint, ClosedCircleSet, covering_index, golden_angle
 from rotalg.circleset import pt, render_svg, set_from_json, set_to_json
 
 F = Fraction
@@ -39,6 +42,85 @@ def test_point_canonical_form():
     assert pt(F(7, 3), 2) == pt(F(1, 3), 2)
     assert pt(F(-1, 3), 0) == pt(F(2, 3), 0)
     assert pt(F(1, 3), 1) != pt(F(1, 3), 2)
+
+
+unreduced = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+shifts = st.integers(min_value=-5, max_value=5)
+
+
+def _same_point(a, b):
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert (a.q, a.n) == (b.q, b.n)
+
+
+def test_point_unreduced_q_examples():
+    _same_point(pt(F(7, 4), 2), pt(F(3, 4), 2))
+    _same_point(pt(F(-1, 4), 2), pt(F(3, 4), 2))
+    _same_point(pt("7/4", 2), CirclePoint(F(3, 4), 2))
+    assert pt(F(-1, 4)).q == F(3, 4) and isinstance(pt(F(-1, 4)).q, Fraction)
+    assert pt(F(3, 4), 2) != pt(F(3, 4), 1)
+    assert pt(F(3, 4), 2) != pt(F(1, 4), 2)
+    assert pt(0) != (F(0), 0)
+
+
+@given(unreduced, st.integers(min_value=-3, max_value=3), shifts)
+def test_point_equality_by_reduced_data(q, n, k):
+    p = pt(q, n)
+    assert 0 <= p.q < 1 and p.q == q - (q // 1)
+    _same_point(p, pt(q + k, n))
+    _same_point(p, CirclePoint(q % 1, n))
+    # the hash is that of the (q, n) pair
+    assert hash(p) == hash((p.q, p.n))
+    # equal q values share one Fraction
+    assert pt(q + k, n + 1).q is p.q
+
+
+@given(unreduced, st.integers(min_value=-3, max_value=3))
+def test_point_json_round_trip(q, n):
+    p = pt(q, n)
+    s = set_from_json(_G, set_to_json(ClosedCircleSet.from_points(_G, [p])))
+    _same_point(s.points[0], p)
+
+
+@given(unreduced, st.integers(min_value=-3, max_value=3), shifts, shifts)
+def test_point_shift_composes(q, n, a, b):
+    p = pt(q, n)
+    _same_point(p.shift(a).shift(b), p.shift(a + b))
+    _same_point(p.shift(a), pt(q, n + a))
+    assert p.shift(a).q is p.q
+    assert p.shift(0) == p
+
+
+def test_point_copy_and_pickle():
+    p = pt(F(7, 4), -2)
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        _same_point(other, p)
+        assert other.q is p.q
+
+
+def test_point_is_immutable():
+    p = pt(F(1, 3), 1)
+    for name, value in (("q", F(1, 2)), ("n", 0), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    with pytest.raises(AttributeError):
+        del p.n
+    assert p == pt(F(1, 3), 1) and repr(p) == "pt(1/3+1r)"
+
+
+@given(circle_sets(), circle_sets(), shifts)
+def test_components_in_data_order(a, b, k):
+    def point_key(p):
+        return (Fraction(p.q), p.n)
+
+    def arc_key(arc):
+        return point_key(arc.start) + point_key(arc.end)
+
+    for s in (a, b, a.union(b), a.intersect(b), a.rotate(k), a.union(b.rotate(k))):
+        assert list(s.points) == sorted(s.points, key=point_key)
+        assert list(s.arcs) == sorted(s.arcs, key=arc_key)
+        assert len(set(s.points)) == len(s.points)
 
 
 def test_degenerate_arc_is_point(golden):

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import rotalg
 
 from rotalg import (Arc, ClosedCircleSet, function_to_json, golden_angle,
                     make_basic, set_to_json, window_function)
@@ -127,9 +131,14 @@ def test_deterministic_reports(inputs, capsys):
 
 
 def test_console_script(inputs, tmp_path):
+    # the child imports rotalg from where this process did (an install,
+    # PYTHONPATH, or pytest's pythonpath setting, which a child does not see)
+    src = str(Path(rotalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "rotalg.cli", "eval",
                            str(inputs["a"]), "-n", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"]
 
@@ -155,3 +164,15 @@ def test_sandbox_verify_verb(capsys):
 def test_group_verify_verb(capsys):
     code, rep = run(capsys, "group-verify", "--trials", "20")
     assert code == 0 and rep["ok"]
+
+
+@pytest.mark.parametrize("angle", ["silver", "silver5"])
+def test_averaging_phase_search_failure_exits_4(angle, capsys):
+    # no conjugator phase within the search bound realizes the root 1/2
+    # closely enough on the silver angles: a JSON error, not a traceback
+    code = main(["sandbox-verify", "--suite", "averaging", "--angle", angle])
+    err = capsys.readouterr().err
+    assert code == 4
+    doc = json.loads(err)
+    assert doc["ok"] is False and doc["verb"] == "sandbox-verify"
+    assert "realizes the root" in doc["error"]

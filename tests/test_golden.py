@@ -16,7 +16,6 @@ which rewrites every file under tests/golden/ and MANIFEST.json.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -182,4 +181,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)

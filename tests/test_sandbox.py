@@ -360,3 +360,33 @@ def test_element_json_round_trip_float():
     got = element_from_json(_G, doc)
     assert got.terms[1].coeffs == el.terms[1].coeffs
     assert got.terms[-3].coeffs == el.terms[-3].coeffs
+
+
+def _compression_norm(terms, radius, rho):
+    """Top singular value of the compression to |u|, |v| <= radius, built
+    entry by entry: e^{inx} moves u to u + n with phase exp(-2 pi i n rho v')
+    at the target dual index v', and the k-th shift moves v to v + k."""
+    import numpy as np
+    dim = 2 * radius + 1
+    M = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for n, k, c in terms:
+        for u in range(-radius, radius + 1):
+            if abs(u + n) > radius:
+                continue
+            for v in range(-radius, radius + 1):
+                if abs(v + k) > radius:
+                    continue
+                M[(u + n + radius) * dim + v + k + radius, (u + radius) * dim + v + radius] += (
+                    c * cmath.exp(-2j * cmath.pi * n * rho * (v + k)))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def test_norm_lanczos_branch_matches_dense_svd_on_symmetric_element():
+    # U + U* + V + V* at radius 18 (N = 1369 > 1200, the Lanczos branch):
+    # a constant start vector misses its top eigenvector (2.5951130)
+    terms = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0)]
+    a = sum((mono(n, k, c, "float") for n, k, c in terms[1:]),
+            mono(*terms[0], "float"))
+    ref = _compression_norm(terms, 18, _G.float_value())
+    assert ref == pytest.approx(2.5951366, abs=1e-6)
+    assert truncated_norm(a, radius=18) == pytest.approx(ref, abs=1e-9)
