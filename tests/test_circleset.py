@@ -38,12 +38,6 @@ def circle_sets(draw):
 # -- construction and normalization ---------------------------------------
 
 
-def test_point_canonical_form():
-    assert pt(F(7, 3), 2) == pt(F(1, 3), 2)
-    assert pt(F(-1, 3), 0) == pt(F(2, 3), 0)
-    assert pt(F(1, 3), 1) != pt(F(1, 3), 2)
-
-
 unreduced = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 shifts = st.integers(min_value=-5, max_value=5)
 
@@ -54,12 +48,13 @@ def _same_point(a, b):
     assert (a.q, a.n) == (b.q, b.n)
 
 
-def test_point_unreduced_q_examples():
-    _same_point(pt(F(7, 4), 2), pt(F(3, 4), 2))
-    _same_point(pt(F(-1, 4), 2), pt(F(3, 4), 2))
-    _same_point(pt("7/4", 2), CirclePoint(F(3, 4), 2))
+def test_point_canonical_form():
+    assert pt(F(7, 3), 2) == pt(F(1, 3), 2)
+    assert pt(F(-1, 3), 0) == pt(F(2, 3), 0)
+    assert pt(F(1, 3), 1) != pt(F(1, 3), 2)
+    for p in (pt(F(7, 4), 2), pt(F(-1, 4), 2), pt("7/4", 2)):
+        _same_point(p, CirclePoint(F(3, 4), 2))
     assert pt(F(-1, 4)).q == F(3, 4) and isinstance(pt(F(-1, 4)).q, Fraction)
-    assert pt(F(3, 4), 2) != pt(F(3, 4), 1)
     assert pt(F(3, 4), 2) != pt(F(1, 4), 2)
     assert pt(0) != (F(0), 0)
 

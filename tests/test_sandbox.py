@@ -385,8 +385,9 @@ def test_norm_lanczos_branch_matches_dense_svd_on_symmetric_element():
     # U + U* + V + V* at radius 18 (N = 1369 > 1200, the Lanczos branch):
     # a constant start vector misses its top eigenvector (2.5951130)
     terms = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0)]
-    a = sum((mono(n, k, c, "float") for n, k, c in terms[1:]),
-            mono(*terms[0], "float"))
+    a = CrossedElement.zero(_G, "float")
+    for n, k, c in terms:
+        a = a + mono(n, k, c, "float")
     ref = _compression_norm(terms, 18, _G.float_value())
     assert ref == pytest.approx(2.5951366, abs=1e-6)
     assert truncated_norm(a, radius=18) == pytest.approx(ref, abs=1e-9)
