@@ -1,11 +1,13 @@
-"""Golden corpus: fixed inputs run through the lattice CLI verbs, compared
-byte for byte with reports checked in under tests/golden/.
+"""Golden corpus: fixed inputs run through the lattice CLI verbs, the ring
+suite of sandbox-verify and group-verify, compared byte for byte with
+reports checked in under tests/golden/.
 
 This is a regression guard, not a correctness oracle: the files record what
 the program printed when they were generated, right or wrong, so that a
 refactor of the exact engine (point representation, closure loop, ordering)
-can show it changed no report byte and no exit code.  The correctness of
-those outputs is argued by the other test modules and the exponent oracle.
+or of the finite-group model (span closure, subgroup enumeration) can show
+it changed no report byte and no exit code.  The correctness of those
+outputs is argued by the other test modules and the exponent oracle.
 
 Regenerate (after a deliberate change of output only) with
 
@@ -124,6 +126,16 @@ CASES = {
     "plot-arcs": ([arcs((p("1/10"), p("3/10")), (p("7/10"), p("1/20")), points=[p("1/2", 1)])],
                   "plot", ["--angle", "silver"]),
     "plot-value": ([ARC], "plot", ["-n", 3]),
+    # group-verify: augmentation ideals, the compressed algebra, the
+    # two-point rigidity at three trial counts, subgroups, ideal extension
+    "group-verify-trials-1": ([], "group-verify", ["--trials", 1]),
+    "group-verify-trials-20": ([], "group-verify", ["--trials", 20]),
+    "group-verify-trials-160": ([], "group-verify", ["--trials", 160]),
+    # sandbox-verify, ring laws of the exact PhasePoly products
+    "ring-n8-seed0": ([], "sandbox-verify",
+                      ["--suite", "ring", "--n", 8, "--seed", 0, "--angle", "golden"]),
+    "ring-n20-seed3": ([], "sandbox-verify",
+                       ["--suite", "ring", "--n", 20, "--seed", 3, "--angle", "golden"]),
 }
 
 
