@@ -77,6 +77,41 @@ def _in_span(basis_rref: list[list[QI]], v: list[QI]) -> bool:
     return all(qi_is_zero(x) for x in r)
 
 
+def _span_closure(gens: list, mul, vec, dim: int) -> tuple[list, list[list[QI]]]:
+    """Close the span of gens under mul inside a dim-dimensional space.
+
+    Returns (basis, rows): elements spanning the generated algebra and the
+    reduced basis of their vectors.  When the generators already span the
+    whole space they are returned as they are; otherwise only independent
+    elements are kept, so no product of dependent ones is formed, and the
+    closure stops as soon as the span reaches the ambient dimension.
+    """
+    rows = _rref([vec(g) for g in gens])
+    if len(rows) == dim:
+        return list(gens), rows
+    basis: list = []
+    rows = []
+    for g in gens:
+        v = vec(g)
+        if not _in_span(rows, v):
+            basis.append(g)
+            rows = _rref(rows + [v])
+    grown = True
+    while grown:
+        grown = False
+        for x in list(basis):
+            for y in list(basis):
+                p = mul(x, y)
+                v = vec(p)
+                if not _in_span(rows, v):
+                    basis.append(p)
+                    rows = _rref(rows + [v])
+                    if len(rows) == dim:
+                        return basis, rows
+                    grown = True
+    return basis, rows
+
+
 # -- groups and actions --------------------------------------------------------
 
 
@@ -109,40 +144,33 @@ class FiniteAbelianGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _generated(self, gens: Iterable) -> frozenset:
+        """The subgroup generated by gens: in a finite group, closing under
+        products also yields the inverses."""
+        cur = {self.identity, *gens}
+        grown = True
+        while grown:
+            grown = False
+            for a in list(cur):
+                for b in list(cur):
+                    c = self.mul(a, b)
+                    if c not in cur:
+                        cur.add(c)
+                        grown = True
+        return frozenset(cur)
+
     def subgroups(self) -> list[frozenset]:
-        """All subgroups (fine at these sizes)."""
-        out = {frozenset([self.identity])}
-        for seed in self.elements:
-            cur = {self.identity, seed}
-            grown = True
-            while grown:
-                grown = False
-                for a in list(cur):
-                    for b in list(cur):
-                        c = self.mul(a, b)
-                        if c not in cur:
-                            cur.add(c)
-                            grown = True
-            out.add(frozenset(cur))
-        # close the collection under joins of pairs
+        """All subgroups (fine at these sizes): the cyclic ones, closed
+        under joins of pairs."""
+        out = {self._generated([g]) for g in self.elements}
         changed = True
         while changed:
             changed = False
             for s in list(out):
                 for t in list(out):
-                    u = set(s | t)
-                    grown = True
-                    while grown:
-                        grown = False
-                        for a in list(u):
-                            for b in list(u):
-                                c = self.mul(a, b)
-                                if c not in u:
-                                    u.add(c)
-                                    grown = True
-                    fu = frozenset(u)
-                    if fu not in out:
-                        out.add(fu)
+                    u = self._generated(s | t)
+                    if u not in out:
+                        out.add(u)
                         changed = True
         return sorted(out, key=lambda s: (len(s), sorted(map(str, s))))
 
@@ -260,18 +288,6 @@ def elem_adj(a: CrossedMatrixElement) -> CrossedMatrixElement:
     return CrossedMatrixElement(action, out)
 
 
-def elem_add(a: CrossedMatrixElement, b: CrossedMatrixElement) -> CrossedMatrixElement:
-    out = dict(a.coeffs)
-    for g, f in b.coeffs.items():
-        out[g] = tuple(qi_add(u, v) for u, v in zip(out[g], f)) if g in out else f
-    return CrossedMatrixElement(a.action, out)
-
-
-def elem_scale(a: CrossedMatrixElement, c: QI) -> CrossedMatrixElement:
-    return CrossedMatrixElement(
-        a.action, {g: tuple(qi_mul(x, c) for x in f) for g, f in a.coeffs.items()})
-
-
 def expectation_onto_functions(a: CrossedMatrixElement) -> tuple:
     """Coefficient at the identity: the canonical expectation onto C(X)."""
     e = a.action.group.identity
@@ -305,36 +321,6 @@ def regular_matrix(a: CrossedMatrixElement) -> list[list[QI]]:
                 M[idx[(gh, x)]][idx[(h, x)]] = qi_add(
                     M[idx[(gh, x)]][idx[(h, x)]], f[action.apply(gh, x)])
     return M
-
-
-def _span_close_multiplicative(action: FiniteAction,
-                               gens: list[CrossedMatrixElement],
-                               max_dim: Optional[int] = None
-                               ) -> list[CrossedMatrixElement]:
-    """Close a generating set under multiplication, returning a basis."""
-    basis: list[CrossedMatrixElement] = []
-    rows: list[list[QI]] = []
-
-    def try_add(el: CrossedMatrixElement) -> bool:
-        nonlocal rows
-        if _in_span(rows, el.vec()):
-            return False
-        basis.append(el)
-        rows = _rref(rows + [el.vec()])
-        return True
-
-    for g in gens:
-        try_add(g)
-    grown = True
-    while grown:
-        grown = False
-        for x in list(basis):
-            for y in list(basis):
-                if try_add(elem_mul(x, y)):
-                    grown = True
-        if max_dim is not None and len(basis) > max_dim:
-            raise AssertionError("span closure exceeded the ambient dimension")
-    return basis
 
 
 # -- the five operations --------------------------------------------------------
@@ -387,11 +373,9 @@ def augmentation_ideal(group: FiniteAbelianGroup) -> IdealReport:
 @dataclass
 class BIReport:
     dimension: int
-    multiplicatively_closed: bool
     star_closed: bool
     functions_intersection_dim: int   # dim of (B n C(X))
     expectation_image_dim: int        # dim of E(B) inside C(X)
-    sample_expectation: Optional[tuple] = None  # an E(a) with a spread of values
 
 
 def build_BI(action: FiniteAction, ideal_basis: list[dict]) -> BIReport:
@@ -404,10 +388,7 @@ def build_BI(action: FiniteAction, ideal_basis: list[dict]) -> BIReport:
     canonical expectation is.
     """
     G = action.group
-    gens: list[CrossedMatrixElement] = []
-    for g in G.elements:
-        gens.append(group_algebra_element(action, {g: _ONE}))
-    compressed: list[CrossedMatrixElement] = []
+    gens = [group_algebra_element(action, {g: _ONE}) for g in G.elements]
     for eta in ideal_basis:
         for etap in ideal_basis:
             left = group_algebra_element(action, eta)
@@ -415,28 +396,21 @@ def build_BI(action: FiniteAction, ideal_basis: list[dict]) -> BIReport:
             for x in range(action.npoints):
                 f = function_element(action,
                                      [_ONE if y == x else _Z for y in range(action.npoints)])
-                compressed.append(elem_mul(elem_mul(left, f), right))
-    gens.extend(compressed)
-    basis = _span_close_multiplicative(action, gens,
-                                       max_dim=len(G) * action.npoints)
-    rows = _rref([b.vec() for b in basis])
+                gens.append(elem_mul(elem_mul(left, f), right))
+    basis, rows = _span_closure(gens, elem_mul, CrossedMatrixElement.vec,
+                                len(G) * action.npoints)
     dim = len(rows)
-    mult_ok = True  # closure loop ended without growth
     star_ok = all(_in_span(rows, elem_adj(b).vec()) for b in basis)
 
     # intersection with C(X): functions whose flattened vector lies in the span
     fn_rows = [function_element(action, [(_ONE if y == x else _Z)
                                          for y in range(action.npoints)]).vec()
                for x in range(action.npoints)]
-    inter_dim = len(fn_rows) + dim - _rank(fn_rows + [b.vec() for b in basis])
+    inter_dim = len(fn_rows) + dim - _rank(fn_rows + rows)
 
     exp_rows = [list(expectation_onto_functions(b)) for b in basis]
     exp_dim = _rank(exp_rows)
-
-    sample = None
-    if compressed:
-        sample = expectation_onto_functions(compressed[0])
-    return BIReport(dim, mult_ok, star_ok, inter_dim, exp_dim, sample)
+    return BIReport(dim, star_ok, inter_dim, exp_dim)
 
 
 # 2x2 complex-rational matrices for the two-point example
@@ -515,22 +489,7 @@ def check_no_intermediate_M2(trials: int = 1000, seed: int = 0) -> M2Report:
         c = cands.pop(0) if cands else rand_candidate()
         if _in_span(copy_rows, list(c)):
             continue  # not a strict extension
-        basis = [eye, swap, c, _m2_adj(c)]
-        rows = _rref([list(b) for b in basis])
-        grown = True
-        while grown and len(rows) < 4:
-            grown = False
-            for x in list(basis):
-                for y in list(basis):
-                    p = _m2_mul(x, y)
-                    if not _in_span(rows, list(p)):
-                        basis.append(p)
-                        rows = _rref(rows + [list(p)])
-                        grown = True
-                        if len(rows) == 4:
-                            break
-                if len(rows) == 4:
-                    break
+        _, rows = _span_closure([eye, swap, c, _m2_adj(c)], _m2_mul, list, 4)
         if len(rows) != 4:
             all_full = False
         done += 1
@@ -570,8 +529,8 @@ def check_not_from_subgroup(action: FiniteAction, vanish_on: set[int]) -> Subgro
         for g in G.elements:
             if g != e:
                 gens.append(elem_mul(f, group_algebra_element(action, {g: _ONE})))
-    basis = _span_close_multiplicative(action, gens,
-                                       max_dim=len(G) * action.npoints)
+    basis, _ = _span_closure(gens, elem_mul, CrossedMatrixElement.vec,
+                             len(G) * action.npoints)
     # coefficient space of B at each group element, by exact rank
     coef_dims = {}
     for g in G.elements:

@@ -285,7 +285,6 @@ def suite_finite_group(trials: int = 200, **_) -> dict:
 
     action = FiniteAction.swap_two_fix_one()
     bi = build_BI(action, aug2.basis)
-    sample = bi.sample_expectation
     out["bi"] = {"dim": bi.dimension, "star_closed": bi.star_closed,
                  "functions_intersection_dim": bi.functions_intersection_dim,
                  "expectation_image_dim": bi.expectation_image_dim}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from rotalg.finitegroup import (CrossedMatrixElement, elem_adj, elem_mul,
                                 expectation_onto_functions,
                                 expectation_weighted, function_element,
                                 group_algebra_element, regular_matrix,
-                                _in_span, _rank, _rref)
+                                _in_span, _m2_adj, _m2_mul, _rank, _rref,
+                                _span_closure)
 
 F = Fraction
 
@@ -99,14 +101,62 @@ def test_augmentation_trivial_group_rejected():
 # -- the compressed intermediate algebra -------------------------------------------
 
 
+def bi_generators(action, ideal_basis):
+    """The shifts and every eta * (point function) * eta' over the basis."""
+    gens = [group_algebra_element(action, {g: 1}) for g in action.group.elements]
+    for eta, etap in itertools.product(ideal_basis, repeat=2):
+        for x in range(action.npoints):
+            f = function_element(action, [int(y == x) for y in range(action.npoints)])
+            gens.append(elem_mul(elem_mul(group_algebra_element(action, eta), f),
+                                 group_algebra_element(action, etap)))
+    return gens
+
+
+def assert_product_closed(gens, basis, rows):
+    """rows is the reduced span of basis, contains the generators, and
+    contains every pairwise product of basis elements."""
+    assert rows == _rref([b.vec() for b in basis])
+    assert all(_in_span(rows, g.vec()) for g in gens)
+    for x, y in itertools.product(basis, repeat=2):
+        assert _in_span(rows, elem_mul(x, y).vec())
+
+
+@pytest.mark.parametrize("ideal_basis, dim", [
+    ([{1: qi(1), 0: qi(-1)}], 3),     # the augmentation ideal of Z2
+    ([{0: qi(1)}, {1: qi(1)}], 6),    # the whole group algebra: everything
+    ([], 2),                          # no ideal: just the group algebra
+])
+def test_span_closure_of_BI_generators(ideal_basis, dim):
+    action = FiniteAction.swap_two_fix_one()
+    gens = bi_generators(action, ideal_basis)
+    basis, rows = _span_closure(gens, elem_mul, CrossedMatrixElement.vec, 6)
+    assert len(rows) == dim
+    assert_product_closed(gens, basis, rows)
+    assert build_BI(action, ideal_basis).dimension == dim
+
+
+def test_span_closure_keeps_only_independent_elements_below_full_rank():
+    action = FiniteAction.swap_two_fix_one()
+    gens = bi_generators(action, [{1: qi(1), 0: qi(-1)}])
+    gens = gens + gens  # every generator twice
+    basis, rows = _span_closure(gens, elem_mul, CrossedMatrixElement.vec, 6)
+    assert len(basis) == len(rows) == 3
+    assert_product_closed(gens, basis, rows)
+
+
 def test_build_BI_swap_action():
     action = FiniteAction.swap_two_fix_one()
     aug = augmentation_ideal(action.group)
     rep = build_BI(action, aug.basis)
-    assert rep.multiplicatively_closed and rep.star_closed
+    assert rep.star_closed
     assert rep.functions_intersection_dim == 1  # only constants
     assert rep.expectation_image_dim == 2       # strictly more than constants
     assert rep.dimension == 3
+    # the dimension is that of a span closed under products
+    gens = bi_generators(action, aug.basis)
+    basis, rows = _span_closure(gens, elem_mul, CrossedMatrixElement.vec, 6)
+    assert len(rows) == rep.dimension
+    assert_product_closed(gens, basis, rows)
 
 
 def test_build_BI_expectation_evaluations():
@@ -140,6 +190,42 @@ def test_m2_images_and_rigidity():
     assert swap == (qi(0), qi(1), qi(1), qi(0))
     assert rep.functions_image[0] == (qi(1), qi(0), qi(0), qi(0))
     assert rep.all_generated_full and rep.trials == 60
+
+
+_EYE = (qi(1), qi(0), qi(0), qi(1))
+_SWAP = (qi(0), qi(1), qi(1), qi(0))
+
+
+@pytest.mark.parametrize("c", [
+    (qi(1), qi(0), qi(0), qi(0)),       # a diagonal matrix unit
+    (qi(0), qi(1), qi(0), qi(0)),       # an off-diagonal matrix unit
+    (qi(0), qi(0, 1), qi(0, -1), qi(0)),
+])
+def test_m2_closure_stops_at_rank_four(c):
+    products = []
+
+    def mul(x, y):
+        products.append(_m2_mul(x, y))
+        return products[-1]
+
+    basis, rows = _span_closure([_EYE, _SWAP, c, _m2_adj(c)], mul, list, 4)
+    assert len(rows) == 4
+    # the last product formed is the one that filled the space
+    assert products and basis[-1] is products[-1]
+
+
+def test_m2_closure_of_a_full_rank_seed_forms_no_product():
+    c = (qi(1), qi(2), qi(3), qi(5))
+    called = []
+    basis, rows = _span_closure([_EYE, _SWAP, c, _m2_adj(c)],
+                                lambda x, y: called.append(1), list, 4)
+    assert len(rows) == 4 and not called
+    assert basis == [_EYE, _SWAP, c, _m2_adj(c)]
+
+
+def test_m2_closure_of_the_copy_alone_is_the_copy():
+    basis, rows = _span_closure([_EYE, _SWAP], _m2_mul, list, 4)
+    assert len(rows) == 2 and basis == [_EYE, _SWAP]
 
 
 # -- invariant-ideal algebras are not subgroup crossed products ------------------------
@@ -202,3 +288,28 @@ def test_subgroups_of_cyclic():
     g4 = FiniteAbelianGroup.cyclic(4)
     subs = {frozenset(s) for s in g4.subgroups()}
     assert subs == {frozenset({0}), frozenset({0, 2}), frozenset({0, 1, 2, 3})}
+
+
+def cyclic_product(*ns):
+    els = list(itertools.product(*(range(n) for n in ns)))
+    table = {(a, b): tuple((x + y) % n for x, y, n in zip(a, b, ns))
+             for a in els for b in els}
+    return FiniteAbelianGroup(els, table)
+
+
+# subgroup counts from group theory: Z2xZ2 has the trivial group, three of
+# order 2 and itself; Z2xZ4 has 1 + 3 (order 2) + 3 (two cyclic and one
+# Klein of order 4) + 1; Z3xZ3 has 1 + 4 lines + 1; Z12 one per divisor
+@pytest.mark.parametrize("group, count", [
+    (cyclic_product(2, 2), 5),
+    (cyclic_product(2, 4), 8),
+    (cyclic_product(3, 3), 6),
+    (FiniteAbelianGroup.cyclic(12), 6),
+])
+def test_subgroup_counts(group, count):
+    subs = group.subgroups()
+    assert len(subs) == len(set(subs)) == count
+    for h in subs:
+        assert group.identity in h
+        assert all(group.mul(a, b) in h for a in h for b in h)
+        assert len(group) % len(h) == 0
