@@ -469,8 +469,16 @@ def _pt_to_json(p: CirclePoint) -> dict:
     return {"q": str(p.q), "n": p.n}
 
 
+def json_int(value, field: str) -> int:
+    """An integer field of a JSON document: a float, bool or string is
+    rejected, not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _pt_from_json(doc: dict) -> CirclePoint:
-    return CirclePoint(Fraction(doc["q"]), int(doc["n"]))
+    return CirclePoint(Fraction(doc["q"]), json_int(doc["n"], "n"))
 
 
 def set_to_json(s: ClosedCircleSet) -> dict:

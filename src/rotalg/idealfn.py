@@ -28,7 +28,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .angle import Angle
-from .circleset import ClosedCircleSet, covering_index, set_from_json, set_to_json
+from .circleset import (ClosedCircleSet, covering_index, json_int, set_from_json,
+                        set_to_json)
 
 __all__ = [
     "Certificate", "IdealFunction", "BasicFunction", "WindowFunction",
@@ -866,11 +867,12 @@ def function_from_json(doc: dict, angle: Optional[Angle] = None) -> IdealFunctio
     angle = angle or Angle.from_json(doc["angle"])
     kind = doc["repr"]
     if kind == "basic":
-        return BasicFunction(int(doc["q"]), set_from_json(angle, doc["P"]))
+        return BasicFunction(json_int(doc["q"], "q"), set_from_json(angle, doc["P"]))
     if kind == "window":
         values = {int(k): set_from_json(angle, v) for k, v in doc["values"].items()}
         return WindowFunction(angle, values, doc.get("default", "full"))
     if kind == "join":
         gens = [function_from_json(g, angle) for g in doc["gens"]]
-        return join_many(gens, window=10, depth=int(doc.get("depth", DEFAULT_DEPTH)))
+        return join_many(gens, window=10,
+                         depth=json_int(doc.get("depth", DEFAULT_DEPTH), "depth"))
     raise ValueError(f"unknown representation {kind!r}")

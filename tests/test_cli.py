@@ -166,6 +166,45 @@ def test_group_verify_verb(capsys):
     assert code == 0 and rep["ok"]
 
 
+def _basic_doc(q=1, n=0, depth=None):
+    doc = function_to_json(make_basic(1, _P))
+    doc["q"] = q
+    doc["P"]["components"][0]["pt"]["n"] = n
+    if depth is None:
+        return doc
+    return {"angle": doc["angle"], "repr": "join", "depth": depth, "gens": [doc, doc]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    pytest.param(_basic_doc(q=1.7), "q", id="q-1.7"),
+    pytest.param(_basic_doc(q=2.0), "q", id="q-2.0"),
+    pytest.param(_basic_doc(q=True), "q", id="q-true"),
+    pytest.param(_basic_doc(q="2"), "q", id="q-string"),
+    pytest.param(_basic_doc(n=1.9), "n", id="n-1.9"),
+    pytest.param(_basic_doc(n=False), "n", id="n-false"),
+    pytest.param(_basic_doc(depth=3.5), "depth", id="depth-3.5"),
+    pytest.param(_basic_doc(depth=True), "depth", id="depth-true"),
+])
+def test_non_integer_json_fields_exit_4(doc, field, capsys, tmp_path):
+    # integer fields given as floats, bools or strings are rejected, not
+    # truncated into a different function
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    code = main(["eval", str(path), "-n", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and not captured.out
+    err = json.loads(captured.err)
+    assert err["ok"] is False and err["verb"] == "eval"
+    assert f"{field} must be an integer" in err["error"]
+
+
+def test_integer_json_fields_accepted(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(_basic_doc(q=1, n=0, depth=3)))
+    code, rep = run(capsys, "eval", path, "-n", "1")
+    assert code == 0 and rep["ok"]
+
+
 @pytest.mark.parametrize("angle", ["silver", "silver5"])
 def test_averaging_phase_search_failure_exits_4(angle, capsys):
     # no conjugator phase within the search bound realizes the root 1/2
