@@ -275,7 +275,6 @@ def report_schema() -> dict:
 
 def _common(p, window=True, depth=False):
     p.add_argument("--angle", help="named angle or JSON descriptor")
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--require-exact", action="store_true", dest="require_exact")
     p.add_argument("-o", "--output", help="write the report here instead of stdout")
     if window:

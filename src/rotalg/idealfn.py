@@ -346,7 +346,9 @@ def values_equal(c1: IdealFunction, c2: IdealFunction, window: int) -> bool:
 @dataclass
 class ClosednessReport:
     ok: bool
-    violations: list[tuple]  # ("reflection", n) or ("product", m, n)
+    # ("reflection", n), ("product", m, n); for ideals also ("domination", n)
+    # and ("product-symmetric", m, n)
+    violations: list[tuple]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -710,7 +712,7 @@ def q_intersection(c: IdealFunction, window: int) -> tuple[ClosedCircleSet, Cert
 # ideals inside the algebra of a closed function
 
 
-class CIdealFunction:
+class CIdealFunction(IdealFunction):
     """A set function dominating a closed parent pointwise.
 
     Encodes a closed two-sided ideal of the parent's algebra: the value at
@@ -727,12 +729,6 @@ class CIdealFunction:
         if n in self.overrides:
             return self.overrides[n], EXACT
         return self.parent.value(n)
-
-    def value_set(self, n: int) -> ClosedCircleSet:
-        v, cert = self.value(n)
-        if not cert.exact:
-            raise ValueError(f"value at {n} is only an upper bound")
-        return v
 
 
 def make_ideal_IQ(c: IdealFunction, Q1: ClosedCircleSet,
@@ -754,13 +750,7 @@ def make_ideal_IQ(c: IdealFunction, Q1: ClosedCircleSet,
     return CIdealFunction(c, {0: Q1})
 
 
-@dataclass
-class CClosednessReport:
-    ok: bool
-    violations: list[tuple]
-
-
-def check_c_closed(j: CIdealFunction, window: int) -> CClosednessReport:
+def check_c_closed(j: CIdealFunction, window: int) -> ClosednessReport:
     """Relative closure axioms for an ideal function over its parent.
 
     Checks domination, reflection, the one-sided product rule for m in the
@@ -794,7 +784,7 @@ def check_c_closed(j: CIdealFunction, window: int) -> CClosednessReport:
                      .intersect(cv[m].rotate(-n).union(jv[n])))
             if not bound.contains_set(target):
                 viols.append(("product-symmetric", m, n))
-    return CClosednessReport(not viols, viols)
+    return ClosednessReport(not viols, viols)
 
 
 def triviality(j: CIdealFunction) -> str:

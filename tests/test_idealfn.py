@@ -281,7 +281,9 @@ def test_make_ideal_IQ_rejections():
 def test_c_ideal_failure_and_triviality():
     b1 = make_basic(1, _P)
     bad = CIdealFunction(b1, {0: _P})
-    assert not check_c_closed(bad, 6).ok
+    rep = check_c_closed(bad, 6)
+    assert not rep.ok and not rep  # the report is falsy when it fails
+    assert rep.violations
     as_whole = CIdealFunction(b1, {0: ClosedCircleSet.empty(_G)})
     assert triviality(as_whole) == "whole"
     as_zero = CIdealFunction(b1, {0: ClosedCircleSet.full_circle(_G)})
