@@ -121,18 +121,15 @@ def assert_product_closed(gens, basis, rows):
         assert _in_span(rows, elem_mul(x, y).vec())
 
 
-@pytest.mark.parametrize("ideal_basis, dim", [
-    ([{1: qi(1), 0: qi(-1)}], 3),     # the augmentation ideal of Z2
-    ([{0: qi(1)}, {1: qi(1)}], 6),    # the whole group algebra: everything
-    ([], 2),                          # no ideal: just the group algebra
-])
-def test_span_closure_of_BI_generators(ideal_basis, dim):
-    action = FiniteAction.swap_two_fix_one()
+def assert_BI_dimension(action, ideal_basis, dim):
+    """build_BI reports dim, and dim is that of a span of the generators
+    that is closed under products."""
+    assert build_BI(action, ideal_basis).dimension == dim
     gens = bi_generators(action, ideal_basis)
-    basis, rows = _span_closure(gens, elem_mul, CrossedMatrixElement.vec, 6)
+    basis, rows = _span_closure(gens, elem_mul, CrossedMatrixElement.vec,
+                                len(action.group) * action.npoints)
     assert len(rows) == dim
     assert_product_closed(gens, basis, rows)
-    assert build_BI(action, ideal_basis).dimension == dim
 
 
 def test_span_closure_keeps_only_independent_elements_below_full_rank():
@@ -151,12 +148,7 @@ def test_build_BI_swap_action():
     assert rep.star_closed
     assert rep.functions_intersection_dim == 1  # only constants
     assert rep.expectation_image_dim == 2       # strictly more than constants
-    assert rep.dimension == 3
-    # the dimension is that of a span closed under products
-    gens = bi_generators(action, aug.basis)
-    basis, rows = _span_closure(gens, elem_mul, CrossedMatrixElement.vec, 6)
-    assert len(rows) == rep.dimension
-    assert_product_closed(gens, basis, rows)
+    assert_BI_dimension(action, aug.basis, 3)
 
 
 def test_build_BI_expectation_evaluations():
@@ -173,10 +165,8 @@ def test_build_BI_expectation_evaluations():
 def test_build_BI_extremes():
     action = FiniteAction.swap_two_fix_one()
     full_ga = [{0: qi(1)}, {1: qi(1)}]
-    rep = build_BI(action, full_ga)
-    assert rep.dimension == 6  # the whole crossed product
-    rep0 = build_BI(action, [])
-    assert rep0.dimension == 2  # just the group algebra
+    assert_BI_dimension(action, full_ga, 6)  # the whole crossed product
+    assert_BI_dimension(action, [], 2)       # just the group algebra
 
 
 # -- two points: no intermediate algebra --------------------------------------------
