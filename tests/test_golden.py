@@ -1,6 +1,6 @@
 """Golden corpus: fixed inputs run through the lattice CLI verbs, the ring
-suite of sandbox-verify and group-verify, compared byte for byte with
-reports checked in under tests/golden/.
+and membership suites of sandbox-verify and group-verify, compared byte for
+byte with reports checked in under tests/golden/.
 
 This is a regression guard, not a correctness oracle: the files record what
 the program printed when they were generated, right or wrong, so that a
@@ -136,6 +136,13 @@ CASES = {
                       ["--suite", "ring", "--n", 8, "--seed", 0, "--angle", "golden"]),
     "ring-n20-seed3": ([], "sandbox-verify",
                        ["--suite", "ring", "--n", 20, "--seed", 3, "--angle", "golden"]),
+    # sandbox-verify, membership of vanishing layers: the seed and the
+    # tolerance reach the suite (the reports carry only counts)
+    "membership-n6-seed2": ([], "sandbox-verify",
+                            ["--suite", "membership", "--n", 6, "--seed", 2, "--angle", "golden"]),
+    "membership-n4-seed5-tol": ([], "sandbox-verify",
+                                ["--suite", "membership", "--n", 4, "--seed", 5,
+                                 "--tolerance", "1e-6", "--angle", "silver"]),
 }
 
 
