@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
-from . import __version__
+from . import __version__, suites
 from .angle import Angle, default_angle, named_angle
 from .circleset import render_svg, set_from_json, set_to_json
 from .idealfn import (canonical_decomposition, check_closed, classify_algebra,
@@ -96,145 +97,122 @@ def _all_exact(fn, window: int) -> bool:
     return all(fn.value(n)[1].exact for n in range(-window, window + 1))
 
 
-# -- verbs --------------------------------------------------------------------
+# -- verbs ----------------------------------------------------------------------
+# Each returns its report body from (args, angle, *input functions); main
+# adds "verb", and for the lattice verbs the angle of the first input.
 
 
-def cmd_eval(args) -> int:
-    angle = _resolve_angle(args)
-    fn = _load_function(args, args.function, angle)
+def _eval(args, angle, fn) -> dict:
     v, cert = fn.value(args.n)
-    return _emit(args, {"verb": "eval", "n": args.n, "ok": True,
-                        "angle": fn.angle.to_json(),
-                        "result": {"set": set_to_json(v), "certificate": _cert_json(cert)},
-                        "all_exact": cert.exact})
+    return {"n": args.n, "ok": True,
+            "result": {"set": set_to_json(v), "certificate": _cert_json(cert)},
+            "all_exact": cert.exact}
 
 
-def cmd_check_closed(args) -> int:
-    angle = _resolve_angle(args)
-    fn = _load_function(args, args.function, angle)
+def _check_closed(args, angle, fn) -> dict:
     rep = check_closed(fn, args.window)
-    return _emit(args, {"verb": "check-closed", "window": args.window,
-                        "angle": fn.angle.to_json(), "ok": rep.ok,
-                        "violations": [list(v) for v in rep.violations],
-                        "all_exact": _all_exact(fn, 2 * args.window)})
+    return {"window": args.window, "ok": rep.ok,
+            "violations": [list(v) for v in rep.violations],
+            "all_exact": _all_exact(fn, 2 * args.window)}
 
 
-def cmd_meet(args) -> int:
-    angle = _resolve_angle(args)
-    a = _load_function(args, args.left, angle)
-    b = _load_function(args, args.right, angle)
+def _meet(args, angle, a, b) -> dict:
     m = meet(a, b)
-    return _emit(args, {"verb": "meet", "window": args.window, "ok": True,
-                        "angle": m.angle.to_json(),
-                        "values": _window_values(m, args.window),
-                        "all_exact": _all_exact(m, args.window)})
+    return {"window": args.window, "ok": True,
+            "values": _window_values(m, args.window),
+            "all_exact": _all_exact(m, args.window)}
 
 
-def cmd_join(args) -> int:
-    angle = _resolve_angle(args)
-    a = _load_function(args, args.left, angle)
-    b = _load_function(args, args.right, angle)
+def _join(args, angle, a, b) -> dict:
     j = closed_join(a, b, window=args.window, depth=args.depth)
-    return _emit(args, {"verb": "join", "window": args.window, "depth": args.depth,
-                        "ok": True, "angle": j.angle.to_json(),
-                        "certificate": _cert_json(j.certificate),
-                        "values": _window_values(j, args.window),
-                        "all_exact": j.certificate.exact})
+    return {"window": args.window, "depth": args.depth, "ok": True,
+            "certificate": _cert_json(j.certificate),
+            "values": _window_values(j, args.window),
+            "all_exact": j.certificate.exact}
 
 
-def cmd_close(args) -> int:
-    angle = _resolve_angle(args)
-    fn = _load_function(args, args.function, angle)
+def _close(args, angle, fn) -> dict:
     j = join_many([fn], args.window, args.depth)
-    return _emit(args, {"verb": "close", "window": args.window, "depth": args.depth,
-                        "ok": True, "angle": fn.angle.to_json(),
-                        "certificate": _cert_json(j.certificate),
-                        "values": _window_values(j, args.window),
-                        "unchanged": values_equal(fn, j, args.window),
-                        "all_exact": j.certificate.exact})
+    return {"window": args.window, "depth": args.depth, "ok": True,
+            "certificate": _cert_json(j.certificate),
+            "values": _window_values(j, args.window),
+            "unchanged": values_equal(fn, j, args.window),
+            "all_exact": j.certificate.exact}
 
 
-def cmd_decompose(args) -> int:
-    angle = _resolve_angle(args)
-    fn = _load_function(args, args.function, angle)
+def _decompose(args, angle, fn) -> dict:
     rep = canonical_decomposition(fn, args.window, args.depth)
-    return _emit(args, {"verb": "decompose", "window": args.window,
-                        "ok": rep.rejoin_ok, "angle": fn.angle.to_json(),
-                        "critical": [{"n": n, "set": set_to_json(v)}
-                                     for n, v in rep.critical],
-                        "certificate": _cert_json(rep.certificate),
-                        "all_exact": rep.certificate.exact})
+    return {"window": args.window, "ok": rep.rejoin_ok,
+            "critical": [{"n": n, "set": set_to_json(v)} for n, v in rep.critical],
+            "certificate": _cert_json(rep.certificate),
+            "all_exact": rep.certificate.exact}
 
 
-def cmd_classify(args) -> int:
-    angle = _resolve_angle(args)
-    fn = _load_function(args, args.function, angle)
+def _classify(args, angle, fn) -> dict:
     rep = classify_algebra(fn, args.window)
     sup = rep.evidence["support"]
-    return _emit(args, {"verb": "classify", "window": args.window, "ok": True,
-                        "angle": fn.angle.to_json(), "verdict": rep.verdict,
-                        "support": {"members": sup.members, "symbolic": sup.symbolic,
-                                    "certificate": _cert_json(sup.certificate)},
-                        "value_kinds": {str(k): v for k, v in
-                                        rep.evidence["value_kinds"].items()},
-                        "certificate": _cert_json(rep.certificate),
-                        "all_exact": rep.certificate.exact})
+    return {"window": args.window, "ok": True, "verdict": rep.verdict,
+            "support": {"members": sup.members, "symbolic": sup.symbolic,
+                        "certificate": _cert_json(sup.certificate)},
+            "value_kinds": {str(k): v for k, v in rep.evidence["value_kinds"].items()},
+            "certificate": _cert_json(rep.certificate),
+            "all_exact": rep.certificate.exact}
 
 
-def cmd_simplicity(args) -> int:
-    angle = _resolve_angle(args)
-    fn = _load_function(args, args.function, angle)
+def _simplicity(args, angle, fn) -> dict:
     rep = simplicity_report(fn, args.window)
-    return _emit(args, {"verb": "simplicity", "window": args.window, "ok": True,
-                        "angle": fn.angle.to_json(), "verdict": rep.verdict,
-                        "q_intersection": {"set": set_to_json(rep.q_value),
-                                           "certificate": _cert_json(rep.q_certificate)},
-                        "notes": rep.notes,
-                        "all_exact": rep.q_certificate.exact})
+    return {"window": args.window, "ok": True, "verdict": rep.verdict,
+            "q_intersection": {"set": set_to_json(rep.q_value),
+                               "certificate": _cert_json(rep.q_certificate)},
+            "notes": rep.notes,
+            "all_exact": rep.q_certificate.exact}
 
 
-def cmd_plot(args) -> int:
-    angle = _resolve_angle(args)
+# suite -> (function in rotalg.suites, the flags it reads); every other
+# sandbox-verify flag given is bad input
+SUITES = {
+    "ring": ("suite_ring_laws", ("angle", "n", "seed")),
+    "fejer": ("suite_fejer", ("angle", "n")),
+    "averaging": ("suite_averaging", ("angle", "n", "seed")),
+    "derivative": ("suite_derivative", ("angle", "n", "seed")),
+    "center": ("suite_center", ("tolerance",)),
+    "membership": ("suite_membership", ("angle", "n", "tolerance", "seed")),
+}
+SUITE_DEFAULTS = {"n": 64, "tolerance": 1e-9, "seed": 0}
+
+
+def _sandbox_verify(args, angle) -> dict:
+    name, reads = SUITES[args.suite]
+    given = {f: getattr(args, f) for f in ("angle", *SUITE_DEFAULTS)
+             if getattr(args, f) is not None}
+    unread = [f"--{f}" for f in given if f not in reads]
+    if unread:
+        raise InputError(f"the {args.suite} suite does not read {', '.join(unread)}")
+    values = SUITE_DEFAULTS | given | {"angle": angle}
+    rep = getattr(suites, name)(**{f: values[f] for f in reads})
+    # the center suite runs on its own angle and reports it
+    return {"suite": args.suite, "angle": angle.to_json()} | rep
+
+
+def _group_verify(args, angle) -> dict:
+    return suites.suite_finite_group(trials=args.trials)
+
+
+def _plot(args, angle) -> int:
     doc = _load_json(args.input)
     if "repr" in doc:
-        fn = _load_function(args, args.input, angle)
-        v, _ = fn.value(args.n)
+        v, _ = _load_function(args, args.input, angle).value(args.n)
     else:
         v = set_from_json(angle, doc)
-    svg = render_svg(v)
     out = args.output or "set.svg"
     with open(out, "w") as fh:
-        fh.write(svg + "\n")
+        fh.write(render_svg(v) + "\n")
     print(json.dumps({"schema_version": SCHEMA_VERSION, "verb": "plot",
                       "ok": True, "written": out}, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_sandbox_verify(args) -> int:
-    from . import suites
-    runner = {
-        "ring": suites.suite_ring_laws,
-        "fejer": suites.suite_fejer,
-        "averaging": suites.suite_averaging,
-        "derivative": suites.suite_derivative,
-        "center": suites.suite_center,
-        "membership": suites.suite_membership,
-    }.get(args.suite)
-    if runner is None:
-        raise InputError(f"unknown suite {args.suite!r}")
-    angle = _resolve_angle(args)
-    rep = runner(angle, n=args.n, tolerance=args.tolerance, seed=args.seed)
-    return _emit(args, {"verb": "sandbox-verify", "suite": args.suite,
-                        "angle": angle.to_json()} | rep)
-
-
-def cmd_group_verify(args) -> int:
-    from . import suites
-    rep = suites.suite_finite_group(trials=args.trials)
-    return _emit(args, {"verb": "group-verify"} | rep)
-
-
-def cmd_schema(args) -> int:
+def _schema(args, angle) -> int:
     print(json.dumps(report_schema(), sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -273,96 +251,113 @@ def report_schema() -> dict:
 # -- entry point ----------------------------------------------------------------
 
 
-def _common(p, window=True, depth=False):
-    p.add_argument("--angle", help="named angle or JSON descriptor")
-    p.add_argument("--require-exact", action="store_true", dest="require_exact")
-    p.add_argument("-o", "--output", help="write the report here instead of stdout")
-    if window:
-        p.add_argument("--window", type=int, default=10)
-    if depth:
-        p.add_argument("--depth", type=int, default=6)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 4), not argparse's exit 2, which
+    here means that a check failed."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+# option -> (flags, add_argument keywords); a verb lists the options it reads
+OPTIONS = {
+    "input": (("input",), {}),
+    "n": (("-n",), {"type": int, "required": True}),
+    "plot_n": (("-n",), {"type": int, "default": 1}),
+    "window": (("--window",), {"type": _int_at_least(0), "default": 10}),
+    "depth": (("--depth",), {"type": _int_at_least(0), "default": 6}),
+    "angle": (("--angle",), {"help": "named angle or JSON descriptor"}),
+    "require_exact": (("--require-exact",), {"action": "store_true"}),
+    "output": (("-o", "--output"), {"help": "write the report here instead of stdout"}),
+    "suite": (("--suite",), {"required": True, "choices": SUITES}),
+    # suite flags default to None, so that a flag given to a suite that
+    # does not read it can be told apart; SUITE_DEFAULTS fills the rest
+    "suite_n": (("--n",), {"type": _int_at_least(1), "dest": "n"}),
+    "tolerance": (("--tolerance",), {"type": float}),
+    "seed": (("--seed",), {"type": int}),
+    "trials": (("--trials",), {"type": _int_at_least(1), "default": 200}),
+}
+
+
+class Verb(NamedTuple):
+    help: str
+    inputs: tuple[str, ...]  # positional ideal-function documents, loaded by main
+    options: tuple[str, ...]  # keys of OPTIONS
+    run: Callable  # (args, angle, *functions) -> report body
+    emits: bool = True  # False: run prints its own output and returns the exit code
+
+
+_LATTICE = ("angle", "require_exact", "output", "window")
+
+VERBS = {
+    "eval": Verb("value of an ideal function at one index", ("function",),
+                 ("n", "angle", "require_exact", "output"), _eval),
+    "check-closed": Verb("verify the closure axioms on a window", ("function",),
+                         _LATTICE, _check_closed),
+    "meet": Verb("pointwise meet of two ideal functions", ("left", "right"),
+                 _LATTICE, _meet),
+    "join": Verb("certified closed join of two ideal functions", ("left", "right"),
+                 _LATTICE + ("depth",), _join),
+    "close": Verb("closure of an ideal function", ("function",),
+                  _LATTICE + ("depth",), _close),
+    "decompose": Verb("canonical generation by basics", ("function",),
+                      _LATTICE + ("depth",), _decompose),
+    "classify": Verb("residual / small classification", ("function",),
+                     _LATTICE, _classify),
+    "simplicity": Verb("simplicity report for the algebra", ("function",),
+                       _LATTICE, _simplicity),
+    "plot": Verb("render a circle set (or one value) as SVG", (),
+                 ("input", "plot_n", "angle", "output"), _plot, emits=False),
+    "sandbox-verify": Verb("run an operator-sandbox suite", (),
+                           ("suite", "suite_n", "tolerance", "seed", "angle", "output"),
+                           _sandbox_verify),
+    "group-verify": Verb("run the finite-group suite", (), ("trials", "output"),
+                         _group_verify),
+    "schema": Verb("print the report document schema", (), (), _schema, emits=False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="rotalg", description=__doc__)
+    ap = _Parser(prog="rotalg", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("eval", help="value of an ideal function at one index")
-    p.add_argument("function")
-    p.add_argument("-n", type=int, required=True)
-    _common(p)
-    p.set_defaults(run=cmd_eval)
-
-    p = sub.add_parser("check-closed", help="verify the closure axioms on a window")
-    p.add_argument("function")
-    _common(p)
-    p.set_defaults(run=cmd_check_closed)
-
-    p = sub.add_parser("meet", help="pointwise meet of two ideal functions")
-    p.add_argument("left")
-    p.add_argument("right")
-    _common(p)
-    p.set_defaults(run=cmd_meet)
-
-    p = sub.add_parser("join", help="certified closed join of two ideal functions")
-    p.add_argument("left")
-    p.add_argument("right")
-    _common(p, depth=True)
-    p.set_defaults(run=cmd_join)
-
-    p = sub.add_parser("close", help="closure of an ideal function")
-    p.add_argument("function")
-    _common(p, depth=True)
-    p.set_defaults(run=cmd_close)
-
-    p = sub.add_parser("decompose", help="canonical generation by basics")
-    p.add_argument("function")
-    _common(p, depth=True)
-    p.set_defaults(run=cmd_decompose)
-
-    p = sub.add_parser("classify", help="residual / small classification")
-    p.add_argument("function")
-    _common(p)
-    p.set_defaults(run=cmd_classify)
-
-    p = sub.add_parser("simplicity", help="simplicity report for the algebra")
-    p.add_argument("function")
-    _common(p)
-    p.set_defaults(run=cmd_simplicity)
-
-    p = sub.add_parser("plot", help="render a circle set (or one value) as SVG")
-    p.add_argument("input")
-    p.add_argument("-n", type=int, default=1)
-    _common(p, window=False)
-    p.set_defaults(run=cmd_plot)
-
-    p = sub.add_parser("sandbox-verify", help="run an operator-sandbox suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
-    _common(p, window=False)
-    p.set_defaults(run=cmd_sandbox_verify)
-
-    p = sub.add_parser("group-verify", help="run the finite-group suite")
-    p.add_argument("--trials", type=int, default=200)
-    _common(p, window=False)
-    p.set_defaults(run=cmd_group_verify)
-
-    p = sub.add_parser("schema", help="print the report document schema")
-    p.set_defaults(run=cmd_schema)
-
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for inp in verb.inputs:
+            p.add_argument(inp)
+        for opt in verb.options:
+            flags, kwargs = OPTIONS[opt]
+            p.add_argument(*flags, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv and argv[0] in VERBS else None
     try:
-        return args.run(args)
+        args = build_parser().parse_args(argv)
+        verb = VERBS[name]
+        angle = _resolve_angle(args) if "angle" in verb.options else None
+        fns = [_load_function(args, getattr(args, inp), angle) for inp in verb.inputs]
+        if not verb.emits:
+            return verb.run(args, angle)
+        report = verb.run(args, angle, *fns)
+        if fns:
+            report = {"angle": fns[0].angle.to_json()} | report
+        return _emit(args, {"verb": name} | report)
     except (InputError, ValueError, KeyError, PhaseSearchFailed) as exc:
         # PhaseSearchFailed: the angle has no conjugator phase close enough
         # within the search bound, so the suite cannot run on this input
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "verb": args.verb,
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "verb": name,
                           "ok": False, "error": str(exc)}, sort_keys=True),
               file=sys.stderr)
         return EXIT_INPUT

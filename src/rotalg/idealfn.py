@@ -130,7 +130,6 @@ class BasicFunction(IdealFunction):
         self.P = P
         self.angle = P.angle
         self._pos: list[ClosedCircleSet] = []  # cumulative unions, index n-1 -> value(nq)
-        self._neg: list[ClosedCircleSet] = []
 
     def value(self, n: int) -> tuple[ClosedCircleSet, Certificate]:
         angle = self.angle
@@ -138,21 +137,14 @@ class BasicFunction(IdealFunction):
             return ClosedCircleSet.empty(angle), EXACT
         if self.q == 0 or n % self.q != 0:
             return ClosedCircleSet.full_circle(angle), EXACT
-        k = n // self.q
-        if k > 0:
-            while len(self._pos) < k:
-                prev = self._pos[-1] if self._pos else None
-                j = len(self._pos)
-                piece = self.P.rotate(-self.q * j)
-                self._pos.append(piece if prev is None else prev.union(piece))
-            return self._pos[k - 1], EXACT
-        k = -k
-        while len(self._neg) < k:
-            prev = self._neg[-1] if self._neg else None
-            j = len(self._neg) + 1
-            piece = self.P.rotate(self.q * j)
-            self._neg.append(piece if prev is None else prev.union(piece))
-        return self._neg[k - 1], EXACT
+        k = abs(n) // self.q
+        while len(self._pos) < k:
+            prev = self._pos[-1] if self._pos else None
+            piece = self.P.rotate(-self.q * len(self._pos))
+            self._pos.append(piece if prev is None else prev.union(piece))
+        value = self._pos[k - 1]
+        # reflection: value(-kq) is value(kq) rotated by kq
+        return (value if n > 0 else value.rotate(k * self.q)), EXACT
 
     def support_modulus(self) -> Optional[int]:
         if self.q == 0:

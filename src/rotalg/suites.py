@@ -53,7 +53,7 @@ def random_float_element(angle: Angle, rng: random.Random, x_span: int = 3,
 
 
 def suite_ring_laws(angle: Angle | None = None, n: int = 500,
-                    tolerance: float = 0.0, seed: int = 0, **_) -> dict:
+                    seed: int = 0) -> dict:
     """Exact-mode ring laws on randomized triples, plus the expectation
     identity for products (zero-layer of a*d as a finite convolution)."""
     angle = angle or golden_angle()
@@ -103,13 +103,14 @@ def fejer_test_element(angle: Angle) -> CrossedElement:
     return el
 
 
-def suite_fejer(angle: Angle | None = None, n: int = 64, radius: int = 12,
-                **_) -> dict:
+def suite_fejer(angle: Angle | None = None, n: int = 64, radius: int = 12) -> dict:
     """Cesaro-mean error table: the truncated-norm error is nonincreasing
     past the degree and the low-frequency compression converges."""
     angle = angle or golden_angle()
     a = fejer_test_element(angle)
     deg = a.degree_x()
+    if n < deg:
+        raise ValueError(f"n = {n} is below the degree {deg} of the test element")
     errors = []
     for m in range(deg, n + 1):
         err = truncated_norm(a - fejer_bracket(a, m), radius=radius)
@@ -130,7 +131,7 @@ def suite_fejer(angle: Angle | None = None, n: int = 64, radius: int = 12,
 
 def suite_averaging(angle: Angle | None = None, n: int = 50, eps: float = 0.05,
                     q: int = 1, rs: tuple = (2, 3), bound: int = 200,
-                    seed: int = 0, radius: int = 32, **_) -> dict:
+                    seed: int = 0, radius: int = 32) -> dict:
     """Quality of the frequency-selecting averaging operator, and the
     contraction property on randomized elements."""
     angle = angle or golden_angle()
@@ -157,7 +158,7 @@ def suite_averaging(angle: Angle | None = None, n: int = 50, eps: float = 0.05,
 
 
 def suite_derivative(angle: Angle | None = None, n: int = 8, seed: int = 0,
-                     scale: float = 0.01, **_) -> dict:
+                     scale: float = 0.01) -> dict:
     """Two-frequency splitting by differentiation along best denominators."""
     angle = angle or golden_angle()
     rng = random.Random(seed)
@@ -199,9 +200,10 @@ def center_instance():
     return angle, make_basic(1, P)
 
 
-def suite_center(angle: Angle | None = None, tolerance: float = 1e-8,
-                 grid: int = 256, bump_order: int = 20, **_) -> dict:
-    """Central-element checks on the canonical arc-complement instance.
+def suite_center(tolerance: float = 1e-8, grid: int = 256,
+                 bump_order: int = 20) -> dict:
+    """Central-element checks on the canonical arc-complement instance,
+    which fixes its own angle (reported as "angle").
 
     A rotation-glued bump far from the gap passes; constants pass; the
     first shift character fails the invariance equations.
@@ -214,7 +216,7 @@ def suite_center(angle: Angle | None = None, tolerance: float = 1e-8,
     eigen = TrigPoly.delta(1, mode="float")
     rep_eigen = center_check(c, eigen, grid=grid, tolerance=tolerance)
     ok = rep.ok and rep_const.ok and not rep_eigen.ok
-    return {"ok": ok,
+    return {"ok": ok, "angle": angle.to_json(),
             "constructed": {"ok": rep.ok, "equation_max": rep.equation_max,
                             "commutators": rep.commutator_norms,
                             "copies_disjoint": rep.shifted_copies_disjoint,
@@ -225,7 +227,7 @@ def suite_center(angle: Angle | None = None, tolerance: float = 1e-8,
 
 
 def suite_membership(angle: Angle | None = None, n: int = 20,
-                     tolerance: float = 1e-9, seed: int = 0, **_) -> dict:
+                     tolerance: float = 1e-9, seed: int = 0) -> dict:
     """Consistency between ideal-function values and sandbox membership.
 
     For each random basic with point data, a layer built to vanish on the
@@ -263,7 +265,7 @@ def suite_membership(angle: Angle | None = None, n: int = 20,
             "tolerance": tolerance}
 
 
-def suite_finite_group(trials: int = 200, **_) -> dict:
+def suite_finite_group(trials: int = 200) -> dict:
     """End-to-end finite-group checks: augmentation ideals, the compressed
     intermediate algebra, the two-point rigidity, subgroup discrimination
     and ideal extension."""

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import rotalg
 from rotalg import (Arc, ClosedCircleSet, function_to_json, golden_angle,
                     make_basic, set_to_json, window_function)
 from rotalg.circleset import pt
-from rotalg.cli import main, report_schema
+from rotalg.cli import build_parser, main, report_schema
 
 F = Fraction
 _G = golden_angle()
@@ -215,3 +216,123 @@ def test_averaging_phase_search_failure_exits_4(angle, capsys):
     doc = json.loads(err)
     assert doc["ok"] is False and doc["verb"] == "sandbox-verify"
     assert "realizes the root" in doc["error"]
+
+
+# every option each verb reads, and nothing else (-h aside)
+READS = {
+    "eval": {"-n", "--angle", "--require-exact", "-o"},
+    "check-closed": {"--window", "--angle", "--require-exact", "-o"},
+    "meet": {"--window", "--angle", "--require-exact", "-o"},
+    "join": {"--window", "--depth", "--angle", "--require-exact", "-o"},
+    "close": {"--window", "--depth", "--angle", "--require-exact", "-o"},
+    "decompose": {"--window", "--depth", "--angle", "--require-exact", "-o"},
+    "classify": {"--window", "--angle", "--require-exact", "-o"},
+    "simplicity": {"--window", "--angle", "--require-exact", "-o"},
+    "plot": {"-n", "--angle", "-o"},
+    "sandbox-verify": {"--suite", "--n", "--tolerance", "--seed", "--angle", "-o"},
+    "group-verify": {"--trials", "-o"},
+    "schema": set(),
+}
+
+
+def test_each_verb_accepts_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {verb: {a.option_strings[0] for a in p._actions
+                       if a.option_strings and a.option_strings[0] != "-h"}
+                for verb, p in sub.choices.items()}
+    assert accepted == READS
+
+
+def _error(capsys):
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)
+    assert err["ok"] is False
+    return err
+
+
+@pytest.mark.parametrize("argv, verb", [
+    pytest.param(["eval", "{A}"], "eval", id="eval-without-n"),
+    pytest.param(["eval", "{A}", "-n", "x"], "eval", id="eval-n-not-int"),
+    pytest.param(["join", "{A}"], "join", id="join-one-input"),
+    pytest.param(["sandbox-verify"], "sandbox-verify", id="no-suite"),
+    pytest.param(["sandbox-verify", "--suite", "nope"], "sandbox-verify", id="unknown-suite"),
+    pytest.param(["nonsense"], None, id="unknown-verb"),
+    pytest.param([], None, id="no-verb"),
+])
+def test_usage_errors_exit_4(argv, verb, inputs, capsys):
+    # argparse's own exit code 2 would read as "a check failed"
+    code = main([str(inputs["a"]) if a == "{A}" else a for a in argv])
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == verb
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"], ["sandbox-verify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["group-verify", "--trials", "1", "--angle", "nonsense"], "--angle",
+                 id="group-verify-angle"),
+    pytest.param(["group-verify", "--trials", "1", "--require-exact"], "--require-exact",
+                 id="group-verify-require-exact"),
+    pytest.param(["sandbox-verify", "--suite", "ring", "--n", "2", "--require-exact"],
+                 "--require-exact", id="sandbox-require-exact"),
+    pytest.param(["eval", "{A}", "-n", "1", "--window", "3"], "--window", id="eval-window"),
+    pytest.param(["plot", "{A}", "--require-exact", "-o", "{SVG}"], "--require-exact",
+                 id="plot-require-exact"),
+    pytest.param(["sandbox-verify", "--suite", "ring", "--n", "2", "--tolerance", "5"],
+                 "--tolerance", id="ring-tolerance"),
+    pytest.param(["sandbox-verify", "--suite", "fejer", "--n", "8", "--tolerance", "1"],
+                 "--tolerance", id="fejer-tolerance"),
+    pytest.param(["sandbox-verify", "--suite", "fejer", "--n", "8", "--seed", "1"],
+                 "--seed", id="fejer-seed"),
+    pytest.param(["sandbox-verify", "--suite", "averaging", "--n", "1", "--tolerance", "1"],
+                 "--tolerance", id="averaging-tolerance"),
+    pytest.param(["sandbox-verify", "--suite", "derivative", "--n", "4", "--tolerance", "1"],
+                 "--tolerance", id="derivative-tolerance"),
+    pytest.param(["sandbox-verify", "--suite", "center", "--seed", "3"], "--seed",
+                 id="center-seed"),
+    pytest.param(["sandbox-verify", "--suite", "center", "--n", "3"], "--n", id="center-n"),
+    pytest.param(["sandbox-verify", "--suite", "center", "--angle", "golden"], "--angle",
+                 id="center-angle"),
+])
+def test_flags_nothing_reads_exit_4(argv, flag, inputs, capsys, tmp_path):
+    subs = {"{A}": str(inputs["a"]), "{SVG}": str(tmp_path / "out.svg")}
+    code = main([subs.get(a, a) for a in argv])
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == argv[0]
+    assert flag in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check-closed", "{A}", "--window", "-3"], id="window-negative"),
+    pytest.param(["join", "{A}", "{B}", "--depth", "-1"], id="depth-negative"),
+    pytest.param(["sandbox-verify", "--suite", "membership", "--n", "-2"], id="suite-n-negative"),
+    pytest.param(["sandbox-verify", "--suite", "ring", "--n", "0"], id="suite-n-zero"),
+    pytest.param(["group-verify", "--trials", "0"], id="trials-zero"),
+    pytest.param(["sandbox-verify", "--suite", "fejer", "--n", "3"], id="fejer-below-degree"),
+])
+def test_out_of_range_values_exit_4(argv, inputs, capsys):
+    subs = {"{A}": str(inputs["a"]), "{B}": str(inputs["b"])}
+    code = main([subs.get(a, a) for a in argv])
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == argv[0]
+
+
+def test_zero_window_and_depth_accepted(inputs, capsys):
+    code, rep = run(capsys, "join", inputs["a"], inputs["b"], "--window", "0", "--depth", "0")
+    assert code == 0 and list(rep["values"]) == ["0"]
+
+
+def test_center_suite_reports_the_angle_it_runs_on(capsys):
+    from rotalg.suites import center_instance
+    code, rep = run(capsys, "sandbox-verify", "--suite", "center", "--tolerance", "1e-8")
+    assert code == 0 and rep["ok"] and rep["tolerance"] == 1e-8
+    assert rep["angle"] == center_instance()[0].to_json()
+    assert rep["angle"] == {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 5}
