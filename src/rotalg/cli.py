@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from . import __version__, suites
+from . import __version__
 from .angle import Angle, default_angle, named_angle
 from .circleset import render_svg, set_from_json, set_to_json
 from .idealfn import (canonical_decomposition, check_closed, classify_algebra,
@@ -182,6 +182,7 @@ SUITE_DEFAULTS = {"n": 64, "tolerance": 1e-9, "seed": 0}
 
 
 def _sandbox_verify(args, angle) -> dict:
+    from . import suites  # imported on use: the lattice verbs do not need it
     name, reads = SUITES[args.suite]
     given = {f: getattr(args, f) for f in ("angle", *SUITE_DEFAULTS)
              if getattr(args, f) is not None}
@@ -195,6 +196,7 @@ def _sandbox_verify(args, angle) -> dict:
 
 
 def _group_verify(args, angle) -> dict:
+    from . import suites
     return suites.suite_finite_group(trials=args.trials)
 
 
