@@ -68,6 +68,8 @@ ARC_FAR = basic(GOLDEN, 1, arcs((p("2/5"), p("3/5"))))
 SILVER_HALF = basic(SILVER, 1, arcs((p("1/8"), p("5/8"))))
 NOT_CLOSED = window(GOLDEN, {1: pts(p("1/7")), 2: pts(p("1/7", 5))})
 ZERO_PROPER = window(GOLDEN, {0: pts(p("1/2")), 1: pts(p("1/2"), p("1/2", 1))})
+RESIDUAL_1 = basic(GOLDEN, 1, pts(p("4/9"), p("4/9", 1)))
+RESIDUAL_2 = basic(GOLDEN, 2, pts(p("4/9"), p("4/9", -1), p("4/9", -2)))
 
 # name -> (input documents, verb, argv after the inputs)
 CASES = {
@@ -80,6 +82,8 @@ CASES = {
     "eval-silver": ([basic(SILVER, 1, pts(p("1/3"), p("2/3", 2)))], "eval", ["-n", 5]),
     "eval-cf-angle": ([basic(SILVER_CF, 2, pts(p("1/4", -1)))], "eval", ["-n", -4]),
     "eval-angle-override": ([ORBIT], "eval", ["-n", 3, "--angle", "silver5"]),
+    # a join document is rebuilt at window 10; |n| > 10 extends it on demand
+    "eval-join-extension": ([join(GOLDEN, [RESIDUAL_1, RESIDUAL_2])], "eval", ["-n", 12]),
     # check-closed
     "check-closed-orbit": ([BLOCK], "check-closed", ["--window", 6]),
     "check-closed-arc": ([ARC], "check-closed", ["--window", 5]),
@@ -89,14 +93,17 @@ CASES = {
                           "check-closed", ["--window", 4]),
     # join
     "join-collapse": ([ORBIT, ORBIT_NEXT], "join", ["--window", 6, "--depth", 4]),
-    "join-residual": ([basic(GOLDEN, 1, pts(p("4/9"), p("4/9", 1))),
-                       basic(GOLDEN, 2, pts(p("4/9"), p("4/9", -1), p("4/9", -2)))],
-                      "join", ["--window", 6]),
+    "join-residual": ([RESIDUAL_1, RESIDUAL_2], "join", ["--window", 6]),
     "join-steps-1-2": ([ORBIT, basic(GOLDEN, 2, pts(p("3/7", 1)))], "join", ["--window", 6]),
     "join-arcs-overlap": ([ARC, ARC_SHIFTED], "join", ["--window", 5]),
     "join-arcs-disjoint": ([ARC, ARC_FAR], "join", ["--window", 6]),
     "join-require-exact": ([ARC, ARC_SHIFTED], "join",
                            ["--window", 4, "--depth", 0, "--require-exact"]),
+    # one round is not enough: the upper bounds reported depend on the
+    # order in which the closure engine visits its constraints
+    "join-depth-runs-out": ([basic(GOLDEN, 1, pts(p("1/3", -2), p("1/3", -1), p("1/3", 2))),
+                             basic(GOLDEN, 1, pts(p("1/3", -2), p("1/3")))],
+                            "join", ["--window", 5, "--depth", 1]),
     "join-silver5": ([basic(SILVER5, 1, pts(p("1/2"))), basic(SILVER5, 3, pts(p("1/2"), p("1/2", 1)))],
                      "join", ["--window", 5]),
     # close
@@ -113,6 +120,7 @@ CASES = {
                           ["--window", 10]),
     "classify-small": ([basic(GOLDEN, 1, arcs((p("1/4"), p("13/20"))))], "classify",
                        ["--window", 12]),
+    "classify-join": ([join(GOLDEN, [RESIDUAL_1, RESIDUAL_2])], "classify", ["--window", 8]),
     # meet
     "meet-2-3": ([basic(GOLDEN, 2, pts(p("1/7"))), basic(GOLDEN, 3, pts(p("1/7")))],
                  "meet", ["--window", 8]),

@@ -291,6 +291,78 @@ def test_c_ideal_failure_and_triviality():
     assert check_c_closed(CIdealFunction(b1, {}), 6).ok
 
 
+def _inside(A, B):
+    return B is oracles.FULL or (A is not oracles.FULL and A <= B)
+
+
+def _brute_closed_violations(c, w):
+    """check_closed's violation list, from the axioms on orbit exponents."""
+    v = {n: exps_of(c.value_set(n)) for n in range(-2 * w, 2 * w + 1)}
+    viols = [("reflection", n) for n in range(1, w + 1)
+             if v[-n] != oracles.shift(v[n], n)]
+    for m in range(-w, w + 1):
+        for n in range(-w, w + 1):
+            if v[m] is oracles.FULL or v[n] is oracles.FULL:
+                continue
+            if not _inside(v[m + n], oracles.union(oracles.shift(v[n], -m), v[m])):
+                viols.append(("product", m, n))
+    return viols
+
+
+def _brute_c_closed_violations(j, w):
+    """check_c_closed's violation list, from the relative axioms on exponents."""
+    rng = range(-2 * w, 2 * w + 1)
+    jv = {n: exps_of(j.value_set(n)) for n in rng}
+    cv = {n: exps_of(j.parent.value_set(n)) for n in rng}
+    shift, union, meet_ = oracles.shift, oracles.union, oracles.intersect
+    viols = [("domination", n) for n in range(-w, w + 1) if not _inside(cv[n], jv[n])]
+    viols += [("reflection", n) for n in range(1, w + 1) if jv[-n] != shift(jv[n], n)]
+    for m in range(-w, w + 1):
+        for n in range(-w, w + 1):
+            if cv[m] is not oracles.FULL and jv[n] is not oracles.FULL and not _inside(
+                    jv[m + n], union(shift(jv[n], -m), cv[m])):
+                viols.append(("product", m, n))
+    for m in range(-w, w + 1):
+        for n in range(-w, w + 1):
+            if jv[m] is oracles.FULL or jv[n] is oracles.FULL:
+                continue
+            bound = meet_(meet_(union(shift(jv[n], -m), cv[m]), union(shift(jv[m], -n), cv[n])),
+                          meet_(union(shift(cv[n], -m), jv[m]), union(shift(cv[m], -n), jv[n])))
+            if not _inside(jv[m + n], bound):
+                viols.append(("product-symmetric", m, n))
+    return viols
+
+
+def test_closedness_violation_lists_match_brute_force():
+    b1 = make_basic(1, _P)
+    closed_cases = [
+        (window_function(_G, {1: _P, 2: orbit_set(5)}), 3),
+        (window_function(_G, {1: orbit_set(0, 1), -1: orbit_set(2), 2: orbit_set(0)}), 3),
+        (naive_join(b1, make_basic(1, _P.rotate(1))), 4),
+        (meet(make_basic(2, _P), make_basic(3, _P)), 4),
+        (make_basic(2, orbit_set(0, 1)), 4),
+    ]
+    kinds = set()
+    for c, w in closed_cases:
+        got = check_closed(c, w).violations
+        assert got == _brute_closed_violations(c, w)
+        kinds.update(v[0] for v in got)
+    assert kinds == {"reflection", "product"}
+    c_cases = [
+        (CIdealFunction(b1, {0: _P}), 6),
+        (CIdealFunction(b1, {2: ClosedCircleSet.empty(_G)}), 4),
+        (CIdealFunction(b1, {1: orbit_set(0, 3), -1: orbit_set(4, 1)}), 4),
+        (CIdealFunction(make_basic(1, orbit_set(0, 1)), {0: orbit_set(1)}), 4),
+        (CIdealFunction(b1, {}), 4),
+    ]
+    kinds = set()
+    for j, w in c_cases:
+        got = check_c_closed(j, w).violations
+        assert got == _brute_c_closed_violations(j, w)
+        kinds.update(v[0] for v in got)
+    assert kinds == {"domination", "reflection", "product", "product-symmetric"}
+
+
 def test_c_ideal_zero_slice_inside_all_values(silver):
     half = ClosedCircleSet.from_components(silver, (), (Arc(pt(0), pt(F(1, 2))),))
     c = make_basic(1, half)
