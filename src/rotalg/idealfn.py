@@ -247,8 +247,7 @@ class JoinFunction(IdealFunction):
     """Certified closed join, materialized on a window by the closure engine."""
 
     def __init__(self, generators: Sequence[IdealFunction], window: int,
-                 depth: int, values: dict[int, ClosedCircleSet],
-                 value_certs: dict[int, Certificate], cert: Certificate,
+                 depth: int, values: dict[int, ClosedCircleSet], cert: Certificate,
                  all_empty_mod: Optional[int] = None,
                  finite_support: Optional[int] = None):
         self.generators = list(generators)
@@ -256,7 +255,6 @@ class JoinFunction(IdealFunction):
         self.window = window
         self.depth = depth
         self.values = values
-        self.value_certs = value_certs
         self.certificate = cert
         self.all_empty_mod = all_empty_mod
         self.finite_support = finite_support
@@ -269,18 +267,15 @@ class JoinFunction(IdealFunction):
             return ClosedCircleSet.full_circle(self.angle), Certificate(
                 True, self.certificate.depth, "collapse")
         if abs(n) <= self.window:
-            return self.values[n], self.value_certs[n]
+            v = self.values[n]
+            if v.is_empty():
+                return v, Certificate(True, self.certificate.depth, "empty-forced")
+            return v, self.certificate
         if self.finite_support is not None and abs(n) > self.finite_support:
             return ClosedCircleSet.full_circle(self.angle), Certificate(
                 True, self.certificate.depth, "finite-support")
-        # extend on demand; sharpened values replace the memo
-        bigger = join_many(self.generators, abs(n), self.depth)
-        self.window = bigger.window
-        self.values = bigger.values
-        self.value_certs = bigger.value_certs
-        self.certificate = bigger.certificate
-        self.all_empty_mod = bigger.all_empty_mod
-        self.finite_support = bigger.finite_support
+        # extend on demand; the wider join's state replaces this one's
+        self.__dict__.update(vars(join_many(self.generators, abs(n), self.depth)))
         return self.value(n)
 
     def support_modulus(self) -> Optional[int]:
@@ -346,6 +341,44 @@ class ClosednessReport:
         return self.ok
 
 
+def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
+                        parent: Optional[dict[int, ClosedCircleSet]] = None):
+    """Yield (label, t, bound) for each closure constraint that D breaks,
+    that is each one where D[t] is not inside bound.
+
+    First reflection for 0 < n <= w, ("reflection", n), on both sides:
+    D[-n] against D[n].rotate(n) and D[n] against D[-n].rotate(-n).  Then
+    the product axiom, ("product", m, n), for m and n off the full circle
+    in [-w, w] and targets m + n that are keys of D: D[m+n] against
+    D[n].rotate(-m) u side[m], where side is the parent's map when given
+    (the one-sided rule of an ideal) and D itself otherwise.  Constraints
+    met trivially (a full side, an empty target) are skipped.  D is read
+    live, so a caller may cut D[t] by bound before asking for the next one.
+    """
+    for n in range(1, w + 1):
+        for t in (-n, n):
+            bound = D[-t].rotate(-t)
+            if not bound.contains_set(D[t]):
+                yield ("reflection", n), t, bound
+    side = D if parent is None else parent
+    nsupp = [n for n in range(-w, w + 1) if not D[n].full]
+    msupp = [m for m in range(-w, w + 1) if not side[m].full]
+    for m in msupp:
+        for n in nsupp:
+            t = m + n
+            if t not in D or D[t].is_empty():
+                continue
+            bound = D[n].rotate(-m).union(side[m])
+            if not bound.contains_set(D[t]):
+                yield ("product", m, n), t, bound
+
+
+def _labels(D: dict[int, ClosedCircleSet], w: int,
+            parent: Optional[dict[int, ClosedCircleSet]] = None) -> list[tuple]:
+    """Labels of the broken constraints, each once, in visiting order."""
+    return list(dict.fromkeys(label for label, _, _ in _broken_constraints(D, w, parent)))
+
+
 def check_closed(c: IdealFunction, window: int) -> ClosednessReport:
     """Verify the two closure axioms on a window.
 
@@ -354,20 +387,8 @@ def check_closed(c: IdealFunction, window: int) -> ClosednessReport:
     window functions whose support is certified inside the window this is
     a complete check.
     """
-    angle = c.angle
-    full = ClosedCircleSet.full_circle(angle)
     vals = {n: c.value_set(n) for n in range(-2 * window, 2 * window + 1)}
-    viols: list[tuple] = []
-    for n in range(1, window + 1):
-        if vals[-n] != vals[n].rotate(n):
-            viols.append(("reflection", n))
-    supp = [n for n in range(-window, window + 1) if vals[n] != full]
-    for m in supp:
-        for n in supp:
-            target = vals[m + n]
-            bound = vals[n].rotate(-m).union(vals[m])
-            if not bound.contains_set(target):
-                viols.append(("product", m, n))
+    viols = _labels(vals, window)
     return ClosednessReport(not viols, viols)
 
 
@@ -436,43 +457,19 @@ def _closure_fixpoint(angle: Angle, seed: dict[int, ClosedCircleSet],
                       max_rounds: int) -> tuple[dict[int, ClosedCircleSet], int, bool]:
     """Greatest closed-function values below the seed on the seed window.
 
-    Repeatedly intersects each value with every reflection/product
-    constraint until a full sweep changes nothing.  Every surviving value
+    Cuts each value by every broken reflection/product constraint, in
+    sweeps, until a full sweep finds none broken.  Every surviving value
     is a superset of the true closure's value, so empty results are exact.
     """
     D = dict(seed)
     W2 = max(abs(n) for n in D)
-    full = ClosedCircleSet.full_circle(angle)
     rounds = 0
     stable = False
     for _ in range(max_rounds):
         changed = False
-        for n in range(1, W2 + 1):
-            ref = D[n].rotate(n)
-            if D[-n] != ref:
-                new = D[-n].intersect(ref)
-                if new != D[-n]:
-                    D[-n] = new
-                    changed = True
-                new = D[n].intersect(D[-n].rotate(-n))
-                if new != D[n]:
-                    D[n] = new
-                    changed = True
-        supp = [n for n in range(-W2, W2 + 1) if D[n] != full]
-        for m in supp:
-            if D[m] == full:
-                continue
-            for n in supp:
-                t = m + n
-                if not (-W2 <= t <= W2) or D[n] == full:
-                    continue
-                if D[t].is_empty():
-                    continue
-                bound = D[n].rotate(-m).union(D[m])
-                new = D[t].intersect(bound)
-                if new != D[t]:
-                    D[t] = new
-                    changed = True
+        for _, t, bound in _broken_constraints(D, W2):
+            D[t] = D[t].intersect(bound)
+            changed = True
         rounds += 1
         if not changed:
             stable = True
@@ -526,13 +523,7 @@ def join_many(generators: Sequence[IdealFunction], window: int,
         fn_exact, note = False, "depth-exhausted"
 
     values = {n: D[n] for n in range(-window, window + 1)}
-    certs = {}
-    for n in range(-window, window + 1):
-        if D[n].is_empty():
-            certs[n] = Certificate(True, rounds, "empty-forced")
-        else:
-            certs[n] = Certificate(fn_exact, rounds, note)
-    return JoinFunction(generators, window, depth, values, certs,
+    return JoinFunction(generators, window, depth, values,
                         Certificate(fn_exact, rounds, note),
                         all_empty_mod, finite_support)
 
@@ -749,24 +740,12 @@ def check_c_closed(j: CIdealFunction, window: int) -> ClosednessReport:
     parent support and n in the ideal support, and the symmetric four-term
     bound when both indices are in the ideal support.
     """
-    c = j.parent
-    angle = j.angle
-    full = ClosedCircleSet.full_circle(angle)
     jv = {n: j.value_set(n) for n in range(-2 * window, 2 * window + 1)}
-    cv = {n: c.value_set(n) for n in range(-2 * window, 2 * window + 1)}
-    viols: list[tuple] = []
-    for n in range(-window, window + 1):
-        if not jv[n].contains_set(cv[n]):
-            viols.append(("domination", n))
-    for n in range(1, window + 1):
-        if jv[-n] != jv[n].rotate(n):
-            viols.append(("reflection", n))
-    csupp = [n for n in range(-window, window + 1) if cv[n] != full]
-    jsupp = [n for n in range(-window, window + 1) if jv[n] != full]
-    for m in csupp:
-        for n in jsupp:
-            if not jv[n].rotate(-m).union(cv[m]).contains_set(jv[m + n]):
-                viols.append(("product", m, n))
+    cv = {n: j.parent.value_set(n) for n in range(-2 * window, 2 * window + 1)}
+    viols = [("domination", n) for n in range(-window, window + 1)
+             if not jv[n].contains_set(cv[n])]
+    viols += _labels(jv, window, parent=cv)
+    jsupp = [n for n in range(-window, window + 1) if not jv[n].full]
     for m in jsupp:
         for n in jsupp:
             target = jv[m + n]
