@@ -408,7 +408,8 @@ def extend_from_positive(angle: Angle, values: dict[int, ClosedCircleSet],
 
     Three one-sided conditions (sums, differences, shifted differences)
     are verified on the given window; on success the negative side is
-    produced by reflection.  With default "unknown" constraints whose
+    produced by reflection.  An index of 1..N missing from the data is
+    the full circle.  With default "unknown" constraints whose
     target falls outside the window are left open; with default "full"
     the data is read as a finite-support function and those constraints
     are enforced against the full circle.  Raises ExtensionViolation with
@@ -427,7 +428,9 @@ def extend_from_positive(angle: Angle, values: dict[int, ClosedCircleSet],
             return ClosedCircleSet.empty(angle)
         if n in values:
             return values[n]
-        return full if default == "full" else None  # None: unconstrained
+        # a gap inside the window is the full circle, as in the output;
+        # None: unconstrained
+        return full if n <= W or default == "full" else None
 
     supp = [n for n in range(1, W + 1) if values.get(n, full) != full]
     for m in supp:

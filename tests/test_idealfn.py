@@ -181,6 +181,19 @@ def test_extension_violation():
     assert (exc.value.m, exc.value.n) == (1, 1)
 
 
+def test_extension_gap_reads_as_full_circle():
+    # index 2 is missing: inside the window it is the full circle, which
+    # the sum rule at (1, 1) bounds by P rotated by -1 together with P
+    with pytest.raises(ExtensionViolation) as exc:
+        extend_from_positive(_G, {0: ClosedCircleSet.empty(_G), 1: _P, 3: _P})
+    assert exc.value.condition == "sum-rule"
+    assert (exc.value.m, exc.value.n) == (1, 1)
+    # a gap that the rules allow is filled with the full circle
+    arc = ClosedCircleSet.from_components(_G, (), (Arc(pt(0), pt(F(7, 10))),))
+    ext = extend_from_positive(_G, {1: arc, 3: ClosedCircleSet.full_circle(_G)})
+    assert ext.value_set(2).full and ext.value_set(-2).full
+
+
 # -- support and classification ---------------------------------------------
 
 
