@@ -195,9 +195,6 @@ class WindowFunction(IdealFunction):
         supp = [abs(n) for n, v in self.values.items() if v != full]
         return max(supp, default=0)
 
-    def window_radius(self) -> int:
-        return max((abs(n) for n in self.values), default=0)
-
 
 class PointwiseFunction(IdealFunction):
     """Lazy pointwise combination: 'meet' unions sets, 'naive-join' intersects."""
@@ -532,13 +529,12 @@ def join_many(generators: Sequence[IdealFunction], window: int,
 
 
 def closed_join(c1: IdealFunction, c2: IdealFunction, window: int = 10,
-                depth: int = DEFAULT_DEPTH, check_inputs: bool = True) -> JoinFunction:
+                depth: int = DEFAULT_DEPTH) -> JoinFunction:
     """Closed join of two closed functions (smallest closed function above both)."""
-    if check_inputs:
-        for c in (c1, c2):
-            rep = check_closed(c, min(window, 4))
-            if not rep.ok:
-                raise ValueError(f"closed_join input is not closed: {rep.violations[:3]}")
+    for c in (c1, c2):
+        rep = check_closed(c, min(window, 4))
+        if not rep.ok:
+            raise ValueError(f"closed_join input is not closed: {rep.violations[:3]}")
     return join_many([c1, c2], window, depth)
 
 
@@ -681,15 +677,11 @@ def q_intersection(c: IdealFunction, window: int) -> tuple[ClosedCircleSet, Cert
     if isinstance(c, BasicFunction) and c.q > 0:
         return c.P.intersect(c.P.rotate(c.q)), EXACT
     bound = c.support_bound()
-    if bound is not None and bound <= window:
-        acc = ClosedCircleSet.full_circle(angle)
-        for n in range(1, max(bound, 1) + 1):
-            acc = acc.intersect(c.value_set(n)).intersect(c.value_set(-n))
-        return acc, EXACT
+    certified = bound is not None and bound <= window
     acc = ClosedCircleSet.full_circle(angle)
-    for n in range(1, window + 1):
+    for n in range(1, (max(bound, 1) if certified else window) + 1):
         acc = acc.intersect(c.value_set(n)).intersect(c.value_set(-n))
-    if acc.is_empty():
+    if certified or acc.is_empty():
         return acc, EXACT
     return acc, Certificate(False, 0, "window-truncated")
 

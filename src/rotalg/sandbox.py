@@ -128,9 +128,6 @@ class TrigPoly:
         return sum((_cfloat(angle, c) * cmath.exp(2j * cmath.pi * k * position)
                     for k, c in self.coeffs.items()), 0j)
 
-    def one_norm(self, angle: Angle) -> float:
-        return sum(abs(_cfloat(angle, c)) for c in self.coeffs.values())
-
     def as_float(self, angle: Angle) -> "TrigPoly":
         if self.mode == "float":
             return self
@@ -188,9 +185,6 @@ class CrossedElement:
             raise ValueError("elements built over different angle contexts")
         if self.mode != o.mode:
             raise ValueError("mixed exact/float arithmetic; convert explicitly")
-
-    def support_x(self) -> list[int]:
-        return sorted(self.terms)
 
     def degree_x(self) -> int:
         return max((abs(n) for n in self.terms), default=0)
@@ -284,12 +278,12 @@ def conjugate_by_shift(a: CrossedElement, k: int) -> CrossedElement:
 # -- truncated regular representation ---------------------------------------
 
 
-def truncated_norm(a: CrossedElement, radius: int = 32, tol: float = 1e-11) -> float:
+def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
     """Norm of the compression of a to the frequency box |u|, |v| <= radius.
 
     A lower bound of the operator norm, monotone nondecreasing in the
-    radius (compressions are nested).  tol is the relative accuracy of the
-    extremal eigenvalue solve on the Gram matrix.
+    radius (compressions are nested).  The extremal eigenvalue of the Gram
+    matrix is solved to a relative accuracy of 1e-11.
     """
     a = a.as_float()
     dim = 2 * radius + 1
@@ -347,7 +341,7 @@ def truncated_norm(a: CrossedElement, radius: int = 32, tol: float = 1e-11) -> f
     v0 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     try:
         val = spla.eigsh(gram, k=1, which="LA", return_eigenvectors=False,
-                         tol=tol, ncv=min(N - 1, 64), maxiter=20000, v0=v0)
+                         tol=1e-11, ncv=min(N - 1, 64), maxiter=20000, v0=v0)
         return float(math.sqrt(max(float(val[0]), 0.0)))
     except spla.ArpackError:
         # plain power iteration from the same start still yields a lower bound
@@ -505,12 +499,12 @@ class MembershipReport:
     per_frequency: dict[int, tuple[bool, float]]  # n -> (ok, max |value|)
 
 
-def membership_test(c: IdealFunction, a: CrossedElement, tolerance: float = 1e-9,
-                    samples_per_unit: int = 256) -> MembershipReport:
+def membership_test(c: IdealFunction, a: CrossedElement,
+                    tolerance: float = 1e-9) -> MembershipReport:
     """Check that each layer of a vanishes on the required zero set.
 
-    Points are evaluated directly; arcs are sampled at the stated density
-    plus both endpoints.  Layer n passes when all sampled magnitudes stay
+    Points are evaluated directly; arcs are sampled at 256 points per unit
+    length plus both endpoints.  Layer n passes when all sampled magnitudes stay
     within the tolerance.
     """
     angle = a.angle
@@ -527,7 +521,7 @@ def membership_test(c: IdealFunction, a: CrossedElement, tolerance: float = 1e-9
             pts, arcs = v.float_components()
             positions.extend(pts)
             for start, length in arcs:
-                count = max(2, int(samples_per_unit * length))
+                count = max(2, int(256 * length))
                 positions.extend(start + i * length / count for i in range(count + 1))
         for pos in positions:
             worst = max(worst, abs(t.eval_at(angle, pos)))
@@ -570,15 +564,16 @@ class CenterReport:
     notes: str
 
 
-def center_check(c, phi: TrigPoly, grid: int = 256, tolerance: float = 1e-8,
-                 witness_tol: float = 1e-6, radius: int = 24) -> CenterReport:
+def center_check(c, phi: TrigPoly, grid: int = 256,
+                 tolerance: float = 1e-8) -> CenterReport:
     """Test whether phi commutes with the algebra of a basic arc-complement.
 
     c must be basic with step 1 and generating set the complement of an
     open arc J.  phi passes when it is (within tolerance) invariant under
     the rotation on J and its inverse on the rotated copy, and when its
     commutators with the shift generator and with a vanishing witness
-    supported near J stay small in the truncated norm.
+    supported near J (below 1e-6 off J) stay small in the truncated norm
+    at radius 24.
 
     When the copies of J under the rotation overlap, the invariance
     conditions chain together; this is recorded but is not an error.
@@ -619,13 +614,13 @@ def center_check(c, phi: TrigPoly, grid: int = 256, tolerance: float = 1e-8,
     shift_el = CrossedElement.monomial(angle, 0, 1, 1.0, mode="float")
     mid = (j_start + j_len / 2) % 1.0
     half = j_len / 2
-    n_pow = max(8, int(math.ceil(math.log(witness_tol) / math.log(math.cos(math.pi * half) ** 2))))
+    n_pow = max(8, int(math.ceil(math.log(1e-6) / math.log(math.cos(math.pi * half) ** 2))))
     h = bump_power(angle, Fraction(mid).limit_denominator(10**6), n_pow, mode="float")
     witness = CrossedElement(angle, "float", {1: h})
     norms = {}
     for name, g in (("shift", shift_el), ("witness", witness)):
         comm = multiply(phi_el, g) - multiply(g, phi_el)
-        norms[name] = truncated_norm(comm, radius=radius)
+        norms[name] = truncated_norm(comm, radius=24)
     ok = eq_max <= tolerance and all(v <= tolerance for v in norms.values())
     notes = "" if disjoint else "rotated copies of the gap overlap; conditions chain"
     return CenterReport(ok, disjoint, eq_max, norms, notes)

@@ -26,28 +26,25 @@ __all__ = [
 ]
 
 
-def random_exact_element(angle: Angle, rng: random.Random,
-                         x_span: int = 2, t_span: int = 2,
-                         nterms: int = 4) -> CrossedElement:
-    """Small exact element with Gaussian-rational coefficients."""
+def random_exact_element(angle: Angle, rng: random.Random) -> CrossedElement:
+    """Four exact terms with |n|, |k| <= 2 and Gaussian-rational coefficients."""
     el = CrossedElement.zero(angle, "exact")
-    for _ in range(nterms):
-        n = rng.randint(-x_span, x_span)
-        k = rng.randint(-t_span, t_span)
+    for _ in range(4):
+        n = rng.randint(-2, 2)
+        k = rng.randint(-2, 2)
         c = PhasePoly({rng.randint(-1, 1): qi(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
                                               Fraction(rng.randint(-6, 6), rng.randint(1, 4)))})
         el = el + CrossedElement.monomial(angle, n, k, c, mode="exact")
     return el
 
 
-def random_float_element(angle: Angle, rng: random.Random, x_span: int = 3,
-                         t_span: int = 3, nterms: int = 6,
-                         scale: float = 1.0) -> CrossedElement:
+def random_float_element(angle: Angle, rng: random.Random) -> CrossedElement:
+    """Six float terms with |n|, |k| <= 3 and coefficients in the unit square."""
     el = CrossedElement.zero(angle, "float")
-    for _ in range(nterms):
-        n = rng.randint(-x_span, x_span)
-        k = rng.randint(-t_span, t_span)
-        c = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+    for _ in range(6):
+        n = rng.randint(-3, 3)
+        k = rng.randint(-3, 3)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         el = el + CrossedElement.monomial(angle, n, k, c, mode="float")
     return el
 
@@ -157,15 +154,15 @@ def suite_averaging(angle: Angle | None = None, n: int = 50, eps: float = 0.05,
             "contraction_excess": worst_excess, "trials": n, "eps": eps}
 
 
-def suite_derivative(angle: Angle | None = None, n: int = 8, seed: int = 0,
-                     scale: float = 0.01) -> dict:
-    """Two-frequency splitting by differentiation along best denominators."""
+def suite_derivative(angle: Angle | None = None, n: int = 8, seed: int = 0) -> dict:
+    """Two-frequency splitting by differentiation along best denominators,
+    on coefficients of size at most 0.01."""
     angle = angle or golden_angle()
     rng = random.Random(seed)
 
     def small_poly() -> TrigPoly:
-        return TrigPoly("float", {k: complex(rng.uniform(-scale, scale),
-                                             rng.uniform(-scale, scale))
+        return TrigPoly("float", {k: complex(rng.uniform(-0.01, 0.01),
+                                             rng.uniform(-0.01, 0.01))
                                   for k in range(-4, 5)})
 
     eta, etap = small_poly(), small_poly()
@@ -200,8 +197,7 @@ def center_instance():
     return angle, make_basic(1, P)
 
 
-def suite_center(tolerance: float = 1e-8, grid: int = 256,
-                 bump_order: int = 20) -> dict:
+def suite_center(tolerance: float = 1e-8) -> dict:
     """Central-element checks on the canonical arc-complement instance,
     which fixes its own angle (reported as "angle").
 
@@ -209,12 +205,12 @@ def suite_center(tolerance: float = 1e-8, grid: int = 256,
     first shift character fails the invariance equations.
     """
     angle, c = center_instance()
-    phi = bump_power(angle, Fraction(1, 2), bump_order, mode="float")
-    rep = center_check(c, phi, grid=grid, tolerance=tolerance)
+    phi = bump_power(angle, Fraction(1, 2), 20, mode="float")
+    rep = center_check(c, phi, tolerance=tolerance)
     const = TrigPoly("float", {0: 1.0 + 0j})
-    rep_const = center_check(c, const, grid=grid, tolerance=tolerance)
+    rep_const = center_check(c, const, tolerance=tolerance)
     eigen = TrigPoly.delta(1, mode="float")
-    rep_eigen = center_check(c, eigen, grid=grid, tolerance=tolerance)
+    rep_eigen = center_check(c, eigen, tolerance=tolerance)
     ok = rep.ok and rep_const.ok and not rep_eigen.ok
     return {"ok": ok, "angle": angle.to_json(),
             "constructed": {"ok": rep.ok, "equation_max": rep.equation_max,
