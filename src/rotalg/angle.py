@@ -362,6 +362,9 @@ def named_angle(spec: str) -> Angle:
 def default_angle() -> Angle:
     """The angle selected by ROTALG_DEFAULT_ANGLE, golden by default."""
     spec = os.environ.get("ROTALG_DEFAULT_ANGLE")
-    if spec:
+    if not spec:
+        return golden_angle()
+    try:
         return named_angle(spec)
-    return golden_angle()
+    except Exception as exc:
+        raise ValueError(f"bad ROTALG_DEFAULT_ANGLE {spec!r}: {exc}") from exc

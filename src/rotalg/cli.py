@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .angle import Angle, default_angle, named_angle
@@ -45,22 +45,26 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _resolve_angle(args) -> Angle:
-    if getattr(args, "angle", None):
-        try:
-            return named_angle(args.angle)
-        except Exception as exc:
-            raise InputError(f"bad angle {args.angle!r}: {exc}") from exc
-    return default_angle()
-
-
-def _load_function(args, path: str, angle: Angle):
-    """Rebuild an ideal function; an explicit --angle flag overrides the
-    document's embedded angle, the environment default fills the gap."""
-    doc = _load_json(path)
+def _resolve_angle(args) -> Optional[Angle]:
+    """The angle of the --angle flag, None when it is not given."""
+    if not getattr(args, "angle", None):
+        return None
     try:
-        if not getattr(args, "angle", None) and "angle" in doc:
-            return function_from_json(doc)
+        return named_angle(args.angle)
+    except Exception as exc:
+        raise InputError(f"bad angle {args.angle!r}: {exc}") from exc
+
+
+def _load_function(path: str, angle: Optional[Angle]):
+    return _function_from_doc(_load_json(path), path, angle)
+
+
+def _function_from_doc(doc: dict, path: str, angle: Optional[Angle]):
+    """Rebuild an ideal function; the --angle flag's angle overrides the
+    document's embedded angle, the environment default fills the gap."""
+    if angle is None and "angle" not in doc:
+        angle = default_angle()
+    try:
         return function_from_json(doc, angle)
     except (KeyError, ValueError) as exc:
         raise InputError(f"bad ideal function in {path}: {exc}") from exc
@@ -189,10 +193,13 @@ def _sandbox_verify(args, angle) -> dict:
     unread = [f"--{f}" for f in given if f not in reads]
     if unread:
         raise InputError(f"the {args.suite} suite does not read {', '.join(unread)}")
-    values = SUITE_DEFAULTS | given | {"angle": angle}
-    rep = getattr(suites, name)(**{f: values[f] for f in reads})
+    values = SUITE_DEFAULTS | given
+    head = {"suite": args.suite}
+    if "angle" in reads:
+        values["angle"] = angle or default_angle()
+        head["angle"] = values["angle"].to_json()
     # the center suite runs on its own angle and reports it
-    return {"suite": args.suite, "angle": angle.to_json()} | rep
+    return head | getattr(suites, name)(**{f: values[f] for f in reads})
 
 
 def _group_verify(args, angle) -> dict:
@@ -203,9 +210,9 @@ def _group_verify(args, angle) -> dict:
 def _plot(args, angle) -> int:
     doc = _load_json(args.input)
     if "repr" in doc:
-        v, _ = _load_function(args, args.input, angle).value(args.n)
+        v, _ = _function_from_doc(doc, args.input, angle).value(args.n)
     else:
-        v = set_from_json(angle, doc)
+        v = set_from_json(angle or default_angle(), doc)
     out = args.output or "set.svg"
     with open(out, "w") as fh:
         fh.write(render_svg(v) + "\n")
@@ -348,8 +355,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         verb = VERBS[name]
-        angle = _resolve_angle(args) if "angle" in verb.options else None
-        fns = [_load_function(args, getattr(args, inp), angle) for inp in verb.inputs]
+        angle = _resolve_angle(args)
+        fns = [_load_function(getattr(args, inp), angle) for inp in verb.inputs]
         if not verb.emits:
             return verb.run(args, angle)
         report = verb.run(args, angle, *fns)

@@ -336,3 +336,49 @@ def test_center_suite_reports_the_angle_it_runs_on(capsys):
     assert code == 0 and rep["ok"] and rep["tolerance"] == 1e-8
     assert rep["angle"] == center_instance()[0].to_json()
     assert rep["angle"] == {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 5}
+
+
+def test_plot_reads_its_input_once(inputs, capsys, monkeypatch, tmp_path):
+    from rotalg import cli
+    loads = []
+    load_json = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: loads.append(path) or load_json(path))
+    code, _ = run(capsys, "plot", inputs["a"], "-n", "2", "-o", tmp_path / "value.svg")
+    assert code == 0 and loads == [str(inputs["a"])]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "{A}", "-n", "1"], id="eval"),
+    pytest.param(["join", "{A}", "{B}", "--window", "3"], id="join"),
+    pytest.param(["plot", "{A}", "-n", "2", "-o", "{SVG}"], id="plot-function"),
+    pytest.param(["plot", "{SET}", "--angle", "golden", "-o", "{SVG}"], id="plot-set-angle"),
+    pytest.param(["sandbox-verify", "--suite", "ring", "--n", "2", "--angle", "silver"],
+                 id="ring-angle"),
+])
+def test_default_angle_is_not_read_when_not_needed(argv, inputs, capsys, monkeypatch, tmp_path):
+    subs = {"{A}": str(inputs["a"]), "{B}": str(inputs["b"]), "{SET}": str(inputs["set"]),
+            "{SVG}": str(tmp_path / "out.svg")}
+    argv = [subs.get(a, a) for a in argv]
+    monkeypatch.delenv("ROTALG_DEFAULT_ANGLE", raising=False)
+    expected = main(argv), capsys.readouterr()
+    monkeypatch.setenv("ROTALG_DEFAULT_ANGLE", "nonsense")
+    assert (main(argv), capsys.readouterr()) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "{NOANGLE}", "-n", "1"], id="eval-document-without-angle"),
+    pytest.param(["plot", "{SET}", "-o", "{SVG}"], id="plot-set"),
+    pytest.param(["sandbox-verify", "--suite", "ring", "--n", "2"], id="ring"),
+])
+def test_bad_default_angle_is_named_where_needed(argv, inputs, capsys, monkeypatch, tmp_path):
+    doc = function_to_json(make_basic(1, _P))
+    del doc["angle"]
+    (tmp_path / "noangle.json").write_text(json.dumps(doc))
+    subs = {"{NOANGLE}": str(tmp_path / "noangle.json"), "{SET}": str(inputs["set"]),
+            "{SVG}": str(tmp_path / "out.svg")}
+    monkeypatch.setenv("ROTALG_DEFAULT_ANGLE", "nonsense")
+    code = main([subs.get(a, a) for a in argv])
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == argv[0]
+    assert "ROTALG_DEFAULT_ANGLE" in err["error"] and "'nonsense'" in err["error"]
