@@ -453,7 +453,7 @@ def extend_from_positive(angle: Angle, values: dict[int, ClosedCircleSet],
 # the closure engine
 
 
-def _closure_fixpoint(angle: Angle, seed: dict[int, ClosedCircleSet],
+def _closure_fixpoint(seed: dict[int, ClosedCircleSet],
                       max_rounds: int) -> tuple[dict[int, ClosedCircleSet], int, bool]:
     """Greatest closed-function values below the seed on the seed window.
 
@@ -490,7 +490,7 @@ def join_many(generators: Sequence[IdealFunction], window: int,
         for g in generators[1:]:
             acc = acc.intersect(g.value_set(n))
         seed[n] = acc
-    D, rounds, stable = _closure_fixpoint(angle, seed, depth)
+    D, rounds, stable = _closure_fixpoint(seed, depth)
 
     full = ClosedCircleSet.full_circle(angle)
     # collapse: once the value at the gcd of the generator progressions is
