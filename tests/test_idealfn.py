@@ -351,6 +351,8 @@ def test_closedness_violation_lists_match_brute_force():
     closed_cases = [
         (window_function(_G, {1: _P, 2: orbit_set(5)}), 3),
         (window_function(_G, {1: orbit_set(0, 1), -1: orbit_set(2), 2: orbit_set(0)}), 3),
+        # neither side of the reflection at 1 contains the other
+        (window_function(_G, {1: orbit_set(0), -1: orbit_set(5)}), 2),
         (naive_join(b1, make_basic(1, _P.rotate(1))), 4),
         (meet(make_basic(2, _P), make_basic(3, _P)), 4),
         (make_basic(2, orbit_set(0, 1)), 4),
@@ -364,6 +366,7 @@ def test_closedness_violation_lists_match_brute_force():
     c_cases = [
         (CIdealFunction(b1, {0: _P}), 6),
         (CIdealFunction(b1, {2: ClosedCircleSet.empty(_G)}), 4),
+        (CIdealFunction(b1, {2: orbit_set(7)}), 3),
         (CIdealFunction(b1, {1: orbit_set(0, 3), -1: orbit_set(4, 1)}), 4),
         (CIdealFunction(make_basic(1, orbit_set(0, 1)), {0: orbit_set(1)}), 4),
         (CIdealFunction(b1, {}), 4),
