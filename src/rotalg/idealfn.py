@@ -353,6 +353,8 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     live, so a caller may cut D[t] by bound before asking for the next one.
     """
     for n in range(1, w + 1):
+        if D[-n] == D[n].rotate(n):
+            continue  # equality is cheap; containment on arcs is not
         for t in (-n, n):
             bound = D[-t].rotate(-t)
             if not bound.contains_set(D[t]):
