@@ -349,8 +349,9 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     in [-w, w] and targets m + n that are keys of D: D[m+n] against
     D[n].rotate(-m) u side[m], where side is the parent's map when given
     (the one-sided rule of an ideal) and D itself otherwise.  Constraints
-    met trivially (a full side, an empty target) are skipped.  D is read
-    live, so a caller may cut D[t] by bound before asking for the next one.
+    met trivially (equal reflection sides, a full side, an empty target)
+    are skipped.  D is read live, so a caller may cut D[t] by bound before
+    asking for the next one.
     """
     for n in range(1, w + 1):
         if D[-n] == D[n].rotate(n):
