@@ -171,6 +171,9 @@ def suite_derivative(angle: Angle | None = None, n: int = 8, seed: int = 0) -> d
     a = plus_exact + minus_exact
 
     dens = angle.best_denominators(n)
+    if dens[-1] < 5:
+        raise ValueError(f"n = {n} gives best denominators {dens}, "
+                         f"none of them reaching the first pick 5")
     picks = [d for d in dens if d in (5, 13, 34)] or dens[-3:]
     residuals = []
     for nj in picks:

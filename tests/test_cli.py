@@ -325,6 +325,23 @@ def test_out_of_range_values_exit_4(argv, inputs, capsys):
     assert code == 4 and err["verb"] == argv[0]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_derivative_suite_below_first_pick_exits_4(n, capsys):
+    # golden best denominators up to n = 3 are 1, 2, 3: none reaches 5
+    code = main(["sandbox-verify", "--suite", "derivative", "--angle", "golden",
+                 "--n", str(n)])
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == "sandbox-verify"
+    assert "5" in err["error"]
+
+
+def test_derivative_suite_at_first_pick_passes(capsys):
+    code, rep = run(capsys, "sandbox-verify", "--suite", "derivative", "--angle", "golden",
+                    "--n", "4")
+    assert code == 0 and rep["ok"]
+    assert [nj for nj, _ in rep["residuals"]] == [5]
+
+
 def test_zero_window_and_depth_accepted(inputs, capsys):
     code, rep = run(capsys, "join", inputs["a"], inputs["b"], "--window", "0", "--depth", "0")
     assert code == 0 and list(rep["values"]) == ["0"]
