@@ -10,36 +10,64 @@ exact algebra tests assert against.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .angle import Angle
 
-__all__ = ["QI", "qi", "qi_add", "qi_mul", "qi_conj", "qi_neg",
-           "qi_is_zero", "qi_to_complex", "PhasePoly"]
+__all__ = ["QI", "qi", "qi_parts", "qi_add", "qi_mul", "qi_div", "qi_conj",
+           "qi_neg", "qi_is_zero", "qi_to_complex", "PhasePoly"]
 
-QI = tuple[Fraction, Fraction]
+# (re + im*i) / den as ints with den > 0 and gcd(re, im, den) == 1.  That
+# form is unique, so tuple equality is equality in Q(i).
+QI = tuple[int, int, int]
 
-_ZERO = (Fraction(0), Fraction(0))
-_ONE = (Fraction(1), Fraction(0))
+_ZERO = (0, 0, 1)
+_ONE = (1, 0, 1)
+
+
+def _reduce(re: int, im: int, den: int) -> QI:
+    """The canonical triple of (re + im*i) / den, for den > 0."""
+    g = gcd(re, im, den)
+    if g == 1:
+        return (re, im, den)
+    return (re // g, im // g, den // g)
 
 
 def qi(re=0, im=0) -> QI:
-    return (Fraction(re), Fraction(im))
+    """re + im*i from anything `Fraction` accepts."""
+    re, im = Fraction(re), Fraction(im)
+    den = lcm(re.denominator, im.denominator)
+    return (re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator), den)
+
+
+def qi_parts(a: QI) -> tuple[Fraction, Fraction]:
+    """Real and imaginary parts as fractions."""
+    return Fraction(a[0], a[2]), Fraction(a[1], a[2])
 
 
 def qi_add(a: QI, b: QI) -> QI:
-    return (a[0] + b[0], a[1] + b[1])
+    return _reduce(a[0] * b[2] + b[0] * a[2], a[1] * b[2] + b[1] * a[2], a[2] * b[2])
 
 
 def qi_mul(a: QI, b: QI) -> QI:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    return _reduce(a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0], a[2] * b[2])
+
+
+def qi_div(a: QI, b: QI) -> QI:
+    norm = b[0] * b[0] + b[1] * b[1]
+    if not norm:
+        raise ZeroDivisionError("division by zero in Q(i)")
+    return _reduce((a[0] * b[0] + a[1] * b[1]) * b[2],
+                   (a[1] * b[0] - a[0] * b[1]) * b[2], a[2] * norm)
 
 
 def qi_conj(a: QI) -> QI:
-    return (a[0], -a[1])
+    return (a[0], -a[1], a[2])
 
 
 def qi_neg(a: QI) -> QI:
-    return (-a[0], -a[1])
+    return (-a[0], -a[1], a[2])
 
 
 def qi_is_zero(a: QI) -> bool:
@@ -47,7 +75,7 @@ def qi_is_zero(a: QI) -> bool:
 
 
 def qi_to_complex(a: QI) -> complex:
-    return complex(a[0]) + 1j * complex(a[1])
+    return complex(a[0] / a[2], a[1] / a[2])
 
 
 class PhasePoly:
@@ -125,6 +153,6 @@ class PhasePoly:
             return "0"
         bits = []
         for j in sorted(self.terms):
-            re, im = self.terms[j]
+            re, im = qi_parts(self.terms[j])
             bits.append(f"({re}{'+' if im >= 0 else ''}{im}i)z^{j}")
         return " + ".join(bits)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactnum import QI, qi, qi_add, qi_conj, qi_is_zero, qi_mul, qi_neg
+from .exactnum import QI, qi, qi_add, qi_conj, qi_div, qi_is_zero, qi_mul, qi_neg
 
 __all__ = [
     "FiniteAbelianGroup", "FiniteAction", "CrossedMatrixElement",
@@ -26,13 +26,6 @@ __all__ = [
 
 _Z = qi(0)
 _ONE = qi(1)
-
-
-def qi_div(a: QI, b: QI) -> QI:
-    d = b[0] * b[0] + b[1] * b[1]
-    if not d:
-        raise ZeroDivisionError
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
 
 
 # -- exact linear algebra over Q(i) -------------------------------------------
@@ -244,7 +237,7 @@ def _const_vec(action: FiniteAction, c: QI) -> tuple:
 def group_algebra_element(action: FiniteAction, scalars: dict) -> CrossedMatrixElement:
     """Element of the group algebra seen inside the crossed product."""
     return CrossedMatrixElement(action,
-                                {g: _const_vec(action, qi(*s) if isinstance(s, tuple) else qi(s))
+                                {g: _const_vec(action, s if isinstance(s, tuple) else qi(s))
                                  for g, s in scalars.items()})
 
 
@@ -296,12 +289,12 @@ def expectation_onto_functions(a: CrossedMatrixElement) -> tuple:
 
 def expectation_weighted(a: CrossedMatrixElement) -> dict:
     """Weight-average each coefficient: the expectation onto the group algebra."""
-    w = a.action.weights
+    w = [qi(x) for x in a.action.weights]
     out = {}
     for g, f in a.coeffs.items():
         s = _Z
         for x in range(a.action.npoints):
-            s = qi_add(s, qi_mul(qi(w[x]), f[x]))
+            s = qi_add(s, qi_mul(w[x], f[x]))
         out[g] = s
     return out
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .angle import Angle
 from .circleset import Arc, ClosedCircleSet
-from .exactnum import PhasePoly, qi
+from .exactnum import PhasePoly, qi, qi_mul, qi_parts
 from .idealfn import IdealFunction
 
 __all__ = [
@@ -549,7 +549,7 @@ def bump_power(angle: Angle, center: Fraction, power: int,
                 raise ValueError("exact bump needs a center with denominator | 4")
             unit = {Fraction(0): qi(1, 0), Fraction(1, 2): qi(-1, 0),
                     Fraction(1, 4): qi(0, 1), Fraction(3, 4): qi(0, -1)}[tw]
-            coeffs[k] = PhasePoly({0: (unit[0] * base, unit[1] * base)})
+            coeffs[k] = PhasePoly({0: qi_mul(unit, qi(base))})
         else:
             coeffs[k] = float(base) * cmath.exp(-2j * cmath.pi * float(center) * k)
     return TrigPoly(mode, coeffs)
@@ -637,7 +637,7 @@ def element_to_json(a: CrossedElement) -> dict:
             c = a.terms[n].coeffs[k]
             if isinstance(c, PhasePoly):
                 for j in sorted(c.terms):
-                    re, im = c.terms[j]
+                    re, im = qi_parts(c.terms[j])
                     e = {"k": k, "re": str(re), "im": str(im)}
                     if j:
                         e["zeta"] = j

@@ -5,6 +5,9 @@ orbit exponents: the set {rot^e(p) : e in E} is modelled by the frozenset
 E, the full circle by None, and rotation by integer shifts.  Everything
 here is computed with plain set arithmetic, independent of the exact
 circle machinery under test.
+
+Gaussian rationals are modelled by the textbook pair (re, im) of
+`Fraction`s, independent of the integer form used by `rotalg.exactnum`.
 """
 from __future__ import annotations
 
@@ -99,3 +102,37 @@ def to_exponents(circle_set, base_q, base_n):
         assert p.q == base_q % 1 if hasattr(base_q, "__mod__") else True
         out.add(p.n - base_n)
     return frozenset(out)
+
+
+# -- Q(i) as a pair of Fractions -----------------------------------------------
+
+
+def gq_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def gq_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def gq_neg(a):
+    return (-a[0], -a[1])
+
+
+def gq_conj(a):
+    return (a[0], -a[1])
+
+
+def gq_div(a, b):
+    d = b[0] * b[0] + b[1] * b[1]
+    if not d:
+        raise ZeroDivisionError
+    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+
+
+def gq_is_zero(a):
+    return not a[0] and not a[1]
+
+
+def gq_to_complex(a):
+    return complex(float(a[0]), float(a[1]))
