@@ -78,18 +78,14 @@ def test_division_by_zero_raises(a):
         qi_div(qi(*a), qi(0))
 
 
-def _rendered(a):
-    re, im = a
-    return f"({re}{'+' if im >= 0 else ''}{im}i)"
-
-
 terms = st.dictionaries(st.integers(-3, 3), pairs, max_size=4)
 
 
 @given(terms)
 def test_phasepoly_repr_matches_the_fraction_rendering(ts):
     live = {j: a for j, a in ts.items() if not oracles.gq_is_zero(a)}
-    expected = " + ".join(f"{_rendered(live[j])}z^{j}" for j in sorted(live)) or "0"
+    expected = " + ".join(f"({re}{'+' if im >= 0 else ''}{im}i)z^{j}"
+                          for j, (re, im) in sorted(live.items())) or "0"
     assert repr(PhasePoly({j: qi(*a) for j, a in ts.items()})) == expected
 
 

@@ -60,7 +60,7 @@ def test_expectations_idempotent_positive_equivariant():
         aa = elem_mul(elem_adj(a), a)
         diag = expectation_onto_functions(aa)
         # positivity of the canonical expectation on squares
-        assert all(qi_parts(c)[1] == 0 and qi_parts(c)[0] >= 0 for c in diag)
+        assert all(im == 0 and re >= 0 for re, im in map(qi_parts, diag))
         # idempotence: restricting to the function part fixes it
         f = CrossedMatrixElement(action, {action.group.identity: diag})
         assert expectation_onto_functions(f) == diag
