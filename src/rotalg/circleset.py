@@ -245,9 +245,11 @@ class ClosedCircleSet:
         if other.full:
             return self
         if not self.arcs and not other.arcs:
-            pts = set(self.points) & set(other.points)
+            keep = set(other.points)  # a subsequence of canonical order is canonical
+            if keep.issuperset(self.points):
+                return self
             return ClosedCircleSet(self.angle, False,
-                                   tuple(sorted(pts, key=_data_key)), ())
+                                   tuple(p for p in self.points if p in keep), ())
         pts: list[CirclePoint] = []
         arcs: list[Arc] = []
         for p in self.points:
@@ -410,13 +412,18 @@ def _arc_intersect(angle: Angle, a: Arc, b: Arc) -> list:
     return out
 
 
+COVERING_LIMIT = 500  # the most rotated copies covering_index unions
+
+
 def covering_index(P: ClosedCircleSet, q: int) -> Optional[int]:
     """Smallest N >= 1 with P u r^-q P u ... u r^-q(N-1) P equal to the circle.
 
     Returns None when P has no interior (no finite union of rotated copies
     of a nowhere dense set can cover).  Termination for interior sets is
     backed by an explicit cap derived from how fast multiples of q*rho
-    come back near 0 relative to the widest arc of P.
+    come back near 0 relative to the widest arc of P.  N > COVERING_LIMIT
+    raises ValueError: at once when 1/measure(P), a lower bound of N,
+    exceeds the limit, else when the union loop reaches it.
     """
     if q == 0:
         raise ValueError("q must be nonzero")
@@ -432,13 +439,15 @@ def covering_index(P: ClosedCircleSet, q: int) -> Optional[int]:
         return (a, b) if a <= b else (b, a)
 
     prec = Fraction(1, 10**24)
-    # widest arc length, as a rational lower bound
-    L = max(expr_bounds(_delta(angle, a.start, a.end), prec)[0] for a in P.arcs)
-    assert L > 0
+    # arc lengths as rational lower bounds; canonical arcs are disjoint
+    lengths = [expr_bounds(_delta(angle, a.start, a.end), prec)[0] for a in P.arcs]
+    if sum(lengths) * COVERING_LIMIT < 1:
+        raise ValueError(f"covering-index-too-large: arcs measure below 1/{COVERING_LIMIT}")
+    L = max(lengths)  # positive: the lengths sum to at least 1/COVERING_LIMIT
     # find m with dist(m*q*rho, Z) < L/2; the exact distance expression is
-    # e or 1-e depending on an exact half-circle test
-    m = 1
-    while True:
+    # e or 1-e depending on an exact half-circle test; cap >= m
+    cap = COVERING_LIMIT
+    for m in range(1, COVERING_LIMIT + 1):
         f = angle.floor_linear(Fraction(0), m * q)
         e = (Fraction(-f), m * q)  # frac(m*q*rho) in [0, 1)
         if angle.compare_linear(2 * e[0] - 1, 2 * e[1]) <= 0:
@@ -450,15 +459,16 @@ def covering_index(P: ClosedCircleSet, q: int) -> Optional[int]:
             while d_lo <= 0:
                 prec /= 1 << 16
                 d_lo, d_hi = expr_bounds(dist, prec)
+            cap = m * (int(2 / d_lo) + 2) + m + 2
             break
-        m += 1
-    cap = m * (int(2 / d_lo) + 2) + m + 2
 
     acc = P
-    for N in range(2, cap + 2):
+    for N in range(2, min(cap + 1, COVERING_LIMIT) + 1):
         acc = acc.union(P.rotate(-q * (N - 1)))
         if acc.full:
             return N
+    if cap + 1 > COVERING_LIMIT:
+        raise ValueError(f"covering-index-too-large: {COVERING_LIMIT} copies do not cover")
     raise AssertionError("covering cap exceeded; cap computation is wrong")
 
 

@@ -21,7 +21,6 @@ __all__ = ["QI", "qi", "qi_parts", "qi_add", "qi_mul", "qi_div", "qi_conj",
 # form is unique, so tuple equality is equality in Q(i).
 QI = tuple[int, int, int]
 
-_ZERO = (0, 0, 1)
 _ONE = (1, 0, 1)
 
 
@@ -87,25 +86,21 @@ class PhasePoly:
         self.terms = {j: c for j, c in (terms or {}).items() if not qi_is_zero(c)}
 
     @staticmethod
-    def const(re=0, im=0) -> "PhasePoly":
-        return PhasePoly({0: qi(re, im)})
-
-    @staticmethod
-    def zero() -> "PhasePoly":
-        return PhasePoly()
+    def const(re=0) -> "PhasePoly":
+        return PhasePoly({0: qi(re)})
 
     @staticmethod
     def unit(j: int) -> "PhasePoly":
         """z**j."""
         return PhasePoly({j: _ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __add__(self, other: "PhasePoly") -> "PhasePoly":
         out = dict(self.terms)
         for j, c in other.terms.items():
-            out[j] = qi_add(out.get(j, _ZERO), c)
+            out[j] = qi_add(out[j], c) if j in out else c
         return PhasePoly(out)
 
     def __neg__(self) -> "PhasePoly":
@@ -119,7 +114,7 @@ class PhasePoly:
         for j1, c1 in self.terms.items():
             for j2, c2 in other.terms.items():
                 j = j1 + j2
-                out[j] = qi_add(out.get(j, _ZERO), qi_mul(c1, c2))
+                out[j] = qi_add(out[j], qi_mul(c1, c2)) if j in out else qi_mul(c1, c2)
         return PhasePoly(out)
 
     def scale(self, c: QI) -> "PhasePoly":
@@ -133,6 +128,10 @@ class PhasePoly:
 
     def conj(self) -> "PhasePoly":
         return PhasePoly({-j: qi_conj(c) for j, c in self.terms.items()})
+
+    def conjugate(self) -> "PhasePoly":
+        """`conj`, under the name that `complex` uses."""
+        return self.conj()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhasePoly):

@@ -340,8 +340,8 @@ class ClosednessReport:
 
 def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
                         parent: Optional[dict[int, ClosedCircleSet]] = None):
-    """Yield (label, t, bound) for each closure constraint that D breaks,
-    that is each one where D[t] is not inside bound.
+    """Yield (label, t, cut) for each closure constraint that D breaks,
+    that is each one where cut, D[t] intersected with its bound, is not D[t].
 
     First reflection for 0 < n <= w, ("reflection", n), on both sides:
     D[-n] against D[n].rotate(n) and D[n] against D[-n].rotate(-n).  Then
@@ -350,16 +350,16 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     D[n].rotate(-m) u side[m], where side is the parent's map when given
     (the one-sided rule of an ideal) and D itself otherwise.  Constraints
     met trivially (equal reflection sides, a full side, an empty target)
-    are skipped.  D is read live, so a caller may cut D[t] by bound before
+    are skipped.  D is read live, so a caller may set D[t] to cut before
     asking for the next one.
     """
     for n in range(1, w + 1):
         if D[-n] == D[n].rotate(n):
             continue  # equality is cheap; containment on arcs is not
         for t in (-n, n):
-            bound = D[-t].rotate(-t)
-            if not bound.contains_set(D[t]):
-                yield ("reflection", n), t, bound
+            cut = D[t].intersect(D[-t].rotate(-t))
+            if cut != D[t]:
+                yield ("reflection", n), t, cut
     side = D if parent is None else parent
     nsupp = [n for n in range(-w, w + 1) if not D[n].full]
     msupp = [m for m in range(-w, w + 1) if not side[m].full]
@@ -368,9 +368,9 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
             t = m + n
             if t not in D or D[t].is_empty():
                 continue
-            bound = D[n].rotate(-m).union(side[m])
-            if not bound.contains_set(D[t]):
-                yield ("product", m, n), t, bound
+            cut = D[t].intersect(D[n].rotate(-m).union(side[m]))
+            if cut != D[t]:
+                yield ("product", m, n), t, cut
 
 
 def _labels(D: dict[int, ClosedCircleSet], w: int,
@@ -470,8 +470,8 @@ def _closure_fixpoint(seed: dict[int, ClosedCircleSet],
     stable = False
     for _ in range(max_rounds):
         changed = False
-        for _, t, bound in _broken_constraints(D, W2):
-            D[t] = D[t].intersect(bound)
+        for _, t, cut in _broken_constraints(D, W2):
+            D[t] = cut
             changed = True
         rounds += 1
         if not changed:
@@ -486,7 +486,9 @@ def join_many(generators: Sequence[IdealFunction], window: int,
     if not generators:
         raise ValueError("need at least one generator")
     angle = generators[0].angle
-    W2 = 2 * window
+    # the seed reaches every generator's step, or the fixpoint misses it
+    mods = [g.support_modulus() for g in generators]
+    W2 = max([2 * window] + [m for m in mods if m is not None])
     seed: dict[int, ClosedCircleSet] = {}
     for n in range(-W2, W2 + 1):
         acc = generators[0].value_set(n)
@@ -498,7 +500,6 @@ def join_many(generators: Sequence[IdealFunction], window: int,
     full = ClosedCircleSet.full_circle(angle)
     # collapse: once the value at the gcd of the generator progressions is
     # empty, the true join is empty on that progression and full off it
-    mods = [g.support_modulus() for g in generators]
     all_empty_mod = None
     if all(m is not None for m in mods):
         d = gcd(*mods)

@@ -41,43 +41,21 @@ class PhaseSearchFailed(RuntimeError):
     """No integer conjugator realizes the requested root-of-unity phase."""
 
 
-# -- coefficient helpers (exact: PhasePoly, float: complex) -----------------
-
-def _czero(mode: str):
-    return PhasePoly.zero() if mode == "exact" else 0j
-
-
-def _is_czero(a) -> bool:
-    return a.is_zero() if isinstance(a, PhasePoly) else a == 0
-
-
-def _cconj(a):
-    return a.conj() if isinstance(a, PhasePoly) else a.conjugate()
-
-
 def _phase(angle: Angle, j: int) -> complex:
     return cmath.exp(2j * cmath.pi * angle.float_value() * j)
 
 
-def _cphase(angle: Angle, a, j: int):
-    """Multiply a coefficient by the j-th power of the rotation phase."""
-    if isinstance(a, PhasePoly):
-        return a.shift(j)
-    return a * _phase(angle, j)
-
-
-def _cfloat(angle: Angle, a) -> complex:
-    return a.to_complex(angle) if isinstance(a, PhasePoly) else complex(a)
-
-
 @dataclass
 class TrigPoly:
-    """Finitely supported map k -> coefficient of the k-th dual character."""
+    """Finitely supported map k -> coefficient of the k-th dual character.
+
+    Coefficients are `PhasePoly` (exact) or `complex` (float), alike in truth
+    value, +, -, * and `conjugate()`; only the phase and `as_float` read the mode."""
     mode: str
     coeffs: dict[int, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = {k: c for k, c in self.coeffs.items() if not _is_czero(c)}
+        self.coeffs = {k: c for k, c in self.coeffs.items() if c}
 
     @staticmethod
     def zero(mode: str = "exact") -> "TrigPoly":
@@ -95,11 +73,11 @@ class TrigPoly:
     def __add__(self, o: "TrigPoly") -> "TrigPoly":
         out = dict(self.coeffs)
         for k, c in o.coeffs.items():
-            out[k] = out.get(k, _czero(self.mode)) + c
+            out[k] = out[k] + c if k in out else c
         return TrigPoly(self.mode, out)
 
     def __sub__(self, o: "TrigPoly") -> "TrigPoly":
-        return self + o.scale(PhasePoly.const(-1) if self.mode == "exact" else -1.0)
+        return self + TrigPoly(self.mode, {k: -c for k, c in o.coeffs.items()})
 
     def scale(self, c) -> "TrigPoly":
         return TrigPoly(self.mode, {k: v * c for k, v in self.coeffs.items()})
@@ -110,31 +88,29 @@ class TrigPoly:
         for k1, c1 in self.coeffs.items():
             for k2, c2 in o.coeffs.items():
                 k = k1 + k2
-                prev = out.get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
         return TrigPoly(self.mode, out)
 
     def compose_rotation(self, angle: Angle, m: int) -> "TrigPoly":
         """The composition with the m-th rotation power: k-th coefficient
         picks up the phase to the power k*m."""
+        if self.mode == "exact":
+            return TrigPoly(self.mode, {k: c.shift(k * m) for k, c in self.coeffs.items()})
         return TrigPoly(self.mode,
-                        {k: _cphase(angle, c, k * m) for k, c in self.coeffs.items()})
+                        {k: c * _phase(angle, k * m) for k, c in self.coeffs.items()})
 
-    def conjugate_function(self, angle: Angle) -> "TrigPoly":
+    def conjugate_function(self) -> "TrigPoly":
         """Complex conjugate as a function: coefficient k -> conj(coeff(-k))."""
-        return TrigPoly(self.mode, {-k: _cconj(c) for k, c in self.coeffs.items()})
+        return TrigPoly(self.mode, {-k: c.conjugate() for k, c in self.coeffs.items()})
 
     def eval_at(self, angle: Angle, position: float) -> complex:
-        return sum((_cfloat(angle, c) * cmath.exp(2j * cmath.pi * k * position)
-                    for k, c in self.coeffs.items()), 0j)
+        return sum((c * cmath.exp(2j * cmath.pi * k * position)
+                    for k, c in self.as_float(angle).coeffs.items()), 0j)
 
     def as_float(self, angle: Angle) -> "TrigPoly":
         if self.mode == "float":
             return self
-        return TrigPoly("float", {k: _cfloat(angle, c) for k, c in self.coeffs.items()})
-
-    def degree(self) -> int:
-        return max((abs(k) for k in self.coeffs), default=0)
+        return TrigPoly("float", {k: c.to_complex(angle) for k, c in self.coeffs.items()})
 
 
 @dataclass
@@ -168,7 +144,7 @@ class CrossedElement:
         self._check(o)
         out = dict(self.terms)
         for n, t in o.terms.items():
-            out[n] = out.get(n, TrigPoly.zero(self.mode)) + t
+            out[n] = out[n] + t if n in out else t
         return CrossedElement(self.angle, self.mode, out)
 
     def __sub__(self, o: "CrossedElement") -> "CrossedElement":
@@ -211,7 +187,7 @@ def multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
         for m, g in b.terms.items():
             piece = f.compose_rotation(a.angle, m).convolve(g)
             t = n + m
-            out[t] = out.get(t, TrigPoly.zero(a.mode)) + piece
+            out[t] = out[t] + piece if t in out else piece
     return CrossedElement(a.angle, a.mode, out)
 
 
@@ -219,8 +195,8 @@ def adjoint(a: CrossedElement) -> CrossedElement:
     """(e^{inx} f)* = e^{-inx} (conj(f) o rot^{-n}), extended additively."""
     out: dict[int, TrigPoly] = {}
     for n, f in a.terms.items():
-        g = f.conjugate_function(a.angle).compose_rotation(a.angle, -n)
-        out[-n] = out.get(-n, TrigPoly.zero(a.mode)) + g
+        g = f.conjugate_function().compose_rotation(a.angle, -n)
+        out[-n] = out[-n] + g if -n in out else g
     return CrossedElement(a.angle, a.mode, out)
 
 
@@ -659,10 +635,9 @@ def element_from_json(angle: Angle, doc: dict) -> CrossedElement:
             if mode == "exact":
                 j = int(e.get("zeta", 0))
                 add = PhasePoly({j: qi(Fraction(e["re"]), Fraction(e["im"]))})
-                prev = coeffs.get(k)
-                coeffs[k] = add if prev is None else prev + add
             else:
-                coeffs[k] = coeffs.get(k, 0j) + complex(float(e["re"]), float(e["im"]))
+                add = complex(float(e["re"]), float(e["im"]))
+            coeffs[k] = coeffs[k] + add if k in coeffs else add
         t = TrigPoly(mode, coeffs)
         if t.is_zero():
             continue

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rotalg import Arc, CirclePoint, ClosedCircleSet, covering_index, golden_angle
+from rotalg import circleset
 from rotalg.circleset import pt, render_svg, set_from_json, set_to_json
 
 F = Fraction
@@ -221,6 +222,27 @@ def test_covering_index_small_arc(golden):
         assert not acc.full
         acc = acc.union(P.rotate(-2 * k))
     assert acc.full
+
+
+def test_covering_index_rejects_arcs_below_the_limit_measure(golden):
+    # 1/measure(P) bounds N from below, so no union is tried; the measure
+    # sums the arcs
+    half = F(1, 2 * (circleset.COVERING_LIMIT + 1))
+    P = arcset(golden, pt(0), pt(half))
+    two = P.union(arcset(golden, pt(F(1, 2)), pt(F(1, 2) + half)))
+    for S in (P, two):
+        with pytest.raises(ValueError, match="arcs measure below"):
+            covering_index(S, 1)
+
+
+def test_covering_index_stops_the_union_loop_at_the_limit(golden, monkeypatch):
+    P = arcset(golden, pt(0), pt(F(1, 10)))
+    N = covering_index(P, 2)
+    monkeypatch.setattr(circleset, "COVERING_LIMIT", N)
+    assert covering_index(P, 2) == N
+    monkeypatch.setattr(circleset, "COVERING_LIMIT", N - 1)
+    with pytest.raises(ValueError, match=f"{N - 1} copies do not cover"):
+        covering_index(P, 2)
 
 
 # -- algebraic laws --------------------------------------------------------

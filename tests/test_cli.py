@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -323,6 +324,19 @@ def test_out_of_range_values_exit_4(argv, inputs, capsys):
     code = main([subs.get(a, a) for a in argv])
     err = _error(capsys)
     assert code == 4 and err["verb"] == argv[0]
+
+
+def test_classify_of_a_too_short_arc_exits_4_at_once(capsys):
+    # a 1/100000 arc needs more rotated copies than the documented limit,
+    # which its measure shows before any union is made
+    doc = {"repr": "basic", "q": 1, "P": {"components": [{"arc": {
+        "start": {"q": "0", "n": 0}, "end": {"q": "1/100000", "n": 0}}}]}}
+    start = time.perf_counter()
+    code = main(["classify", json.dumps(doc)])
+    assert time.perf_counter() - start < 5
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == "classify"
+    assert "covering-index-too-large" in err["error"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

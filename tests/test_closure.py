@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rotalg import (Arc, ClosedCircleSet, all_empty, canonical_decomposition,
                     check_c_closed, check_closed, classify_algebra, close,
@@ -94,6 +95,37 @@ def test_join_finite_support_certified():
     assert j.certificate.exact
     assert j.certificate.note in ("finite-support", "collapse", "window-stabilized")
     assert check_closed(j, 8).ok
+
+
+def arc_basic(q, start, length):
+    return make_basic(q, ClosedCircleSet.from_components(
+        _G, (), (Arc(pt(start), pt(start + length)),)))
+
+
+@st.composite
+def basic_pairs(draw):
+    """Two point basics on one orbit with steps q and 2q, or two arc basics
+    whose arcs overlap."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 2))
+        e1, e2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        return make_basic(q, orbit_set(e1)), make_basic(2 * q, orbit_set(e2))
+    tenths = st.integers(1, 4).map(lambda k: F(k, 10))
+    start, l1, l2 = F(draw(st.integers(0, 9)), 10), draw(tenths), draw(tenths)
+    inside = l1 * F(draw(st.integers(0, 9)), 10)
+    q1, q2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return arc_basic(q1, start, l1), arc_basic(q2, start + inside, l2)
+
+
+@settings(max_examples=15)
+@given(basic_pairs(), st.integers(1, 3))
+# a step-3 generator lies outside the seed of the window-1 join unless the
+# seed reaches the largest step
+@example((arc_basic(2, F(3, 5), F(2, 5)), arc_basic(3, F(3, 5), F(1, 10))), 1)
+def test_join_values_do_not_depend_on_the_window(pair, w):
+    narrow, wide = join_many(pair, w), join_many(pair, 2 * w)
+    for n in range(-w, w + 1):
+        assert narrow.value_set(n) == wide.value_set(n)
 
 
 def test_join_depth_zero_is_upper_bound():

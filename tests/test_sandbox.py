@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rotalg import (Arc, ClosedCircleSet, CrossedElement, TrigPoly, adjoint,
                     apply_averaging, build_averaging, center_check,
@@ -85,6 +86,39 @@ def test_conjugation_phase_law():
     ca = conjugate_by_shift(a, 4)
     for n, t in a.terms.items():
         assert ca.terms[n].coeffs == t.scale(PhasePoly.unit(4 * n)).coeffs
+
+
+def _agree(got: CrossedElement, want: CrossedElement):
+    """Float coefficients equal within 1e-12, a missing term counting as 0."""
+    assert got.mode == want.mode == "float"
+    for n in set(got.terms) | set(want.terms):
+        g, w = got.term(n).coeffs, want.term(n).coeffs
+        for k in set(g) | set(w):
+            assert cmath.isclose(g.get(k, 0), w.get(k, 0), rel_tol=1e-12, abs_tol=1e-12)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+def test_exact_and_float_modes_agree(seed):
+    # every operation computed exactly and then converted equals the same
+    # operation on the converted operands
+    rng = random.Random(seed)
+    a, b = random_exact_element(_G, rng), random_exact_element(_G, rng)
+    fa, fb = a.as_float(), b.as_float()
+    _agree(multiply(a, b).as_float(), multiply(fa, fb))
+    _agree(adjoint(a).as_float(), adjoint(fa))
+    _agree((a - b).as_float(), fa - fb)
+    _agree(fejer_bracket(a, 2).as_float(), fejer_bracket(fa, 2))
+    _agree(conjugate_by_shift(a, 3).as_float(), conjugate_by_shift(fa, 3))
+    for n in set(a.terms) | set(b.terms):
+        diff = a.term(n) - b.term(n)
+        _agree(CrossedElement(_G, "exact", {0: diff}).as_float(),
+               CrossedElement(_G, "float", {0: fa.term(n) - fb.term(n)}))
+    for t in a.terms.values():
+        for p in t.coeffs.values():
+            assert bool(p) is bool(p.terms)
+            assert p.conjugate() == p.conj()
+            assert not p - p
+    assert not PhasePoly() and not PhasePoly({0: (0, 0, 1)})
 
 
 # -- expectations ---------------------------------------------------------------
