@@ -10,8 +10,10 @@ descriptor kinds are supported:
   production rule for the tail.
 
 Everything downstream (circle sets, ideal functions) funnels its order
-decisions through :meth:`Angle.compare_linear`, which refines a rational
-enclosure of rho until the sign is determined.  Termination is guaranteed
+decisions through :meth:`Angle.compare_linear` and
+:meth:`Angle.floor_linear`, which test integer expressions against a
+cached integer enclosure of rho and refine it until the sign or floor is
+determined.  Termination is guaranteed
 because rho is irrational, so ``q + n*rho`` never vanishes for n != 0.
 """
 from __future__ import annotations
@@ -47,9 +49,11 @@ def _sqrt_enclosure(c: int, bits: int) -> tuple[Fraction, Fraction]:
 class Angle:
     """An exact irrational rotation parameter in (0, 1).
 
-    Immutable except for internal caches (rational enclosure, continued
-    fraction coefficients, convergents, sign/floor memos), which are
-    guarded by a lock so instances can be shared across threads.
+    Immutable except for internal caches (the rational enclosure, its
+    integer copies read by the decision kernel, continued fraction
+    coefficients and convergents), which grow under a lock so instances
+    can be shared across threads.  Decisions are not memoised: each one
+    is a few integer products against the cached enclosures.
     """
 
     def __init__(self, kind: str, *, surd: tuple[int, int, int, int] | None = None,
@@ -60,8 +64,8 @@ class Angle:
         self._hi: Fraction | None = None
         self._coeffs: list[int] = []
         self._convergents: list[tuple[int, int]] = []  # (p_k, q_k) for k >= 0
-        self._sign_memo: dict[tuple[Fraction, int], int] = {}
-        self._floor_memo: dict[tuple[Fraction, int], int] = {}
+        # integer enclosures read by the decision kernel, see _level
+        self._levels: list[tuple[int, int, int, int]] = []
 
         if kind == "surd":
             a, b, c, den = surd
@@ -196,48 +200,64 @@ class Angle:
         return float((lo + hi) / 2)
 
     # -- exact decisions ---------------------------------------------------
+    # One integer kernel decides both signs and floors.  It reads cached
+    # integer enclosures ln/ld < rho < hn/hd, the k-th of width at most
+    # 2**-(24 + 16k), and asks refine() for the next one only when every
+    # cached enclosure leaves the decision open.
 
-    def compare_linear(self, q: Fraction, n: int) -> int:
-        """Exact sign of q + n*rho, in {-1, 0, +1}."""
-        q = Fraction(q)
-        if n == 0:
-            return (q > 0) - (q < 0)
-        key = (q, n)
-        memo = self._sign_memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        prec = Fraction(1, 1 << 24)
+    def _level(self, k: int) -> tuple[int, int, int, int]:
+        """The k-th integer enclosure (ln, ld, hn, hd) of rho."""
+        levels = self._levels
+        if k < len(levels):
+            return levels[k]
+        with self._lock:
+            while len(levels) <= k:
+                lo, hi = self.refine(Fraction(1, 1 << (24 + 16 * len(levels))))
+                levels.append((lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+            return levels[k]
+
+    def _sign(self, x: int, y: int) -> int:
+        """Exact sign of x + y*rho for ints x, y."""
+        if y == 0:
+            return (x > 0) - (x < 0)
+        k = 0
         while True:
-            lo, hi = self.refine(prec)
-            vlo, vhi = (q + n * lo, q + n * hi) if n > 0 else (q + n * hi, q + n * lo)
-            if vlo > 0:
-                memo[key] = 1
+            ln, ld, hn, hd = self._level(k)
+            # x + y*rho lies strictly between x + y*lo and x + y*hi
+            a, b = x * ld + y * ln, x * hd + y * hn
+            if y < 0:
+                a, b = b, a
+            if a >= 0:
                 return 1
-            if vhi < 0:
-                memo[key] = -1
+            if b <= 0:
                 return -1
-            prec /= 1 << 16
+            k += 1
 
-    def floor_linear(self, q: Fraction, n: int) -> int:
-        """Exact floor of q + n*rho."""
-        q = Fraction(q)
-        if n == 0:
-            return floor(q)
-        key = (q, n)
-        memo = self._floor_memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        prec = Fraction(1, 1 << 24)
+    def _floor(self, x: int, y: int, d: int) -> int:
+        """Exact floor of (x + y*rho)/d for ints x, y and d > 0."""
+        if y == 0:
+            return x // d
+        k = 0
         while True:
-            lo, hi = self.refine(prec)
-            vlo, vhi = (q + n * lo, q + n * hi) if n > 0 else (q + n * hi, q + n * lo)
-            flo, fhi = floor(vlo), floor(vhi)
-            if flo == fhi:
-                memo[key] = flo
-                return flo
-            prec /= 1 << 16
+            ln, ld, hn, hd = self._level(k)
+            # (x + y*rho)/d lies strictly between a/da and b/db
+            a, da, b, db = x * ld + y * ln, d * ld, x * hd + y * hn, d * hd
+            if y < 0:
+                a, da, b, db = b, db, a, da
+            f = a // da
+            if b <= (f + 1) * db:
+                return f
+            k += 1
+
+    def compare_linear(self, q, n: int) -> int:
+        """Exact sign of q + n*rho for q an int or a Fraction, in {-1, 0, +1}."""
+        d = q.denominator
+        return self._sign(q.numerator, n * d)
+
+    def floor_linear(self, q, n: int, d: int = 1) -> int:
+        """Exact floor of (q + n*rho)/d for q an int or a Fraction and d > 0."""
+        den = q.denominator
+        return self._floor(q.numerator, n * den, d * den)
 
     # -- rational approximation services ----------------------------------
 

@@ -28,8 +28,8 @@ __all__ = [
     "render_svg",
 ]
 
-# internal linear expressions q + n*rho are plain (Fraction, int) pairs
-_Expr = tuple[Fraction, int]
+# internal positions (x + y*rho)/d are int triples with d > 0
+_Expr = tuple[int, int, int]
 
 
 class CirclePoint:
@@ -123,27 +123,54 @@ def pt(q, n: int = 0) -> CirclePoint:
 
 
 # -- exact position arithmetic -------------------------------------------
+# Positions are int triples, so comparing, adding and shifting them is
+# integer arithmetic; every order decision goes through the angle.
+
+_ZERO: _Expr = (0, 0, 1)
+
 
 def _cmp(angle: Angle, a: _Expr, b: _Expr) -> int:
-    return angle.compare_linear(a[0] - b[0], a[1] - b[1])
+    ax, ay, ad = a
+    bx, by, bd = b
+    return angle.compare_linear(ax * bd - bx * ad, ay * bd - by * ad)
+
+
+def _add(a: _Expr, b: _Expr) -> _Expr:
+    ax, ay, ad = a
+    bx, by, bd = b
+    return (ax * bd + bx * ad, ay * bd + by * ad, ad * bd)
+
+
+def _plus(e: _Expr, k: int) -> _Expr:
+    """e + k for an integer k."""
+    return (e[0] + k * e[2], e[1], e[2])
 
 
 def _offset(angle: Angle, p: CirclePoint) -> _Expr:
     """Position of p as an expression in [0, 1) measured from 0."""
-    f = angle.floor_linear(p.q, p.n)
-    return (p.q - f, p.n)
+    q = p.q
+    d = q.denominator
+    f = angle.floor_linear(q, p.n)
+    return (q.numerator - f * d, p.n * d, d)
 
 
 def _delta(angle: Angle, a: CirclePoint, b: CirclePoint) -> _Expr:
     """Counterclockwise distance from a to b as an expression in [0, 1)."""
-    q, n = b.q - a.q, b.n - a.n
-    f = angle.floor_linear(q, n)
-    return (q - f, n)
+    qa, qb = a.q, b.q
+    da, db = qa.denominator, qb.denominator
+    x, d = qb.numerator * da - qa.numerator * db, da * db
+    y = (b.n - a.n) * d
+    f = angle.floor_linear(x, y, d)
+    return (x - f * d, y, d)
 
 
 def _expr_float(angle: Angle, e: _Expr) -> float:
+    """e at the midpoint of the angle's enclosure, correctly rounded."""
     lo, hi = angle.refine(Fraction(1, 10**18))
-    return float(e[0] + e[1] * (lo + hi) / 2)
+    mid_den = 2 * lo.denominator * hi.denominator
+    mid_num = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+    x, y, d = e
+    return (x * mid_den + y * mid_num) / (d * mid_den)
 
 
 class ClosedCircleSet:
@@ -346,9 +373,7 @@ def _merge_arcs(angle: Angle, arcs: list[Arc]) -> Optional[list[Arc]]:
     items = []
     for arc in arcs:
         a = _offset(angle, arc.start)
-        span = _delta(angle, arc.start, arc.end)
-        b = (a[0] + span[0], a[1] + span[1])
-        items.append([a, b, arc.start, arc.end])
+        items.append([a, _add(a, _delta(angle, arc.start, arc.end)), arc.start, arc.end])
     import functools
     items.sort(key=functools.cmp_to_key(lambda x, y: _cmp(angle, x[0], y[0])))
 
@@ -361,23 +386,21 @@ def _merge_arcs(angle: Angle, arcs: list[Arc]) -> Optional[list[Arc]]:
         else:
             merged.append(it)
     # wrap: the last interval may extend past 1 and swallow leading ones
-    one = (Fraction(1), 0)
     while len(merged) > 1:
         tail = merged[-1]
-        wrapped_end = (tail[1][0] - 1, tail[1][1])
+        wrapped_end = _plus(tail[1], -1)
         head = merged[0]
         if _cmp(angle, wrapped_end, head[0]) < 0:
             break
         if _cmp(angle, wrapped_end, head[1]) >= 0:
             merged.pop(0)  # head fully swallowed
             continue
-        tail[1] = (head[1][0] + 1, head[1][1])
+        tail[1] = _plus(head[1], 1)
         tail[3] = head[3]
         merged.pop(0)
         break
     for it in merged:
-        span = (it[1][0] - it[0][0], it[1][1] - it[0][1])
-        if _cmp(angle, span, one) >= 0:
+        if _cmp(angle, it[1], _plus(it[0], 1)) >= 0:  # spans the whole circle
             return None
     return [Arc(it[2], it[3]) for it in merged]
 
@@ -389,12 +412,12 @@ def _arc_intersect(angle: Angle, a: Arc, b: Arc) -> list:
     spanb = _delta(angle, b.start, b.end)
     out = []
     for shift in (0, -1):
-        lo = (b0[0] + shift, b0[1])
-        hi = (lo[0] + spanb[0], lo[1] + spanb[1])
+        lo = _plus(b0, shift)
+        hi = _add(lo, spanb)
         # clip [lo, hi] against [0, la]
-        if _cmp(angle, lo, (Fraction(0), 0)) < 0:
+        if _cmp(angle, lo, _ZERO) < 0:
             lo_pt = a.start
-            lo = (Fraction(0), 0)
+            lo = _ZERO
         else:
             lo_pt = b.start
         if _cmp(angle, hi, la) > 0:
@@ -433,14 +456,14 @@ def covering_index(P: ClosedCircleSet, q: int) -> Optional[int]:
         return None
     angle = P.angle
 
-    def expr_bounds(e: _Expr, prec: Fraction) -> tuple[Fraction, Fraction]:
+    def lower_bound(e: _Expr, prec: Fraction) -> Fraction:
         lo, hi = angle.refine(prec)
-        a, b = e[0] + e[1] * lo, e[0] + e[1] * hi
-        return (a, b) if a <= b else (b, a)
+        x, y, d = e
+        return (x + y * (lo if y > 0 else hi)) / d
 
     prec = Fraction(1, 10**24)
     # arc lengths as rational lower bounds; canonical arcs are disjoint
-    lengths = [expr_bounds(_delta(angle, a.start, a.end), prec)[0] for a in P.arcs]
+    lengths = [lower_bound(_delta(angle, a.start, a.end), prec) for a in P.arcs]
     if sum(lengths) * COVERING_LIMIT < 1:
         raise ValueError(f"covering-index-too-large: arcs measure below 1/{COVERING_LIMIT}")
     L = max(lengths)  # positive: the lengths sum to at least 1/COVERING_LIMIT
@@ -448,17 +471,15 @@ def covering_index(P: ClosedCircleSet, q: int) -> Optional[int]:
     # e or 1-e depending on an exact half-circle test; cap >= m
     cap = COVERING_LIMIT
     for m in range(1, COVERING_LIMIT + 1):
-        f = angle.floor_linear(Fraction(0), m * q)
-        e = (Fraction(-f), m * q)  # frac(m*q*rho) in [0, 1)
-        if angle.compare_linear(2 * e[0] - 1, 2 * e[1]) <= 0:
-            dist = e
-        else:
-            dist = (1 - e[0], -e[1])
-        d_lo, d_hi = expr_bounds(dist, prec)
-        if d_hi < L / 2:
+        x, y = -angle.floor_linear(0, m * q), m * q  # frac(m*q*rho) = x + y*rho
+        if angle.compare_linear(2 * x - 1, 2 * y) > 0:
+            x, y = 1 - x, -y
+        if angle.compare_linear(2 * x * L.denominator - L.numerator,
+                                2 * y * L.denominator) < 0:
+            d_lo = lower_bound((x, y, 1), prec)
             while d_lo <= 0:
                 prec /= 1 << 16
-                d_lo, d_hi = expr_bounds(dist, prec)
+                d_lo = lower_bound((x, y, 1), prec)
             cap = m * (int(2 / d_lo) + 2) + m + 2
             break
 

@@ -129,7 +129,7 @@ class BasicFunction(IdealFunction):
         self.q = q
         self.P = P
         self.angle = P.angle
-        self._pos: list[ClosedCircleSet] = []  # cumulative unions, index n-1 -> value(nq)
+        self._values: dict[int, ClosedCircleSet] = {}  # k -> value(kq), per k read
 
     def value(self, n: int) -> tuple[ClosedCircleSet, Certificate]:
         angle = self.angle
@@ -138,11 +138,17 @@ class BasicFunction(IdealFunction):
         if self.q == 0 or n % self.q != 0:
             return ClosedCircleSet.full_circle(angle), EXACT
         k = abs(n) // self.q
-        while len(self._pos) < k:
-            prev = self._pos[-1] if self._pos else None
-            piece = self.P.rotate(-self.q * len(self._pos))
-            self._pos.append(piece if prev is None else prev.union(piece))
-        value = self._pos[k - 1]
+        value = self._values.get(k)
+        if value is None:
+            # one normalization: the widest value read below k (P when
+            # none) and the rotated copies of P it lacks
+            below = max((j for j in self._values if j < k), default=0)
+            acc = self._values[below] if below else self.P
+            P, steps = self.P, range(-self.q * below, -self.q * k, -self.q)
+            value = acc if acc.full else ClosedCircleSet.from_components(
+                angle, [*acc.points, *(p.shift(s) for s in steps for p in P.points)],
+                [*acc.arcs, *(a.shift(s) for s in steps for a in P.arcs)])
+            self._values[k] = value
         # reflection: value(-kq) is value(kq) rotated by kq
         return (value if n > 0 else value.rotate(k * self.q)), EXACT
 
@@ -363,14 +369,30 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     side = D if parent is None else parent
     nsupp = [n for n in range(-w, w + 1) if not D[n].full]
     msupp = [m for m in range(-w, w + 1) if not side[m].full]
+    held: dict[int, tuple] = {}  # id(s) -> (s, its points); holding s keeps its id unique
+
+    def points_of(s: ClosedCircleSet) -> frozenset:
+        entry = held.get(id(s))
+        if entry is None:
+            entry = held[id(s)] = (s, frozenset(s.points))
+        return entry[1]
+
     for m in msupp:
         for n in nsupp:
             t = m + n
             if t not in D or D[t].is_empty():
                 continue
-            cut = D[t].intersect(D[n].rotate(-m).union(side[m]))
-            if cut != D[t]:
-                yield ("product", m, n), t, cut
+            target, moved, beside = D[t], D[n], side[m]
+            if target.full or target.arcs or moved.arcs or beside.arcs:
+                cut = target.intersect(moved.rotate(-m).union(beside))
+                if cut != target:
+                    yield ("product", m, n), t, cut
+                continue
+            # points only: p is in D[n].rotate(-m) iff p.shift(m) is in D[n]
+            inside, shifted = points_of(beside), points_of(moved)
+            kept = tuple(p for p in target.points if p in inside or p.shift(m) in shifted)
+            if len(kept) < len(target.points):
+                yield ("product", m, n), t, ClosedCircleSet(target.angle, False, kept, ())
 
 
 def _labels(D: dict[int, ClosedCircleSet], w: int,
@@ -823,7 +845,14 @@ def function_to_json(c: IdealFunction, window: Optional[int] = None) -> dict:
     return base | {"repr": "window", "default": "unknown", "values": vals}
 
 
-def function_from_json(doc: dict, angle: Optional[Angle] = None) -> IdealFunction:
+def function_from_json(doc: dict, angle: Optional[Angle] = None,
+                       window: int = 0) -> IdealFunction:
+    """Rebuild a function from its document.
+
+    A join is computed once, on [-w, w] with w = max(10, window): pass as
+    window the widest index the caller will read, so that no read has to
+    extend the join.
+    """
     angle = angle or Angle.from_json(doc["angle"])
     kind = doc["repr"]
     if kind == "basic":
@@ -832,7 +861,9 @@ def function_from_json(doc: dict, angle: Optional[Angle] = None) -> IdealFunctio
         values = {int(k): set_from_json(angle, v) for k, v in doc["values"].items()}
         return WindowFunction(angle, values, doc.get("default", "full"))
     if kind == "join":
-        gens = [function_from_json(g, angle) for g in doc["gens"]]
-        return join_many(gens, window=10,
+        w = max(10, window)
+        # the join reads its generators on [-2w, 2w]
+        gens = [function_from_json(g, angle, 2 * w) for g in doc["gens"]]
+        return join_many(gens, window=w,
                          depth=json_int(doc.get("depth", DEFAULT_DEPTH), "depth"))
     raise ValueError(f"unknown representation {kind!r}")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import floor, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,23 +165,130 @@ def test_named_angles():
 
 
 def test_concurrent_refinement():
+    import sys
     import threading
     g = golden_angle()
+    fresh = golden_angle()  # its integer enclosures grow while the threads run
     errs = []
+    # near-ties -p_k + q_k*rho at Fibonacci convergents: each one needs a
+    # narrower enclosure than the last
+    fib = [1, 1]
+    while len(fib) < 200:
+        fib.append(fib[-1] + fib[-2])
 
-    def work():
+    def work(offset):
         try:
             for k in range(10, 40):
                 g.refine(Fraction(1, 2**k))
                 g.compare_linear(Fraction(-13, 21), 1)
+            for k in range(20 + offset, 198, 3):
+                p, q = fib[k - 1], fib[k]  # p/q -> rho, alternating sides
+                want = -1 if k % 2 else 1
+                s = 1 if k % 4 < 2 else -1  # both signs of the rho coefficient
+                if fresh.compare_linear(-s * p, s * q) != s * want:
+                    errs.append(("sign", k))
+                if fresh.floor_linear(-s * p, s * q, 1) != (0 if s * want > 0 else -1):
+                    errs.append(("floor", k))
         except Exception as exc:  # pragma: no cover
             errs.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 3,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errs
     lo, hi = g.refine(Fraction(1, 2**39))
     assert hi - lo <= Fraction(1, 2**39)
+    # the levels are nested enclosures of rho, each within its width bound
+    levels = [(Fraction(ln, ld), Fraction(hn, hd)) for ln, ld, hn, hd in fresh._levels]
+    assert len(levels) > 3
+    for k, (lo, hi) in enumerate(levels):
+        assert 0 < hi - lo <= Fraction(1, 2**(24 + 16 * k))
+    for (lo0, hi0), (lo1, hi1) in zip(levels, levels[1:]):
+        assert lo0 <= lo1 < hi1 <= hi0
+
+
+# -- the decision kernel against an independent 256-bit oracle ---------------
+# rho = (a + b*sqrt(c))/den is enclosed by math.isqrt at 256 bits; the cf
+# angle [0; 1, 2, 1, 2, ...] is sqrt(3) - 1.  Convergents come from the
+# textbook recurrence over the known partial quotients, not from Angle.
+
+ORACLE_ANGLES = {
+    "golden": (lambda: golden_angle(), (-1, 1, 5, 2), lambda i: 0 if i == 0 else 1),
+    "silver": (lambda: silver_angle(), (-1, 1, 2, 1), lambda i: 0 if i == 0 else 2),
+    "cf-sqrt3": (lambda: Angle("cf", cf_prefix=[0, 1, 2], cf_rule="periodic:2"),
+                 (-1, 1, 3, 1), lambda i: 0 if i == 0 else (1 if i % 2 else 2)),
+}
+
+
+def _oracle_enclosure(a, b, c, den, bits=256):
+    s = isqrt(c << (2 * bits))  # s <= sqrt(c) * 2**bits < s + 1
+    one = 1 << bits
+    return Fraction(a * one + b * s, den * one), Fraction(a * one + b * (s + 1), den * one)
+
+
+def _oracle_sign(name, x, y):
+    lo, hi = _oracle_enclosure(*ORACLE_ANGLES[name][1])
+    a, b = x + y * lo, x + y * hi
+    assert (a > 0) == (b > 0) and a != 0 and b != 0, "256 bits do not decide"
+    return 1 if a > 0 else -1
+
+
+def _oracle_floor(name, x, y, d):
+    lo, hi = _oracle_enclosure(*ORACLE_ANGLES[name][1])
+    a, b = floor((x + y * lo) / d), floor((x + y * hi) / d)
+    assert a == b, "256 bits do not decide"
+    return a
+
+
+def _convergent(name, k):
+    coeff = ORACLE_ANGLES[name][2]
+    p0, q0, p1, q1 = 1, 0, coeff(0), 1
+    for i in range(1, k + 1):
+        p0, q0, p1, q1 = p1, q1, coeff(i) * p1 + p0, coeff(i) * q1 + q0
+    return p1, q1
+
+
+@st.composite
+def linear_cases(draw):
+    """(angle name, x, y, d): generic ints, or a near-tie t*d -/+ (q_k*rho - p_k)."""
+    name = draw(st.sampled_from(sorted(ORACLE_ANGLES)))
+    d = draw(st.integers(min_value=1, max_value=60))
+    if draw(st.booleans()):
+        big = 2**70
+        return (name, draw(st.integers(-big, big)), draw(st.integers(-big, big)), d)
+    p, q = _convergent(name, draw(st.integers(min_value=8, max_value=70)))
+    sign = draw(st.sampled_from((1, -1)))
+    t = draw(st.sampled_from((0, 0, 0, 1, -1, 2, -5)))  # t = 0: a near-tie of the sign too
+    return (name, t * d - sign * p + draw(st.sampled_from((0, 0, 1, -1))), sign * q, d)
+
+
+@given(linear_cases())
+def test_decisions_match_256_bit_oracle(case):
+    name, x, y, d = case
+    angle = ORACLE_ANGLES[name][0]()  # fresh: no enclosure grown by earlier cases
+    assert angle.compare_linear(x, y) == _oracle_sign(name, x, y)
+    assert angle.compare_linear(Fraction(x, d), y) == _oracle_sign(name, x, d * y)
+    assert angle.floor_linear(x, y, d) == _oracle_floor(name, x, y, d)
+    assert angle.floor_linear(Fraction(x, d), y) == _oracle_floor(name, x, d * y, d)
+
+
+def test_near_ties_refine_past_the_first_enclosure():
+    for name, (make, _, _) in ORACLE_ANGLES.items():
+        angle = make()
+        p, q = _convergent(name, 60)
+        assert q > 2**30
+        assert angle.floor_linear(-p, q, 1) == _oracle_floor(name, -p, q, 1)
+        assert len(angle._levels) > 1, name
+        for s in (1, -1):
+            assert angle.compare_linear(-s * p, s * q) == _oracle_sign(name, -s * p, s * q)
+            assert angle.floor_linear(-s * p, s * q, 3) == _oracle_floor(name, -s * p, s * q, 3)
+        # zero coefficient of rho: plain integer sign and floor
+        assert angle.compare_linear(0, 0) == 0 and angle.floor_linear(-7, 0, 2) == -4

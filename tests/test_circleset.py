@@ -282,6 +282,67 @@ def test_containment_consistency(a, b):
     assert a.contains_set(i) and b.contains_set(i)
 
 
+# -- union and intersect against a float membership model -------------------
+# The laws above hold for any consistent order, also a wrong one; this
+# model places each component at (q + n*rho) mod 1 in floating point and
+# samples membership away from every component end.
+
+RHO_GOLDEN = (5 ** 0.5 - 1) / 2
+
+
+@st.composite
+def raw_components(draw):
+    pts = draw(st.lists(points, max_size=2))
+    ends = draw(st.lists(st.tuples(points, points), max_size=3))
+    return pts, [Arc(a, b) for a, b in ends if a != b]
+
+
+def _float_pos(p):
+    return (float(p.q) + p.n * RHO_GOLDEN) % 1.0
+
+
+def _model_member(pts, arcs, x, eps=0.0):
+    """Membership of position x in the closed set, arcs counterclockwise;
+    eps widens every component, for probes placed on a component."""
+    def near(y):
+        d = (x - y) % 1.0
+        return min(d, 1.0 - d) <= eps
+    if any(near(_float_pos(p)) for p in pts):
+        return True
+    for a in arcs:
+        s, e = _float_pos(a.start), _float_pos(a.end)
+        if (x - s) % 1.0 <= (e - s) % 1.0 or near(s) or near(e):
+            return True
+    return False
+
+
+def _set_member(s, x, eps=0.0):
+    return s.full or _model_member(s.points, s.arcs, x, eps)
+
+
+@given(raw_components(), raw_components(), st.floats(min_value=0, max_value=1))
+def test_union_intersect_against_float_model(a, b, jitter):
+    A, B = (ClosedCircleSet.from_components(_G, pts, arcs) for pts, arcs in (a, b))
+    U, I = A.union(B), A.intersect(B)
+    ends = [_float_pos(p) for p in a[0] + b[0]]
+    ends += [_float_pos(p) for arc in a[1] + b[1] for p in (arc.start, arc.end)]
+    samples = [(k + jitter) / 200 % 1.0 for k in range(200)]
+    for x in samples:
+        if any(min((x - e) % 1.0, (e - x) % 1.0) < 1e-9 for e in ends):
+            continue
+        in_a, in_b = _model_member(*a, x), _model_member(*b, x)
+        assert _set_member(A, x) == in_a
+        assert _set_member(U, x) == (in_a or in_b), x
+        assert _set_member(I, x) == (in_a and in_b), x
+    # points: every input point is in the union, and is in the
+    # intersection exactly when both inputs hold it
+    for p in a[0] + b[0]:
+        x = _float_pos(p)
+        in_a, in_b = _model_member(*a, x, 1e-12), _model_member(*b, x, 1e-12)
+        assert _set_member(U, x, 1e-12)
+        assert _set_member(I, x, 1e-12) == (in_a and in_b)
+
+
 # -- serialization -----------------------------------------------------------
 
 

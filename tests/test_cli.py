@@ -413,3 +413,29 @@ def test_bad_default_angle_is_named_where_needed(argv, inputs, capsys, monkeypat
     err = _error(capsys)
     assert code == 4 and err["verb"] == argv[0]
     assert "ROTALG_DEFAULT_ANGLE" in err["error"] and "'nonsense'" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "-n", "14"), ("eval", "-n", "-3"), ("check-closed", "--window", "6"),
+    ("close", "--window", "3"), ("classify", "--window", "12")])
+def test_join_document_is_joined_once(argv, inputs, capsys, monkeypatch, tmp_path):
+    from rotalg import idealfn
+    doc = tmp_path / "join.json"
+    doc.write_text(json.dumps({"angle": _G.to_json(), "repr": "join", "depth": 6,
+                               "gens": [json.loads(inputs["a"].read_text())]}))
+    windows = []
+    join_many = idealfn.join_many
+
+    def recording_join_many(gens, window, depth=idealfn.DEFAULT_DEPTH):
+        windows.append(window)
+        return join_many(gens, window, depth)
+
+    monkeypatch.setattr(idealfn, "join_many", recording_join_many)
+    verb, *rest = argv
+    code, _ = run(capsys, verb, doc, *rest)
+    assert code == 0
+    # the document's join at the window the verb reads, never narrower than 10
+    reach = {"eval": abs(int(rest[-1])), "check-closed": 12, "close": 6, "classify": 12}[verb]
+    assert windows[0] == max(10, reach)
+    # no read extends it (the close verb's own join goes through cli's name)
+    assert len(windows) == 1

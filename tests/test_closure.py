@@ -30,6 +30,53 @@ def exps_of(s):
     return frozenset(p.n for p in s.points)
 
 
+# -- the constraint sweep's point filter -------------------------------------
+
+
+@st.composite
+def point_windows(draw, w=2):
+    """Values on [-2w, 2w], empty at 0: mostly orbit point sets, some full,
+    some arcs (which keep the set-operation path)."""
+    pool = [pt(F(1, 7), e) for e in range(-3, 4)] + [pt(F(2, 7), 0), pt(F(1, 2), 1)]
+    values = {0: ClosedCircleSet.empty(_G)}
+    for n in range(-2 * w, 2 * w + 1):
+        if n == 0:
+            continue
+        kind = draw(st.sampled_from(("points",) * 6 + ("full", "arc")))
+        if kind == "full":
+            values[n] = ClosedCircleSet.full_circle(_G)
+            continue
+        pts = draw(st.lists(st.sampled_from(pool), max_size=5))
+        arcs = [Arc(pt(0), pt(F(1, 3)))] if kind == "arc" else []
+        values[n] = ClosedCircleSet.from_components(_G, pts, arcs)
+    return values
+
+
+def _product_cuts_by_set_operations(D, w, parent=None):
+    side = D if parent is None else parent
+    out = []
+    for m in range(-w, w + 1):
+        for n in range(-w, w + 1):
+            t = m + n
+            if side[m].full or D[n].full or D[t].is_empty():
+                continue
+            cut = D[t].intersect(D[n].rotate(-m).union(side[m]))
+            if cut != D[t]:
+                out.append((("product", m, n), t, cut))
+    return out
+
+
+@given(point_windows(), point_windows(), st.booleans())
+def test_point_filter_cuts_like_set_operations(D, parent, with_parent):
+    from rotalg.idealfn import _broken_constraints
+    parent = parent if with_parent else None
+    got = [c for c in _broken_constraints(D, 2, parent) if c[0][0] == "product"]
+    want = _product_cuts_by_set_operations(D, 2, parent)
+    assert [(label, t) for label, t, _ in got] == [(label, t) for label, t, _ in want]
+    for (_, _, cut), (_, _, ref) in zip(got, want):
+        assert cut == ref and cut.points == ref.points and cut.arcs == ref.arcs
+
+
 # -- closed join -----------------------------------------------------------
 
 

@@ -50,6 +50,35 @@ def test_basic_against_exponent_oracle(q, m):
     assert exps_of(b.value_set(m)) == expected
 
 
+def test_far_basic_value_is_one_normalization(monkeypatch):
+    from rotalg import circleset
+    calls = {"normalize": 0, "union": 0}
+    normalize, union = circleset._normalize, ClosedCircleSet.union
+
+    def counting_normalize(*args):
+        calls["normalize"] += 1
+        return normalize(*args)
+
+    def counting_union(self, other):
+        calls["union"] += 1
+        return union(self, other)
+
+    monkeypatch.setattr(circleset, "_normalize", counting_normalize)
+    monkeypatch.setattr(ClosedCircleSet, "union", counting_union)
+    b = make_basic(3, _P)
+    v = b.value_set(4000 * 3)
+    assert calls == {"normalize": 1, "union": 0}
+    assert exps_of(v) == oracles.basic_value(3, frozenset([0]), 12000)
+    # read again, and reflected: no further normalization
+    assert b.value_set(12000) is v
+    assert exps_of(b.value_set(-12000)) == oracles.basic_value(3, frozenset([0]), -12000)
+    assert calls == {"normalize": 1, "union": 0}
+    # a wider read starts from the widest value read below it
+    for k in (4500, 2000, 4001):
+        assert exps_of(b.value_set(3 * k)) == oracles.basic_value(3, frozenset([0]), 3 * k)
+    assert calls == {"normalize": 4, "union": 0}
+
+
 def test_basic_q_zero_convention():
     b0 = make_basic(0, _P)
     assert b0.value_set(0).is_empty()
