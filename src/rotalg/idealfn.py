@@ -139,16 +139,19 @@ class BasicFunction(IdealFunction):
             return ClosedCircleSet.full_circle(angle), EXACT
         k = abs(n) // self.q
         value = self._values.get(k)
-        if value is None:
-            # one normalization: the widest value read below k (P when
-            # none) and the rotated copies of P it lacks
+        while value is None:
+            # each step is one normalization: the widest value read below
+            # k (P when none) and the rotated copies of P it lacks.  Arcs
+            # cover the circle after finitely many copies, so an arc basic
+            # doubles its way up to k and stops growing once it is full.
             below = max((j for j in self._values if j < k), default=0)
             acc = self._values[below] if below else self.P
-            P, steps = self.P, range(-self.q * below, -self.q * k, -self.q)
-            value = acc if acc.full else ClosedCircleSet.from_components(
+            top = min(k, 2 * below + 1) if self.P.arcs and not acc.full else k
+            P, steps = self.P, range(-self.q * below, -self.q * top, -self.q)
+            self._values[top] = acc if acc.full else ClosedCircleSet.from_components(
                 angle, [*acc.points, *(p.shift(s) for s in steps for p in P.points)],
                 [*acc.arcs, *(a.shift(s) for s in steps for a in P.arcs)])
-            self._values[k] = value
+            value = self._values.get(k)
         # reflection: value(-kq) is value(kq) rotated by kq
         return (value if n > 0 else value.rotate(k * self.q)), EXACT
 
@@ -356,8 +359,10 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     D[n].rotate(-m) u side[m], where side is the parent's map when given
     (the one-sided rule of an ideal) and D itself otherwise.  Constraints
     met trivially (equal reflection sides, a full side, an empty target)
-    are skipped.  D is read live, so a caller may set D[t] to cut before
-    asking for the next one.
+    are skipped.  When the target, D[n] and side[m] are all finite point
+    sets, the cut is found by probing their points, with no set built.
+    D is read live, so a caller may set D[t] to cut before asking for the
+    next one.
     """
     for n in range(1, w + 1):
         if D[-n] == D[n].rotate(n):

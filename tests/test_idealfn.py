@@ -9,7 +9,7 @@ from rotalg import (Arc, CIdealFunction, ClosedCircleSet, all_empty,
                     make_basic, make_ideal_IQ, meet, naive_join, omega,
                     q_intersection, support, triviality, values_equal,
                     window_function)
-from rotalg.circleset import pt
+from rotalg.circleset import covering_index, pt
 from rotalg.idealfn import ExtensionViolation, OutsideWindowError, extend_from_positive
 
 import oracles
@@ -77,6 +77,20 @@ def test_far_basic_value_is_one_normalization(monkeypatch):
     for k in (4500, 2000, 4001):
         assert exps_of(b.value_set(3 * k)) == oracles.basic_value(3, frozenset([0]), 3 * k)
     assert calls == {"normalize": 4, "union": 0}
+
+
+def test_far_arc_basic_value_stops_at_the_covering_index(monkeypatch):
+    from rotalg import circleset
+    arc = ClosedCircleSet.from_components(_G, (), (Arc(pt(F(3, 10)), pt(F(2, 5))),))
+    N = covering_index(arc, 5)  # its own union loop: the first full value
+    arcs_in = []  # arcs handed to each normalization
+    normalize = circleset._normalize
+    monkeypatch.setattr(circleset, "_normalize",
+                        lambda angle, pts, arcs: arcs_in.append(len(arcs)) or normalize(angle, pts, arcs))
+    b = make_basic(5, arc)
+    assert b.value_set(5 * 10**6).full
+    assert len(arcs_in) <= N.bit_length() + 1 and sum(arcs_in) <= 4 * N + 2
+    assert not b.value_set(5 * (N - 1)).full and b.value_set(5 * N).full
 
 
 def test_basic_q_zero_convention():
