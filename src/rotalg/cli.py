@@ -55,27 +55,17 @@ def _resolve_angle(args) -> Optional[Angle]:
         raise InputError(f"bad angle {args.angle!r}: {exc}") from exc
 
 
-def _reach(verb: str, args) -> int:
-    """The widest index the verb reads of its input functions."""
-    if verb in ("eval", "plot"):
-        return abs(args.n)
-    if verb in ("check-closed", "join", "close"):
-        return 2 * args.window  # closedness and joins read targets m + n
-    return args.window
+def _load_function(path: str, angle: Optional[Angle]):
+    return _function_from_doc(_load_json(path), path, angle)
 
 
-def _load_function(path: str, angle: Optional[Angle], reach: int):
-    return _function_from_doc(_load_json(path), path, angle, reach)
-
-
-def _function_from_doc(doc: dict, path: str, angle: Optional[Angle], reach: int):
-    """Rebuild an ideal function, a join once and wide enough for reach;
-    the --angle flag's angle overrides the document's embedded angle, the
-    environment default fills the gap."""
+def _function_from_doc(doc: dict, path: str, angle: Optional[Angle]):
+    """Rebuild an ideal function; the --angle flag's angle overrides the
+    document's embedded angle, the environment default fills the gap."""
     if angle is None and "angle" not in doc:
         angle = default_angle()
     try:
-        return function_from_json(doc, angle, reach)
+        return function_from_json(doc, angle)
     except (KeyError, ValueError) as exc:
         raise InputError(f"bad ideal function in {path}: {exc}") from exc
 
@@ -220,8 +210,7 @@ def _group_verify(args, angle) -> dict:
 def _plot(args, angle) -> int:
     doc = _load_json(args.input)
     if "repr" in doc:
-        v, _ = _function_from_doc(doc, args.input, angle,
-                                  _reach("plot", args)).value(args.n)
+        v, _ = _function_from_doc(doc, args.input, angle).value(args.n)
     else:
         v = set_from_json(angle or default_angle(), doc)
     out = args.output or "set.svg"
@@ -367,8 +356,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         verb = VERBS[name]
         angle = _resolve_angle(args)
-        fns = [_load_function(getattr(args, inp), angle, _reach(name, args))
-               for inp in verb.inputs]
+        fns = [_load_function(getattr(args, inp), angle) for inp in verb.inputs]
         if not verb.emits:
             return verb.run(args, angle)
         report = verb.run(args, angle, *fns)

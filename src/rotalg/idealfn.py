@@ -710,7 +710,8 @@ def q_intersection(c: IdealFunction, window: int) -> tuple[ClosedCircleSet, Cert
     bound = c.support_bound()
     certified = bound is not None and bound <= window
     acc = ClosedCircleSet.full_circle(angle)
-    for n in range(1, (max(bound, 1) if certified else window) + 1):
+    # outermost index first, so that a join read past its window widens once
+    for n in range((max(bound, 1) if certified else window), 0, -1):
         acc = acc.intersect(c.value_set(n)).intersect(c.value_set(-n))
     if certified or acc.is_empty():
         return acc, EXACT
@@ -850,14 +851,7 @@ def function_to_json(c: IdealFunction, window: Optional[int] = None) -> dict:
     return base | {"repr": "window", "default": "unknown", "values": vals}
 
 
-def function_from_json(doc: dict, angle: Optional[Angle] = None,
-                       window: int = 0) -> IdealFunction:
-    """Rebuild a function from its document.
-
-    A join is computed once, on [-w, w] with w = max(10, window): pass as
-    window the widest index the caller will read, so that no read has to
-    extend the join.
-    """
+def function_from_json(doc: dict, angle: Optional[Angle] = None) -> IdealFunction:
     angle = angle or Angle.from_json(doc["angle"])
     kind = doc["repr"]
     if kind == "basic":
@@ -866,9 +860,7 @@ def function_from_json(doc: dict, angle: Optional[Angle] = None,
         values = {int(k): set_from_json(angle, v) for k, v in doc["values"].items()}
         return WindowFunction(angle, values, doc.get("default", "full"))
     if kind == "join":
-        w = max(10, window)
-        # the join reads its generators on [-2w, 2w]
-        gens = [function_from_json(g, angle, 2 * w) for g in doc["gens"]]
-        return join_many(gens, window=w,
+        gens = [function_from_json(g, angle) for g in doc["gens"]]
+        return join_many(gens, window=10,
                          depth=json_int(doc.get("depth", DEFAULT_DEPTH), "depth"))
     raise ValueError(f"unknown representation {kind!r}")

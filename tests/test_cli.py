@@ -415,14 +415,10 @@ def test_bad_default_angle_is_named_where_needed(argv, inputs, capsys, monkeypat
     assert "ROTALG_DEFAULT_ANGLE" in err["error"] and "'nonsense'" in err["error"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("eval", "-n", "14"), ("eval", "-n", "-3"), ("check-closed", "--window", "6"),
-    ("close", "--window", "3"), ("classify", "--window", "12")])
-def test_join_document_is_joined_once(argv, inputs, capsys, monkeypatch, tmp_path):
+def _recorded_join_windows(monkeypatch, capsys, doc, argv):
+    """Run one verb on a join document; the windows join_many was called
+    with, and the report."""
     from rotalg import idealfn
-    doc = tmp_path / "join.json"
-    doc.write_text(json.dumps({"angle": _G.to_json(), "repr": "join", "depth": 6,
-                               "gens": [json.loads(inputs["a"].read_text())]}))
     windows = []
     join_many = idealfn.join_many
 
@@ -432,10 +428,33 @@ def test_join_document_is_joined_once(argv, inputs, capsys, monkeypatch, tmp_pat
 
     monkeypatch.setattr(idealfn, "join_many", recording_join_many)
     verb, *rest = argv
-    code, _ = run(capsys, verb, doc, *rest)
+    code, rep = run(capsys, verb, doc, *rest)
     assert code == 0
-    # the document's join at the window the verb reads, never narrower than 10
-    reach = {"eval": abs(int(rest[-1])), "check-closed": 12, "close": 6, "classify": 12}[verb]
-    assert windows[0] == max(10, reach)
-    # no read extends it (the close verb's own join goes through cli's name)
-    assert len(windows) == 1
+    return windows, rep
+
+
+@pytest.mark.parametrize("argv, reach", [
+    (("eval", "-n", "14"), 14), (("eval", "-n", "-3"), 10),
+    (("check-closed", "--window", "6"), 12), (("close", "--window", "3"), 10),
+    (("classify", "--window", "12"), 12), (("simplicity", "--window", "14"), 14)])
+def test_join_document_widens_once(argv, reach, inputs, capsys, monkeypatch, tmp_path):
+    doc = tmp_path / "join.json"
+    doc.write_text(json.dumps({"angle": _G.to_json(), "repr": "join", "depth": 6,
+                               "gens": [json.loads(inputs["a"].read_text())]}))
+    windows, _ = _recorded_join_windows(monkeypatch, capsys, doc, argv)
+    # loaded at window 10; a read past it widens once, straight to the
+    # widest index the verb reads (the close verb's own join goes through
+    # cli's name and is not recorded)
+    assert windows == ([10] if reach == 10 else [10, reach])
+
+
+def test_collapsed_join_document_answers_far_reads_without_widening(
+        inputs, capsys, monkeypatch, tmp_path):
+    empty = function_to_json(make_basic(2, ClosedCircleSet.empty(_G)))
+    doc = tmp_path / "join.json"
+    doc.write_text(json.dumps({"angle": _G.to_json(), "repr": "join", "depth": 6,
+                               "gens": [empty]}))
+    windows, rep = _recorded_join_windows(monkeypatch, capsys, doc, ("eval", "-n", "5000"))
+    assert windows == [10]
+    assert rep["result"]["certificate"]["note"] == "collapse"
+    assert rep["result"]["set"] == set_to_json(ClosedCircleSet.empty(_G))
