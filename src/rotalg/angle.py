@@ -322,10 +322,13 @@ class Angle:
 
     @staticmethod
     def from_json(doc: dict) -> "Angle":
-        if doc.get("kind") == "surd":
-            return Angle("surd", surd=(doc["a"], doc["b"], doc["c"], doc["den"]))
-        if doc.get("kind") == "cf":
-            return Angle("cf", cf_prefix=list(doc["prefix"]), cf_rule=doc.get("rule", "repeat-last"))
+        kind = json_of(dict, doc, "angle").get("kind")
+        if kind == "surd":
+            return Angle("surd", surd=tuple(json_int(doc[k], k) for k in ("a", "b", "c", "den")))
+        if kind == "cf":
+            prefix = json_of(list, doc["prefix"], "prefix")
+            return Angle("cf", cf_prefix=[json_int(a, "prefix") for a in prefix],
+                         cf_rule=json_of(str, doc.get("rule", "repeat-last"), "rule"))
         raise ValueError("unknown angle descriptor")
 
     def same_as(self, other: "Angle") -> bool:
@@ -339,6 +342,22 @@ class Angle:
             a, b, c, den = self._surd
             return f"Angle(({a}{b:+}*sqrt({c}))/{den})"
         return f"Angle(cf {self._cf_prefix} {self._cf_rule})"
+
+
+def json_int(value, field: str) -> int:
+    """An integer field of a JSON document: a float, bool or string is
+    rejected, not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def json_of(kind: type, value, field: str):
+    """A field of a JSON document that must be of the given type (dict,
+    list or str): anything else is bad input, not a crash further in."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _floor_quad(P: int, D: int, Q: int) -> int:

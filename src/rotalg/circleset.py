@@ -8,15 +8,16 @@ order decisions reduce to exact sign tests through the shared Angle.
 
 Boolean operations normalize to a canonical component list (arcs merged,
 touching arcs joined, points inside arcs absorbed, components sorted by
-position), so set equality is plain structural equality.
+their exact (q, n) data), so set equality is plain structural equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Collection, Iterable, NamedTuple, Optional
 
-from .angle import Angle
+from .angle import Angle, json_int, json_of
 
 __all__ = [
     "CirclePoint",
@@ -32,81 +33,40 @@ __all__ = [
 _Expr = tuple[int, int, int]
 
 
-class CirclePoint:
-    """The point (q + n*rho) mod 1; q is stored reduced into [0, 1).
+class CirclePoint(tuple):
+    """The point (q + n*rho) mod 1 as the reduced ints (x, d, n): q = x/d
+    with 0 <= x < d and gcd(x, d) = 1.
 
-    Immutable, equal and hashed by (q, n).  Equal q values share one
-    interned Fraction, so tuple and set compares of points meet q by
-    identity instead of calling Fraction.__eq__; the hash of q and of the
-    point are computed once.  The hash is hash((q, n)), so a set of points
-    iterates in the order a set of the (q, n) pairs would.
+    Equal points are equal tuples, so equality and hashing are tuple's.
+    A Fraction appears only in the constructor and the .q view.
     """
 
-    __slots__ = ("q", "n", "_qhash", "_hash")
+    __slots__ = ()
 
-    def __init__(self, q, n: int):
+    def __new__(cls, q, n: int):
         if type(q) is not Fraction:
             q = Fraction(q)
-        if not 0 <= q < 1:
-            q -= q // 1
-        entry = _INTERNED_Q.get(q)
-        if entry is None:
-            entry = _INTERNED_Q[q] = (q, hash(q))
-        q, qhash = entry
-        _set_q(self, q)
-        _set_n(self, n)
-        _set_qhash(self, qhash)
-        _set_hash(self, hash((qhash, n)))
+        d = q.denominator
+        return tuple.__new__(cls, (q.numerator % d, d, n))
+
+    n = property(itemgetter(2))
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self[0], self[1])
 
     def shift(self, k: int) -> "CirclePoint":
-        # q is already reduced and interned: copy it and its hash
-        p = _new_point(CirclePoint)
-        n = self.n + k
-        qhash = self._qhash
-        _set_q(p, self.q)
-        _set_n(p, n)
-        _set_qhash(p, qhash)
-        _set_hash(p, hash((qhash, n)))
-        return p
+        x, d, n = self
+        return tuple.__new__(CirclePoint, (x, d, n + k))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CirclePoint is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CirclePoint is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not CirclePoint:
-            return NotImplemented
-        # q is interned, so equal q are almost always one object; threads
-        # interning the same new q at once can leave two, hence the ==
-        return (self._hash == other._hash and self.n == other.n
-                and (self.q is other.q or self.q == other.q))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (CirclePoint, (self.q, self.n))
+    def __getnewargs__(self):
+        return self.q, self[2]
 
     def __repr__(self) -> str:
-        return f"pt({self.q}{self.n:+}r)"
+        return f"pt({self.q}{self[2]:+}r)"
 
 
-# reduced q -> (the shared Fraction, its hash); new q values enter only
-# through the CirclePoint constructor, never through a set operation
-_INTERNED_Q: dict[Fraction, tuple[Fraction, int]] = {}
-_new_point = object.__new__
-_set_q = CirclePoint.q.__set__
-_set_n = CirclePoint.n.__set__
-_set_qhash = CirclePoint._qhash.__set__
-_set_hash = CirclePoint._hash.__set__
-
-
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Closed arc traversed counterclockwise from start to end (distinct)."""
     start: CirclePoint
     end: CirclePoint
@@ -119,7 +79,7 @@ class Arc:
 
 
 def pt(q, n: int = 0) -> CirclePoint:
-    return CirclePoint(Fraction(q), n)
+    return CirclePoint(q, n)
 
 
 # -- exact position arithmetic -------------------------------------------
@@ -148,18 +108,18 @@ def _plus(e: _Expr, k: int) -> _Expr:
 
 def _offset(angle: Angle, p: CirclePoint) -> _Expr:
     """Position of p as an expression in [0, 1) measured from 0."""
-    q = p.q
-    d = q.denominator
-    f = angle.floor_linear(q, p.n)
-    return (q.numerator - f * d, p.n * d, d)
+    x, d, n = p
+    y = n * d
+    f = angle.floor_linear(x, y, d)
+    return (x - f * d, y, d)
 
 
 def _delta(angle: Angle, a: CirclePoint, b: CirclePoint) -> _Expr:
     """Counterclockwise distance from a to b as an expression in [0, 1)."""
-    qa, qb = a.q, b.q
-    da, db = qa.denominator, qb.denominator
-    x, d = qb.numerator * da - qa.numerator * db, da * db
-    y = (b.n - a.n) * d
+    xa, da, na = a
+    xb, db, nb = b
+    x, d = xb * da - xa * db, da * db
+    y = (nb - na) * d
     f = angle.floor_linear(x, y, d)
     return (x - f * d, y, d)
 
@@ -259,8 +219,7 @@ class ClosedCircleSet:
         if not self.arcs and not other.arcs:
             pts = set(self.points)
             pts.update(other.points)
-            return ClosedCircleSet(self.angle, False,
-                                   tuple(sorted(pts, key=_data_key)), ())
+            return _in_data_order(self.angle, pts, ())
         return _normalize(self.angle,
                           list(self.points) + list(other.points),
                           list(self.arcs) + list(other.arcs))
@@ -337,12 +296,21 @@ def _check_context(a: ClosedCircleSet, b: ClosedCircleSet) -> None:
         raise ValueError("circle sets built over different angle contexts")
 
 
-def _data_key(p: CirclePoint):
-    return (p.q, p.n)
+def _in_data_order(angle: Angle, points: Collection[CirclePoint],
+                   arcs: Collection[Arc]) -> ClosedCircleSet:
+    """The set of these distinct components, listed in the exact value
+    order of (q, n), arcs by start then end.
 
+    Two distinct q = x/d with every d < 2**b differ by more than 2**-2b,
+    so the integer floor(x * 2**2b / d) orders them exactly.
+    """
+    b2 = 2 * max((p[1] for p in chain(points, *arcs)), default=1).bit_length()
 
-def _arc_data_key(a: Arc):
-    return (a.start.q, a.start.n, a.end.q, a.end.n)
+    def key(p: CirclePoint) -> tuple[int, int]:
+        return (p[0] << b2) // p[1], p[2]
+
+    return ClosedCircleSet(angle, False, tuple(sorted(points, key=key)),
+                           tuple(sorted(arcs, key=lambda a: key(a[0]) + key(a[1]))))
 
 
 def _normalize(angle: Angle, points: list[CirclePoint], arcs: list[Arc]) -> ClosedCircleSet:
@@ -362,9 +330,7 @@ def _normalize(angle: Angle, points: list[CirclePoint], arcs: list[Arc]) -> Clos
         live_arcs = merged
         tmp = ClosedCircleSet(angle, False, (), tuple(live_arcs))
         live_pts = {p for p in live_pts if not tmp._arc_member(p)}
-    return ClosedCircleSet(angle, False,
-                           tuple(sorted(live_pts, key=_data_key)),
-                           tuple(sorted(live_arcs, key=_arc_data_key)))
+    return _in_data_order(angle, live_pts, live_arcs)
 
 
 def _merge_arcs(angle: Angle, arcs: list[Arc]) -> Optional[list[Arc]]:
@@ -500,16 +466,13 @@ def _pt_to_json(p: CirclePoint) -> dict:
     return {"q": str(p.q), "n": p.n}
 
 
-def json_int(value, field: str) -> int:
-    """An integer field of a JSON document: a float, bool or string is
-    rejected, not truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def _pt_from_json(doc: dict) -> CirclePoint:
-    return CirclePoint(Fraction(doc["q"]), json_int(doc["n"], "n"))
+    q = json_of(dict, doc, "point")["q"]
+    try:  # a string such as "3/4", an int or a finite float
+        q = Fraction(q)
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"q must be a rational, got {q!r}") from exc
+    return CirclePoint(q, json_int(doc["n"], "n"))
 
 
 def set_to_json(s: ClosedCircleSet) -> dict:
@@ -522,15 +485,15 @@ def set_to_json(s: ClosedCircleSet) -> dict:
 
 
 def set_from_json(angle: Angle, doc: dict) -> ClosedCircleSet:
-    if doc.get("full"):
+    if json_of(dict, doc, "circle set").get("full"):
         return ClosedCircleSet.full_circle(angle)
     pts, arcs = [], []
-    for comp in doc.get("components", []):
-        if "pt" in comp:
+    for comp in json_of(list, doc.get("components", []), "components"):
+        if "pt" in json_of(dict, comp, "component"):
             pts.append(_pt_from_json(comp["pt"]))
         elif "arc" in comp:
-            arcs.append(Arc(_pt_from_json(comp["arc"]["start"]),
-                            _pt_from_json(comp["arc"]["end"])))
+            arc = json_of(dict, comp["arc"], "arc")
+            arcs.append(Arc(_pt_from_json(arc["start"]), _pt_from_json(arc["end"])))
         else:
             raise ValueError("unknown component kind")
     return ClosedCircleSet.from_components(angle, pts, arcs)

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .angle import Angle
-from .circleset import (ClosedCircleSet, covering_index, json_int, set_from_json,
-                        set_to_json)
+from .angle import Angle, json_int, json_of
+from .circleset import ClosedCircleSet, covering_index, set_from_json, set_to_json
 
 __all__ = [
     "Certificate", "IdealFunction", "BasicFunction", "WindowFunction",
@@ -852,15 +851,17 @@ def function_to_json(c: IdealFunction, window: Optional[int] = None) -> dict:
 
 
 def function_from_json(doc: dict, angle: Optional[Angle] = None) -> IdealFunction:
+    json_of(dict, doc, "ideal function")
     angle = angle or Angle.from_json(doc["angle"])
     kind = doc["repr"]
     if kind == "basic":
         return BasicFunction(json_int(doc["q"], "q"), set_from_json(angle, doc["P"]))
     if kind == "window":
-        values = {int(k): set_from_json(angle, v) for k, v in doc["values"].items()}
+        values = {int(k): set_from_json(angle, v)
+                  for k, v in json_of(dict, doc["values"], "values").items()}
         return WindowFunction(angle, values, doc.get("default", "full"))
     if kind == "join":
-        gens = [function_from_json(g, angle) for g in doc["gens"]]
+        gens = [function_from_json(g, angle) for g in json_of(list, doc["gens"], "gens")]
         return join_many(gens, window=10,
                          depth=json_int(doc.get("depth", DEFAULT_DEPTH), "depth"))
     raise ValueError(f"unknown representation {kind!r}")

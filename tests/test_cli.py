@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import rotalg
 
@@ -458,3 +462,70 @@ def test_collapsed_join_document_answers_far_reads_without_widening(
     assert windows == [10]
     assert rep["result"]["certificate"]["note"] == "collapse"
     assert rep["result"]["set"] == set_to_json(ClosedCircleSet.empty(_G))
+
+
+# -- malformed documents ---------------------------------------------------------
+
+_ARC = ClosedCircleSet.from_components(_G, [pt(F(1, 2), 1)], (Arc(pt(0), pt(F(1, 5))),))
+_DOCS = {
+    "basic": function_to_json(make_basic(1, _P)),
+    "arc": function_to_json(make_basic(2, _ARC)),
+    "cf": {**function_to_json(make_basic(1, _P)),
+           "angle": {"kind": "cf", "prefix": [0, 2, 2], "rule": "repeat-last"}},
+    "window": function_to_json(window_function(_G, {1: _P, -2: _ARC})),
+}
+_DOCS["join"] = {"angle": _G.to_json(), "repr": "join", "depth": 2,
+                 "gens": [_DOCS["basic"], _DOCS["arc"]]}
+
+
+def _replaced(name: str, path: tuple, value) -> str:
+    """The named document with the field at path set to value, as text."""
+    doc = copy.deepcopy(_DOCS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _fields(doc, path=()):
+    if isinstance(doc, (dict, list)):
+        for key, sub in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield path + (key,)
+            yield from _fields(sub, path + (key,))
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("basic", ("P", "components", 0, "pt", "q"), "1/0"),
+    ("basic", ("P", "components", 0, "pt", "q"), None),
+    ("basic", ("P", "components"), 5),
+    ("basic", ("P",), []),
+    ("basic", ("angle", "a"), "x"),
+    ("basic", ("angle", "a"), -1.5),
+    ("cf", ("angle", "prefix"), 5),
+    ("cf", ("angle", "prefix"), [0, "a"]),
+    ("basic", ("angle",), [1]),
+    ("window", ("values",), [1]),
+    ("join", ("gens",), 5),
+])
+def test_malformed_documents_exit_4(name, path, value, capsys):
+    code = main(["eval", _replaced(name, path, value), "-n", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and not captured.out
+    err = json.loads(captured.err)
+    assert err["ok"] is False and err["verb"] == "eval"
+
+
+@given(st.sampled_from([(name, path) for name, doc in _DOCS.items() for path in _fields(doc)]),
+       st.sampled_from([None, [], [1], "x", 1.5, "1/0"]))
+def test_document_readers_fuzz(field, value):
+    # any one field of a valid document replaced: a report or bad input,
+    # never an exception out of main
+    text = _replaced(*field, value)
+    for argv in (["eval", text, "-n", "1"], ["check-closed", text, "--window", "1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 4:
+            assert json.loads(err.getvalue())["ok"] is False
