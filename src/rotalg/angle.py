@@ -62,6 +62,7 @@ class Angle:
         self._lock = threading.RLock()
         self._lo: Fraction | None = None
         self._hi: Fraction | None = None
+        self._float: float | None = None
         self._coeffs: list[int] = []
         self._convergents: list[tuple[int, int]] = []  # (p_k, q_k) for k >= 0
         # integer enclosures read by the decision kernel, see _level
@@ -196,8 +197,10 @@ class Angle:
             k += 1
 
     def float_value(self) -> float:
-        lo, hi = self.refine(Fraction(1, 10**18))
-        return float((lo + hi) / 2)
+        if self._float is None:
+            lo, hi = self.refine(Fraction(1, 10**18))
+            self._float = float((lo + hi) / 2)
+        return self._float
 
     # -- exact decisions ---------------------------------------------------
     # One integer kernel decides both signs and floors.  It reads cached

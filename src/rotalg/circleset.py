@@ -6,13 +6,17 @@ counterclockwise arcs between them, or the full circle.  Because rho is
 irrational, two points are equal iff their (q mod 1, n) data agree, and all
 order decisions reduce to exact sign tests through the shared Angle.
 
-Boolean operations normalize to a canonical component list (arcs merged,
-touching arcs joined, points inside arcs absorbed, components sorted by
-their exact (q, n) data), so set equality is plain structural equality.
+Union and intersection of sets holding arcs are one coverage sweep
+(`_sweep`) over the exactly sorted component ends.  Results are canonical
+(touching arcs joined, points inside arcs absorbed, components in their
+exact (q, n) data order, which rotation keeps), so set equality is plain
+structural equality.  Point-only sets skip the sweep.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain
 from operator import itemgetter
 from typing import Collection, Iterable, NamedTuple, Optional
@@ -83,27 +87,14 @@ def pt(q, n: int = 0) -> CirclePoint:
 
 
 # -- exact position arithmetic -------------------------------------------
-# Positions are int triples, so comparing, adding and shifting them is
-# integer arithmetic; every order decision goes through the angle.
-
-_ZERO: _Expr = (0, 0, 1)
+# Positions are int triples, so comparing and shifting them is integer
+# arithmetic; every order decision goes through the angle.
 
 
 def _cmp(angle: Angle, a: _Expr, b: _Expr) -> int:
     ax, ay, ad = a
     bx, by, bd = b
     return angle.compare_linear(ax * bd - bx * ad, ay * bd - by * ad)
-
-
-def _add(a: _Expr, b: _Expr) -> _Expr:
-    ax, ay, ad = a
-    bx, by, bd = b
-    return (ax * bd + bx * ad, ay * bd + by * ad, ad * bd)
-
-
-def _plus(e: _Expr, k: int) -> _Expr:
-    """e + k for an integer k."""
-    return (e[0] + k * e[2], e[1], e[2])
 
 
 def _offset(angle: Angle, p: CirclePoint) -> _Expr:
@@ -217,12 +208,8 @@ class ClosedCircleSet:
         if self.full or other.full:
             return ClosedCircleSet.full_circle(self.angle)
         if not self.arcs and not other.arcs:
-            pts = set(self.points)
-            pts.update(other.points)
-            return _in_data_order(self.angle, pts, ())
-        return _normalize(self.angle,
-                          list(self.points) + list(other.points),
-                          list(self.arcs) + list(other.arcs))
+            return _in_data_order(self.angle, {*self.points, *other.points}, ())
+        return _sweep(self.angle, self.points + other.points, self.arcs + other.arcs, 1)
 
     def intersect(self, other: "ClosedCircleSet") -> "ClosedCircleSet":
         _check_context(self, other)
@@ -236,38 +223,12 @@ class ClosedCircleSet:
                 return self
             return ClosedCircleSet(self.angle, False,
                                    tuple(p for p in self.points if p in keep), ())
-        pts: list[CirclePoint] = []
-        arcs: list[Arc] = []
-        for p in self.points:
-            if other.contains_point(p):
-                pts.append(p)
-        for p in other.points:
-            if self._arc_member(p):
-                pts.append(p)
-        for a in self.arcs:
-            for b in other.arcs:
-                for piece in _arc_intersect(self.angle, a, b):
-                    if isinstance(piece, Arc):
-                        arcs.append(piece)
-                    else:
-                        pts.append(piece)
-        return _normalize(self.angle, pts, arcs)
+        return _sweep(self.angle, self.points + other.points, self.arcs + other.arcs, 2)
 
     def contains_point(self, p: CirclePoint) -> bool:
-        if self.full:
+        if self.full or p in self.points:
             return True
-        if p in self.points:
-            return True
-        if not self.arcs:
-            return False
-        return self._arc_member(p)
-
-    def _arc_member(self, p: CirclePoint) -> bool:
-        for a in self.arcs:
-            if _cmp(self.angle, _delta(self.angle, a.start, p),
-                    _delta(self.angle, a.start, a.end)) <= 0:
-                return True
-        return False
+        return bool(self.arcs) and not _sweep(self.angle, (p,), self.arcs, 2).is_empty()
 
     def contains_set(self, other: "ClosedCircleSet") -> bool:
         _check_context(self, other)
@@ -314,91 +275,54 @@ def _in_data_order(angle: Angle, points: Collection[CirclePoint],
 
 
 def _normalize(angle: Angle, points: list[CirclePoint], arcs: list[Arc]) -> ClosedCircleSet:
-    """Canonical form: merged arcs, absorbed/deduped points, components in
-    data order (which rotation preserves)."""
-    live_pts = set(points)
-    live_arcs = []
-    for a in arcs:
-        if a.start == a.end:
-            live_pts.add(a.start)
-        else:
-            live_arcs.append(a)
-    if live_arcs:
-        merged = _merge_arcs(angle, live_arcs)
-        if merged is None:  # covered everything
+    """Canonical form of the union of these components."""
+    if not arcs:
+        return _in_data_order(angle, set(points), ())
+    return _sweep(angle, points, arcs, 1)
+
+
+def _sweep(angle: Angle, points: Collection[CirclePoint], arcs: Collection[Arc],
+           need: int) -> ClosedCircleSet:
+    """The closed set of positions covered by at least `need` components.
+
+    A point is an arc of length zero.  The distinct ends are sorted once by
+    exact position (after a float presort, so the exact sort makes about one
+    decision per end).  At each end, arcs starting there count before arcs
+    ending there: touching arcs join, and closed arcs that meet in an end
+    keep that point.  The depth at 0 is the number of arcs that wrap past
+    it; a piece open across 0 ends where the depth first falls below need.
+    """
+    starts = Counter(points)
+    ends = starts.copy()
+    for s, e in arcs:
+        starts[s] += 1
+        ends[e] += 1
+    pos = {p: _offset(angle, p) for p in starts.keys() | ends.keys()}
+    r = angle.float_value()
+    order = sorted(sorted(pos, key=lambda p: pos[p][0] / p[1] + p[2] * r),
+                   key=cmp_to_key(lambda a, b: _cmp(angle, pos[a], pos[b])))
+    rank = {p: i for i, p in enumerate(order)}
+    depth = wrapped = sum(rank[e] < rank[s] for s, e in arcs)
+    pts, out = [], []
+    lo = head = None  # where the open piece began; the end of the piece across 0
+    for p in order:
+        up = depth + starts[p]
+        if depth < need <= up:
+            lo = p
+        depth = up - ends[p]
+        if depth < need <= up:
+            if lo is None:
+                head = p
+            elif lo == p:
+                pts.append(p)
+            else:
+                out.append(Arc(lo, p))
+            lo = None
+    if wrapped >= need:
+        if head is None:
             return ClosedCircleSet.full_circle(angle)
-        live_arcs = merged
-        tmp = ClosedCircleSet(angle, False, (), tuple(live_arcs))
-        live_pts = {p for p in live_pts if not tmp._arc_member(p)}
-    return _in_data_order(angle, live_pts, live_arcs)
-
-
-def _merge_arcs(angle: Angle, arcs: list[Arc]) -> Optional[list[Arc]]:
-    """Merge overlapping/touching arcs; None means the circle is covered."""
-    # unroll each arc to a line interval [a, a + span) with a in [0, 1)
-    items = []
-    for arc in arcs:
-        a = _offset(angle, arc.start)
-        items.append([a, _add(a, _delta(angle, arc.start, arc.end)), arc.start, arc.end])
-    import functools
-    items.sort(key=functools.cmp_to_key(lambda x, y: _cmp(angle, x[0], y[0])))
-
-    merged: list[list] = []
-    for it in items:
-        if merged and _cmp(angle, it[0], merged[-1][1]) <= 0:
-            if _cmp(angle, it[1], merged[-1][1]) > 0:
-                merged[-1][1] = it[1]
-                merged[-1][3] = it[3]
-        else:
-            merged.append(it)
-    # wrap: the last interval may extend past 1 and swallow leading ones
-    while len(merged) > 1:
-        tail = merged[-1]
-        wrapped_end = _plus(tail[1], -1)
-        head = merged[0]
-        if _cmp(angle, wrapped_end, head[0]) < 0:
-            break
-        if _cmp(angle, wrapped_end, head[1]) >= 0:
-            merged.pop(0)  # head fully swallowed
-            continue
-        tail[1] = _plus(head[1], 1)
-        tail[3] = head[3]
-        merged.pop(0)
-        break
-    for it in merged:
-        if _cmp(angle, it[1], _plus(it[0], 1)) >= 0:  # spans the whole circle
-            return None
-    return [Arc(it[2], it[3]) for it in merged]
-
-
-def _arc_intersect(angle: Angle, a: Arc, b: Arc) -> list:
-    """Intersection of two closed arcs: up to two arcs/points."""
-    la = _delta(angle, a.start, a.end)
-    b0 = _delta(angle, a.start, b.start)
-    spanb = _delta(angle, b.start, b.end)
-    out = []
-    for shift in (0, -1):
-        lo = _plus(b0, shift)
-        hi = _add(lo, spanb)
-        # clip [lo, hi] against [0, la]
-        if _cmp(angle, lo, _ZERO) < 0:
-            lo_pt = a.start
-            lo = _ZERO
-        else:
-            lo_pt = b.start
-        if _cmp(angle, hi, la) > 0:
-            hi_pt = a.end
-            hi = la
-        else:
-            hi_pt = b.end
-        s = _cmp(angle, lo, hi)
-        if s > 0:
-            continue
-        if s == 0:
-            out.append(lo_pt)
-        else:
-            out.append(Arc(lo_pt, hi_pt))
-    return out
+        out.append(Arc(lo, head))
+    return _in_data_order(angle, pts, out)
 
 
 COVERING_LIMIT = 500  # the most rotated copies covering_index unions

@@ -3,13 +3,15 @@ and run the sandbox verification suites.
 
 Reports are JSON documents printed to stdout (or written with -o); every
 computed set carries its certificate and every numeric claim its tolerance.
-Exit codes: 0 success, 2 a check failed, 3 a certificate fell short of
-exact under --require-exact, 4 bad input.
+Exit codes: 0 success, 1 stdout closed before the report was written,
+2 a check failed, 3 a certificate fell short of exact under
+--require-exact, 4 bad input.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -61,11 +63,10 @@ def _load_function(path: str, angle: Optional[Angle]):
 
 def _function_from_doc(doc: dict, path: str, angle: Optional[Angle]):
     """Rebuild an ideal function; the --angle flag's angle overrides the
-    document's embedded angle, the environment default fills the gap."""
-    if angle is None and "angle" not in doc:
-        angle = default_angle()
+    document's embedded angles, the environment default fills the gap."""
+    gap = angle is None and isinstance(doc, dict) and "angle" not in doc
     try:
-        return function_from_json(doc, angle)
+        return function_from_json(doc, angle, outer=default_angle() if gap else None)
     except (KeyError, ValueError) as exc:
         raise InputError(f"bad ideal function in {path}: {exc}") from exc
 
@@ -358,11 +359,19 @@ def main(argv=None) -> int:
         angle = _resolve_angle(args)
         fns = [_load_function(getattr(args, inp), angle) for inp in verb.inputs]
         if not verb.emits:
-            return verb.run(args, angle)
-        report = verb.run(args, angle, *fns)
-        if fns:
-            report = {"angle": fns[0].angle.to_json()} | report
-        return _emit(args, {"verb": name} | report)
+            code = verb.run(args, angle)
+        else:
+            report = verb.run(args, angle, *fns)
+            if fns:
+                report = {"angle": fns[0].angle.to_json()} | report
+            code = _emit(args, {"verb": name} | report)
+        sys.stdout.flush()  # a reader that closed the pipe shows here
+        return code
+    except BrokenPipeError:
+        # Python's "Note on SIGPIPE": stdout goes to devnull, so the flush
+        # at exit cannot fail again, and the exit code is Python's for EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, ValueError, KeyError, PhaseSearchFailed) as exc:
         # PhaseSearchFailed: the angle has no conjugator phase close enough
         # within the search bound, so the suite cannot run on this input

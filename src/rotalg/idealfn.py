@@ -850,18 +850,26 @@ def function_to_json(c: IdealFunction, window: Optional[int] = None) -> dict:
     return base | {"repr": "window", "default": "unknown", "values": vals}
 
 
-def function_from_json(doc: dict, angle: Optional[Angle] = None) -> IdealFunction:
+def function_from_json(doc: dict, angle: Optional[Angle] = None, *,
+                       outer: Optional[Angle] = None) -> IdealFunction:
+    """A given `angle` is read in place of every angle field of the document.
+    Otherwise a document that names no angle is read at `outer` (its join's,
+    or a default), and one that names an angle must name that one."""
     json_of(dict, doc, "ideal function")
-    angle = angle or Angle.from_json(doc["angle"])
+    if angle is None and outer is not None and "angle" in doc \
+            and not Angle.from_json(doc["angle"]).same_as(outer):
+        raise ValueError("a join generator's angle differs from its join's")
+    own = angle or outer or Angle.from_json(doc["angle"])
     kind = doc["repr"]
     if kind == "basic":
-        return BasicFunction(json_int(doc["q"], "q"), set_from_json(angle, doc["P"]))
+        return BasicFunction(json_int(doc["q"], "q"), set_from_json(own, doc["P"]))
     if kind == "window":
-        values = {int(k): set_from_json(angle, v)
+        values = {int(k): set_from_json(own, v)
                   for k, v in json_of(dict, doc["values"], "values").items()}
-        return WindowFunction(angle, values, doc.get("default", "full"))
+        return WindowFunction(own, values, doc.get("default", "full"))
     if kind == "join":
-        gens = [function_from_json(g, angle) for g in json_of(list, doc["gens"], "gens")]
+        gens = [function_from_json(g, angle, outer=own)
+                for g in json_of(list, doc["gens"], "gens")]
         return join_many(gens, window=10,
                          depth=json_int(doc.get("depth", DEFAULT_DEPTH), "depth"))
     raise ValueError(f"unknown representation {kind!r}")

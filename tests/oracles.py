@@ -6,12 +6,20 @@ E, the full circle by None, and rotation by integer shifts.  Everything
 here is computed with plain set arithmetic, independent of the exact
 circle machinery under test.
 
+Closed circle sets with arcs are modelled at 256 fractional bits: a
+position (q + n*rho) mod 1 is the integer floor of 2**256 times it, with rho
+enclosed by `math.isqrt`, and a set is a sorted list of disjoint closed
+integer intervals in [0, 2**256).  Union and intersection are list merges
+and a pairwise interval clip, sharing no code with `rotalg.circleset`.
+
 Gaussian rationals are modelled by the textbook pair (re, im) of
 `Fraction`s, independent of the integer form used by `rotalg.exactnum`.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import floor, isqrt
 
 FULL = None
 
@@ -102,6 +110,77 @@ def to_exponents(circle_set, base_q, base_n):
         assert p.q == base_q % 1 if hasattr(base_q, "__mod__") else True
         out.add(p.n - base_n)
     return frozenset(out)
+
+
+# -- closed circle sets at 256 bits -----------------------------------------------
+
+BITS = 256
+M = 1 << BITS  # positions are integers in [0, M)
+GOLDEN_SURD = (-1, 1, 5, 2)  # rho = (a + b*sqrt(c))/den
+
+
+def surd_enclosure(a, b, c, den, bits=BITS):
+    """lo < (a + b*sqrt(c))/den < hi for b > 0, hi - lo = b/(den*2**bits)."""
+    s = isqrt(c << (2 * bits))  # s <= sqrt(c) * 2**bits < s + 1
+    one = 1 << bits
+    return Fraction(a * one + b * s, den * one), Fraction(a * one + b * (s + 1), den * one)
+
+
+def circle_position(q, n, surd=GOLDEN_SURD):
+    """floor(M * ((q + n*rho) mod 1)), or None when the enclosure leaves it open."""
+    lo, hi = surd_enclosure(*surd, bits=BITS + 64)
+    if n < 0:
+        lo, hi = hi, lo
+    a, b = floor((q + n * lo) * M), floor((q + n * hi) * M)
+    return a % M if a == b else None
+
+
+def _merged(intervals):
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def arc_set(points, arcs):
+    """The set of these point positions and counterclockwise (start, end)
+    arcs; an arc with end < start wraps past 0 and is split there."""
+    intervals = [(x, x) for x in points]
+    for s, e in arcs:
+        intervals += [(s, e)] if s <= e else [(s, M - 1), (0, e)]
+    return _merged(intervals)
+
+
+FULL_SET = arc_set((), [(0, M - 1)])
+
+
+def arc_union(A, B):
+    return _merged(A + B)
+
+
+def arc_intersect(A, B):
+    return _merged([(max(a0, b0), min(a1, b1)) for a0, a1 in A for b0, b1 in B
+                    if max(a0, b0) <= min(a1, b1)])
+
+
+def arc_contains(A, B):
+    return arc_intersect(A, B) == B
+
+
+def arc_member(A, x):
+    return any(lo <= x <= hi for lo, hi in A)
+
+
+def arc_pieces(A):
+    """(points, arcs): the connected pieces of a set other than the full
+    circle, the two intervals through 0 glued into one arc."""
+    if len(A) > 1 and A[0][0] == 0 and A[-1][1] == M - 1:
+        A = A[1:-1] + [(A[-1][0], A[0][1] + M)]
+    points = sum(lo == hi for lo, hi in A)
+    return points, len(A) - points
 
 
 # -- Q(i) as a pair of Fractions -----------------------------------------------

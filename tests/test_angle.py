@@ -1,10 +1,12 @@
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rotalg import Angle, golden_angle, named_angle, silver_angle
+
+import oracles
 
 
 def test_refine_golden_hundredth(golden):
@@ -228,21 +230,15 @@ ORACLE_ANGLES = {
 }
 
 
-def _oracle_enclosure(a, b, c, den, bits=256):
-    s = isqrt(c << (2 * bits))  # s <= sqrt(c) * 2**bits < s + 1
-    one = 1 << bits
-    return Fraction(a * one + b * s, den * one), Fraction(a * one + b * (s + 1), den * one)
-
-
 def _oracle_sign(name, x, y):
-    lo, hi = _oracle_enclosure(*ORACLE_ANGLES[name][1])
+    lo, hi = oracles.surd_enclosure(*ORACLE_ANGLES[name][1])
     a, b = x + y * lo, x + y * hi
     assert (a > 0) == (b > 0) and a != 0 and b != 0, "256 bits do not decide"
     return 1 if a > 0 else -1
 
 
 def _oracle_floor(name, x, y, d):
-    lo, hi = _oracle_enclosure(*ORACLE_ANGLES[name][1])
+    lo, hi = oracles.surd_enclosure(*ORACLE_ANGLES[name][1])
     a, b = floor((x + y * lo) / d), floor((x + y * hi) / d)
     assert a == b, "256 bits do not decide"
     return a

@@ -4,11 +4,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from rotalg import Arc, CirclePoint, ClosedCircleSet, covering_index, golden_angle
+from rotalg import Angle, Arc, CirclePoint, ClosedCircleSet, covering_index, golden_angle
 from rotalg import circleset
 from rotalg.circleset import pt, render_svg, set_from_json, set_to_json
+
+import oracles
 
 F = Fraction
 _G = golden_angle()
@@ -354,6 +356,105 @@ def test_union_intersect_against_float_model(a, b, jitter):
         in_a, in_b = _model_member(*a, x, 1e-12), _model_member(*b, x, 1e-12)
         assert _set_member(U, x, 1e-12)
         assert _set_member(I, x, 1e-12) == (in_a and in_b)
+
+
+# -- union, intersect and containment against the exact 256-bit model ---------
+# Components are drawn from one small pool, so arcs share ends, touch, hold
+# a pool point at an end, and wrap past 0 (0 itself is often in the pool).
+# The model decides every one of these exactly, where the float model above
+# skips whatever lies within 1e-9 of an end.
+
+pooled_points = st.one_of(st.just(pt(0)), points)
+
+
+@st.composite
+def pooled_pairs(draw):
+    pool = draw(st.lists(pooled_points, min_size=2, max_size=6, unique=True))
+    pick = st.sampled_from(pool)
+    comps = []
+    for _ in range(2):
+        pts = draw(st.lists(pick, max_size=3))
+        ends = draw(st.lists(st.tuples(pick, pick), max_size=3))
+        comps.append((pts, [Arc(a, b) for a, b in ends if a != b]))
+    return pool, comps
+
+
+def _pos(p):
+    return oracles.circle_position(p.q, p.n)
+
+
+def _model(pts, arcs):
+    return oracles.arc_set([_pos(p) for p in pts],
+                           [(_pos(a.start), _pos(a.end)) for a in arcs])
+
+
+def _model_of(s):
+    """The model of a normalized set, checked to be in canonical form: one
+    component per connected piece."""
+    if s.full:
+        return oracles.FULL_SET
+    m = _model(s.points, s.arcs)
+    assert m != oracles.FULL_SET
+    assert oracles.arc_pieces(m) == (len(s.points), len(s.arcs))
+    return m
+
+
+@settings(max_examples=300)
+@given(pooled_pairs())
+def test_boolean_operations_against_exact_model(example):
+    pool, ((pa, aa), (pb, ab)) = example
+    positions = [_pos(p) for p in pool]
+    assume(None not in positions)
+    positions.sort()
+    assume(all(y - x > 2**56 for x, y in zip(positions, positions[1:])))
+    A = ClosedCircleSet.from_components(_G, pa, aa)
+    B = ClosedCircleSet.from_components(_G, pb, ab)
+    mA, mB = _model(pa, aa), _model(pb, ab)
+    assert _model_of(A) == mA and _model_of(B) == mB
+    assert _model_of(A.union(B)) == oracles.arc_union(mA, mB)
+    assert _model_of(A.intersect(B)) == oracles.arc_intersect(mA, mB)
+    assert A.contains_set(B) == oracles.arc_contains(mA, mB)
+    assert B.contains_set(A) == oracles.arc_contains(mB, mA)
+    for p in pool:
+        assert A.contains_point(p) == oracles.arc_member(mA, _pos(p))
+
+
+def test_exact_model_cases(golden):
+    # closed arcs meeting in an end intersect in that point; touching arcs
+    # join; an arc ending at 0 and one starting there join through 0
+    a, b = arcset(golden, pt(F(1, 10)), pt(F(1, 2))), arcset(golden, pt(F(1, 2)), pt(0))
+    assert a.intersect(b) == ClosedCircleSet.from_points(golden, [pt(F(1, 2))])
+    assert a.union(b) == arcset(golden, pt(F(1, 10)), pt(0))
+    c = arcset(golden, pt(0), pt(F(1, 10)))
+    assert a.union(b).union(c).full
+    assert b.intersect(c) == ClosedCircleSet.from_points(golden, [pt(0)])
+    assert b.union(c) == arcset(golden, pt(F(1, 2)), pt(F(1, 10)))
+    assert b.union(c).contains_point(pt(0)) and not b.union(c).contains_point(pt(F(1, 4)))
+
+
+def _circle_ordered_arcs(ns):
+    """Disjoint arcs between consecutive orbit points pt(0, n), n in ns, taken
+    in circle order; data order is the order of n, unrelated to it."""
+    ends = sorted(ns, key=lambda n: n * RHO_GOLDEN % 1.0)
+    return [Arc(pt(0, ends[i]), pt(0, ends[i + 1])) for i in range(0, len(ends), 2)]
+
+
+def test_intersect_decisions_are_sort_bounded(monkeypatch):
+    angle = golden_angle()
+    A = ClosedCircleSet.from_components(angle, (), _circle_ordered_arcs(range(1, 61)))
+    B = ClosedCircleSet.from_components(angle, (), _circle_ordered_arcs(range(61, 121)))
+    assert len(A.arcs) == len(B.arcs) == 30
+    calls = [0]
+    for name in ("compare_linear", "floor_linear"):
+        decide = getattr(Angle, name)
+        monkeypatch.setattr(Angle, name,
+                            lambda self, *a, decide=decide: calls.__setitem__(0, calls[0] + 1)
+                            or decide(self, *a))
+    got = A.intersect(B)
+    ends = 2 * (len(A.arcs) + len(B.arcs))
+    assert calls[0] <= 2 * ends * ends.bit_length()  # O((a + b) log(a + b))
+    monkeypatch.undo()
+    assert _model_of(got) == oracles.arc_intersect(_model((), A.arcs), _model((), B.arcs))
 
 
 # -- serialization -----------------------------------------------------------

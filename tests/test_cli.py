@@ -149,6 +149,23 @@ def test_console_script(inputs, tmp_path):
     assert json.loads(proc.stdout)["ok"]
 
 
+def test_reader_closing_the_pipe_early_is_no_traceback(tmp_path):
+    # a report far larger than a pipe buffer, read for one line
+    doc = tmp_path / "points.json"
+    forty = ClosedCircleSet.from_points(_G, [pt(F(k, 41)) for k in range(40)])
+    doc.write_text(json.dumps(function_to_json(make_basic(1, forty))))
+    src = str(Path(rotalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "rotalg.cli", "eval", str(doc), "-n", "100"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == ""
+
+
 def test_env_default_angle(inputs, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("ROTALG_DEFAULT_ANGLE", "silver")
     doc = function_to_json(make_basic(1, _P))
@@ -507,6 +524,8 @@ def _fields(doc, path=()):
     ("basic", ("angle",), [1]),
     ("window", ("values",), [1]),
     ("join", ("gens",), 5),
+    ("join", ("gens", 0, "angle"), "1/0"),
+    ("join", ("gens", 1, "angle"), {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 1}),
 ])
 def test_malformed_documents_exit_4(name, path, value, capsys):
     code = main(["eval", _replaced(name, path, value), "-n", "1"])
@@ -514,6 +533,32 @@ def test_malformed_documents_exit_4(name, path, value, capsys):
     assert code == 4 and not captured.out
     err = json.loads(captured.err)
     assert err["ok"] is False and err["verb"] == "eval"
+
+
+def test_join_generators_are_read_at_the_join_angle(capsys):
+    doc = copy.deepcopy(_DOCS["join"])
+    doc["gens"][1]["angle"] = {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 1}
+    assert main(["eval", json.dumps(doc), "-n", "1"]) == 4
+    # --angle reads the whole document at its angle, generators included
+    assert main(["eval", json.dumps(doc), "-n", "1", "--angle", "golden"]) == 0
+    # a generator without an angle, or with the join's, is read at the join's
+    del doc["gens"][1]["angle"]
+    doc["gens"][0]["angle"] = copy.deepcopy(doc["angle"])
+    assert main(["eval", json.dumps(doc), "-n", "1"]) == 0
+    # a join that names no angle is read at the default one, and so checked
+    del doc["angle"]
+    assert main(["eval", json.dumps(doc), "-n", "1"]) == 0
+    doc["gens"][0]["angle"] = "1/0"
+    assert main(["eval", json.dumps(doc), "-n", "1"]) == 4
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["5", "[1]", '"x"', "null"])
+def test_document_that_is_no_object_exits_4(text, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["eval", str(path), "-n", "1"]) == 4
+    assert json.loads(capsys.readouterr().err)["ok"] is False
 
 
 @given(st.sampled_from([(name, path) for name, doc in _DOCS.items() for path in _fields(doc)]),
@@ -529,3 +574,5 @@ def test_document_readers_fuzz(field, value):
         assert code in (0, 2, 3, 4)
         if code == 4:
             assert json.loads(err.getvalue())["ok"] is False
+        if field[0] == "join" and field[1][0] == "gens" and field[1][2:3] == ("angle",):
+            assert code == 4  # a join generator's angle is read and checked
