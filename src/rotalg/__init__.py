@@ -9,6 +9,9 @@ desk scale.
 
 __version__ = "0.1.0"
 
+import importlib
+import importlib.util
+
 from .angle import Angle, default_angle, golden_angle, named_angle, silver_angle
 from .circleset import (Arc, CirclePoint, ClosedCircleSet, covering_index,
                         render_svg, set_from_json, set_to_json)
@@ -21,13 +24,18 @@ from .idealfn import (BasicFunction, Certificate, CIdealFunction,
                       meet, naive_join, omega, q_intersection,
                       simplicity_report, support, triviality, values_equal,
                       window_function)
-from .sandbox import (AveragingOperator, CrossedElement, TrigPoly, adjoint,
-                      apply_averaging, build_averaging, center_check,
-                      derivative_extract, element_from_json, element_to_json,
-                      expectation_canonical, expectation_mu, fejer_bracket,
-                      membership_test, multiply, project_qn, q_of,
-                      truncated_norm)
 from .finitegroup import (FiniteAbelianGroup, FiniteAction,
                           augmentation_ideal, build_BI,
                           check_no_intermediate_M2, check_not_from_subgroup,
                           extend_ideal)
+
+
+def __getattr__(name: str):
+    """The names of `sandbox`, which imports numpy, load it on first use
+    (PEP 562).  A submodule's name is left to the import system, so that
+    `from rotalg import cli` does not load it."""
+    if not name.startswith("_") and importlib.util.find_spec(f".{name}", __name__) is None:
+        sandbox = importlib.import_module(".sandbox", __name__)
+        if name in sandbox.__all__:
+            return getattr(sandbox, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

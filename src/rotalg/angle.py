@@ -32,7 +32,12 @@ __all__ = [
     "named_angle",
     "default_angle",
     "NAMED_ANGLES",
+    "PhaseSearchFailed",
 ]
+
+
+class PhaseSearchFailed(RuntimeError):
+    """No integer conjugator realizes the requested root-of-unity phase."""
 
 
 def _is_square(c: int) -> bool:

@@ -16,12 +16,11 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .angle import Angle, default_angle, named_angle
+from .angle import Angle, PhaseSearchFailed, default_angle, named_angle
 from .circleset import render_svg, set_from_json, set_to_json
 from .idealfn import (canonical_decomposition, check_closed, classify_algebra,
                       closed_join, function_from_json, join_many, meet,
                       simplicity_report, values_equal)
-from .sandbox import PhaseSearchFailed
 
 SCHEMA_VERSION = "1"
 
@@ -337,10 +336,12 @@ VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of the verb `only` alone, which is all
+    that a command line naming that verb needs."""
     ap = _Parser(prog="rotalg", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
-    for name, verb in VERBS.items():
+    for name, verb in (VERBS if only is None else {only: VERBS[only]}).items():
         p = sub.add_parser(name, help=verb.help)
         for inp in verb.inputs:
             p.add_argument(inp)
@@ -354,7 +355,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv and argv[0] in VERBS else None
     try:
-        args = build_parser().parse_args(argv)
+        # a command line that names no verb (help, a usage error) gets the
+        # full table, so that usage lists every verb
+        args = build_parser(name).parse_args(argv)
         verb = VERBS[name]
         angle = _resolve_angle(args)
         fns = [_load_function(getattr(args, inp), angle) for inp in verb.inputs]

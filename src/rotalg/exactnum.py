@@ -85,6 +85,13 @@ class PhasePoly:
     def __init__(self, terms: dict[int, QI] | None = None):
         self.terms = {j: c for j, c in (terms or {}).items() if not qi_is_zero(c)}
 
+    @classmethod
+    def _of(cls, terms: dict[int, QI]) -> "PhasePoly":
+        """A PhasePoly over terms that hold no zero, taken without a copy."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
     @staticmethod
     def const(re=0) -> "PhasePoly":
         return PhasePoly({0: qi(re)})
@@ -100,11 +107,16 @@ class PhasePoly:
     def __add__(self, other: "PhasePoly") -> "PhasePoly":
         out = dict(self.terms)
         for j, c in other.terms.items():
-            out[j] = qi_add(out[j], c) if j in out else c
-        return PhasePoly(out)
+            if j not in out:
+                out[j] = c
+            elif qi_is_zero(s := qi_add(out[j], c)):
+                del out[j]
+            else:
+                out[j] = s
+        return PhasePoly._of(out)
 
     def __neg__(self) -> "PhasePoly":
-        return PhasePoly({j: qi_neg(c) for j, c in self.terms.items()})
+        return PhasePoly._of({j: qi_neg(c) for j, c in self.terms.items()})
 
     def __sub__(self, other: "PhasePoly") -> "PhasePoly":
         return self + (-other)
@@ -115,7 +127,9 @@ class PhasePoly:
             for j2, c2 in other.terms.items():
                 j = j1 + j2
                 out[j] = qi_add(out[j], qi_mul(c1, c2)) if j in out else qi_mul(c1, c2)
-        return PhasePoly(out)
+        for j in [j for j, c in out.items() if qi_is_zero(c)]:
+            del out[j]
+        return PhasePoly._of(out)
 
     def scale(self, c: QI) -> "PhasePoly":
         return PhasePoly({j: qi_mul(v, c) for j, v in self.terms.items()})
@@ -124,10 +138,10 @@ class PhasePoly:
         """Multiply by z**k."""
         if k == 0:
             return self
-        return PhasePoly({j + k: c for j, c in self.terms.items()})
+        return PhasePoly._of({j + k: c for j, c in self.terms.items()})
 
     def conj(self) -> "PhasePoly":
-        return PhasePoly({-j: qi_conj(c) for j, c in self.terms.items()})
+        return PhasePoly._of({-j: qi_conj(c) for j, c in self.terms.items()})
 
     def conjugate(self) -> "PhasePoly":
         """`conj`, under the name that `complex` uses."""

@@ -392,9 +392,12 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
                 if cut != target:
                     yield ("product", m, n), t, cut
                 continue
-            # points only: p is in D[n].rotate(-m) iff p.shift(m) is in D[n]
+            # points only: p is in D[n].rotate(-m) iff p.shift(m) is in D[n];
+            # a point hashes and compares as its plain tuple, so the probe
+            # builds no point
             inside, shifted = points_of(beside), points_of(moved)
-            kept = tuple(p for p in target.points if p in inside or p.shift(m) in shifted)
+            kept = tuple(p for p in target.points
+                         if p in inside or (p[0], p[1], p[2] + m) in shifted)
             if len(kept) < len(target.points):
                 yield ("product", m, n), t, ClosedCircleSet(target.angle, False, kept, ())
 

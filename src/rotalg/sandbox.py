@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angle import Angle
+from .angle import Angle, PhaseSearchFailed
 from .circleset import Arc, ClosedCircleSet
 from .exactnum import PhasePoly, qi, qi_mul, qi_parts
 from .idealfn import IdealFunction
@@ -35,10 +35,6 @@ __all__ = [
     "membership_test", "center_check", "truncated_norm", "bump_power",
     "element_to_json", "element_from_json",
 ]
-
-
-class PhaseSearchFailed(RuntimeError):
-    """No integer conjugator realizes the requested root-of-unity phase."""
 
 
 def _phase(angle: Angle, j: int) -> complex:
@@ -57,6 +53,13 @@ class TrigPoly:
     def __post_init__(self):
         self.coeffs = {k: c for k, c in self.coeffs.items() if c}
 
+    @classmethod
+    def _of(cls, mode: str, coeffs: dict[int, object]) -> "TrigPoly":
+        """A TrigPoly over coeffs that hold no zero, taken without a copy."""
+        t = object.__new__(cls)
+        t.mode, t.coeffs = mode, coeffs
+        return t
+
     @staticmethod
     def zero(mode: str = "exact") -> "TrigPoly":
         return TrigPoly(mode, {})
@@ -73,11 +76,16 @@ class TrigPoly:
     def __add__(self, o: "TrigPoly") -> "TrigPoly":
         out = dict(self.coeffs)
         for k, c in o.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return TrigPoly(self.mode, out)
+            if k not in out:
+                out[k] = c
+            elif s := out[k] + c:
+                out[k] = s
+            else:
+                del out[k]
+        return TrigPoly._of(self.mode, out)
 
     def __sub__(self, o: "TrigPoly") -> "TrigPoly":
-        return self + TrigPoly(self.mode, {k: -c for k, c in o.coeffs.items()})
+        return self + TrigPoly._of(self.mode, {k: -c for k, c in o.coeffs.items()})
 
     def scale(self, c) -> "TrigPoly":
         return TrigPoly(self.mode, {k: v * c for k, v in self.coeffs.items()})
@@ -89,19 +97,21 @@ class TrigPoly:
             for k2, c2 in o.coeffs.items():
                 k = k1 + k2
                 out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-        return TrigPoly(self.mode, out)
+        for k in [k for k, c in out.items() if not c]:
+            del out[k]
+        return TrigPoly._of(self.mode, out)
 
     def compose_rotation(self, angle: Angle, m: int) -> "TrigPoly":
         """The composition with the m-th rotation power: k-th coefficient
         picks up the phase to the power k*m."""
         if self.mode == "exact":
-            return TrigPoly(self.mode, {k: c.shift(k * m) for k, c in self.coeffs.items()})
+            return TrigPoly._of(self.mode, {k: c.shift(k * m) for k, c in self.coeffs.items()})
         return TrigPoly(self.mode,
                         {k: c * _phase(angle, k * m) for k, c in self.coeffs.items()})
 
     def conjugate_function(self) -> "TrigPoly":
         """Complex conjugate as a function: coefficient k -> conj(coeff(-k))."""
-        return TrigPoly(self.mode, {-k: c.conjugate() for k, c in self.coeffs.items()})
+        return TrigPoly._of(self.mode, {-k: c.conjugate() for k, c in self.coeffs.items()})
 
     def eval_at(self, angle: Angle, position: float) -> complex:
         return sum((c * cmath.exp(2j * cmath.pi * k * position)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import rotalg
 from rotalg import (Arc, ClosedCircleSet, function_to_json, golden_angle,
                     make_basic, set_to_json, window_function)
 from rotalg.circleset import pt
-from rotalg.cli import build_parser, main, report_schema
+from rotalg.cli import VERBS, build_parser, main, report_schema
 
 F = Fraction
 _G = golden_angle()
@@ -166,6 +167,70 @@ def test_reader_closing_the_pipe_early_is_no_traceback(tmp_path):
     assert err == ""
 
 
+def test_lattice_verbs_leave_numpy_unimported(inputs, tmp_path):
+    # numpy loads with the sandbox, on the first sandbox verb
+    script = f"""
+import sys
+import rotalg.cli
+for argv in ({["eval", str(inputs["a"]), "-n", "3"]!r},
+             {["join", str(inputs["a"]), str(inputs["b"])]!r},
+             {["check-closed", str(inputs["a"]), "--window", "2"]!r}):
+    assert rotalg.cli.main(argv + ["-o", {str(tmp_path / "out.json")!r}]) == 0, argv
+assert "numpy" not in sys.modules
+assert rotalg.cli.main(["sandbox-verify", "--suite", "ring", "--n", "2"]) == 0
+assert "numpy" in sys.modules
+"""
+    src = str(Path(rotalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["suite"] == "ring"
+
+
+# every name that `rotalg` exported by eager imports before the sandbox
+# was loaded on first use, by the module that defines it
+PACKAGE_NAMES = {
+    "angle": ["Angle", "default_angle", "golden_angle", "named_angle", "silver_angle"],
+    "circleset": ["Arc", "CirclePoint", "ClosedCircleSet", "covering_index", "render_svg",
+                  "set_from_json", "set_to_json"],
+    "idealfn": ["BasicFunction", "Certificate", "CIdealFunction", "IdealFunction",
+                "JoinFunction", "WindowFunction", "all_empty", "canonical_decomposition",
+                "check_c_closed", "check_closed", "classify_algebra", "close",
+                "closed_join", "closed_join_value", "extend_from_positive",
+                "function_from_json", "function_to_json", "join_many", "make_basic",
+                "make_ideal_IQ", "meet", "naive_join", "omega", "q_intersection",
+                "simplicity_report", "support", "triviality", "values_equal",
+                "window_function"],
+    "sandbox": ["AveragingOperator", "CrossedElement", "TrigPoly", "adjoint",
+                "apply_averaging", "build_averaging", "center_check", "derivative_extract",
+                "element_from_json", "element_to_json", "expectation_canonical",
+                "expectation_mu", "fejer_bracket", "membership_test", "multiply",
+                "project_qn", "q_of", "truncated_norm"],
+    "finitegroup": ["FiniteAbelianGroup", "FiniteAction", "augmentation_ideal", "build_BI",
+                    "check_no_intermediate_M2", "check_not_from_subgroup", "extend_ideal"],
+}
+
+
+@pytest.mark.parametrize("module", PACKAGE_NAMES)
+def test_package_names_resolve_to_their_modules(module):
+    names = PACKAGE_NAMES[module]
+    space: dict = {}
+    exec(f"from rotalg import ({', '.join(names)})", space)
+    defined = importlib.import_module(f"rotalg.{module}")
+    for name in names:
+        assert space[name] is getattr(defined, name) is getattr(rotalg, name)
+    with pytest.raises(AttributeError):
+        rotalg.no_such_name
+
+
+def test_phase_search_failed_lives_outside_the_sandbox():
+    from rotalg import angle, sandbox
+    assert sandbox.PhaseSearchFailed is angle.PhaseSearchFailed
+    assert issubclass(angle.PhaseSearchFailed, RuntimeError)
+
+
 def test_env_default_angle(inputs, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("ROTALG_DEFAULT_ANGLE", "silver")
     doc = function_to_json(make_basic(1, _P))
@@ -257,13 +322,24 @@ READS = {
 }
 
 
+def _verb_parsers(parser) -> dict:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _options(p) -> set:
+    return {a.option_strings[0] for a in p._actions
+            if a.option_strings and a.option_strings[0] != "-h"}
+
+
 def test_each_verb_accepts_the_options_it_reads():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    accepted = {verb: {a.option_strings[0] for a in p._actions
-                       if a.option_strings and a.option_strings[0] != "-h"}
-                for verb, p in sub.choices.items()}
+    accepted = {verb: _options(p) for verb, p in _verb_parsers(build_parser()).items()}
     assert accepted == READS
+    # the parser main builds for a command line naming the verb holds that
+    # verb alone, with the same options
+    for verb in READS:
+        alone = _verb_parsers(build_parser(verb))
+        assert list(alone) == [verb] and _options(alone[verb]) == READS[verb]
 
 
 def _error(capsys):
@@ -288,6 +364,45 @@ def test_usage_errors_exit_4(argv, verb, inputs, capsys):
     code = main([str(inputs["a"]) if a == "{A}" else a for a in argv])
     err = _error(capsys)
     assert code == 4 and err["verb"] == verb
+
+
+_ALL_VERBS = ("'eval', 'check-closed', 'meet', 'join', 'close', 'decompose', 'classify', "
+              "'simplicity', 'plot', 'sandbox-verify', 'group-verify', 'schema'")
+
+
+@pytest.mark.parametrize("argv, verb, error", [
+    ([], None, "the following arguments are required: verb"),
+    (["bogus"], None, f"argument verb: invalid choice: 'bogus' (choose from {_ALL_VERBS})"),
+    (["eval"], "eval", "the following arguments are required: function, -n"),
+    (["join", "a.json"], "join", "the following arguments are required: right"),
+    (["sandbox-verify", "--suite", "nope"], "sandbox-verify",
+     "argument --suite: invalid choice: 'nope' (choose from 'ring', 'fejer', 'averaging', "
+     "'derivative', 'center', 'membership')"),
+])
+def test_usage_error_reports_are_pinned(argv, verb, error, capsys):
+    # a command line naming no verb is parsed by the full table, so its
+    # error still lists every verb
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": error, "ok": False, "schema_version": "1",
+                                       "verb": verb}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"], ["sandbox-verify", "-h"]])
+def test_help_is_the_full_tables_help(argv, capsys):
+    parser = build_parser()
+    if len(argv) > 1:
+        parser = _verb_parsers(parser)[argv[0]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == parser.format_help()
+
+
+def test_schema_prints_the_report_schema(capsys):
+    assert main(["schema"]) == 0
+    assert capsys.readouterr().out == json.dumps(report_schema(), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"], ["sandbox-verify", "--help"]])
