@@ -32,10 +32,11 @@ from .finitegroup import (FiniteAbelianGroup, FiniteAction,
 
 def __getattr__(name: str):
     """The names of `sandbox`, which imports numpy, load it on first use
-    (PEP 562).  A submodule's name is left to the import system, so that
-    `from rotalg import cli` does not load it."""
+    (PEP 562) and are then bound here.  A submodule's name is left to the
+    import system, so that `from rotalg import cli` does not load it."""
     if not name.startswith("_") and importlib.util.find_spec(f".{name}", __name__) is None:
         sandbox = importlib.import_module(".sandbox", __name__)
+        globals().update({n: getattr(sandbox, n) for n in sandbox.__all__})
         if name in sandbox.__all__:
-            return getattr(sandbox, name)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

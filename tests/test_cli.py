@@ -19,7 +19,7 @@ import rotalg
 from rotalg import (Arc, ClosedCircleSet, function_to_json, golden_angle,
                     make_basic, set_to_json, window_function)
 from rotalg.circleset import pt
-from rotalg.cli import VERBS, build_parser, main, report_schema
+from rotalg.cli import build_parser, main, report_schema
 
 F = Fraction
 _G = golden_angle()
