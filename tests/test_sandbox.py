@@ -415,13 +415,87 @@ def _compression_norm(terms, radius, rho):
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def test_norm_lanczos_branch_matches_dense_svd_on_symmetric_element():
-    # U + U* + V + V* at radius 18 (N = 1369 > 1200, the Lanczos branch):
-    # a constant start vector misses its top eigenvector (2.5951130)
-    terms = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0)]
+def _float_element(terms):
     a = CrossedElement.zero(_G, "float")
     for n, k, c in terms:
         a = a + mono(n, k, c, "float")
-    ref = _compression_norm(terms, 18, _G.float_value())
+    return a
+
+
+_SYMMETRIC = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0)]
+
+
+def _pattern_terms(seed):
+    """The benchmark's seven-term multi-layer pattern, seeded coefficients
+    of modulus in [1/2, 1]."""
+    rng = random.Random(seed)
+    return [(n, k, cmath.rect(rng.uniform(0.5, 1.0), rng.uniform(0, 2 * cmath.pi)))
+            for n, k in ((-2, 1), (-1, -2), (-1, 0), (0, 1), (1, 2), (1, -1), (2, 0))]
+
+
+def _averaged_terms():
+    """An averaged random element: its top eigenvalues are close together."""
+    from rotalg.suites import random_float_element
+    L = build_averaging(1, (2, 3), 0.05, _G, 200)
+    a = apply_averaging(L, random_float_element(_G, random.Random(9)))
+    assert len(a.terms) > 1
+    return [(n, k, c) for n, t in a.terms.items() for k, c in t.coeffs.items()]
+
+
+_RADIUS_12_ELEMENTS = {"pattern": lambda: _pattern_terms(1301),
+                       "symmetric": lambda: _SYMMETRIC, "averaged": _averaged_terms}
+
+
+def _count_eigsh(monkeypatch):
+    import scipy.sparse.linalg as spla
+    calls = []
+    eigsh = spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigsh(*args, **kwargs)
+    monkeypatch.setattr(spla, "eigsh", counted)
+    return calls
+
+
+def test_norm_lanczos_branch_matches_dense_svd_on_symmetric_element():
+    # U + U* + V + V* at radius 18 (N = 1369, the Lanczos branch above
+    # radius 10): a constant start vector misses its top eigenvector
+    # (2.5951130)
+    ref = _compression_norm(_SYMMETRIC, 18, _G.float_value())
     assert ref == pytest.approx(2.5951366, abs=1e-6)
-    assert truncated_norm(a, radius=18) == pytest.approx(ref, abs=1e-9)
+    assert truncated_norm(_float_element(_SYMMETRIC), radius=18) == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("radius, lanczos", [(10, False), (11, True)])
+def test_norm_solver_split_at_radius_10_matches_dense_svd(monkeypatch, radius, lanczos):
+    calls = _count_eigsh(monkeypatch)
+    terms = _pattern_terms(1301)
+    ref = _compression_norm(terms, radius, _G.float_value())
+    assert truncated_norm(_float_element(terms), radius=radius) == pytest.approx(ref, abs=1e-9)
+    N = (2 * radius + 1) ** 2
+    assert calls == ([(N, N)] if lanczos else [])
+
+
+@pytest.mark.parametrize("element", ["symmetric", "averaged"])
+def test_norm_lanczos_at_radius_12_matches_dense_svd(monkeypatch, element):
+    calls = _count_eigsh(monkeypatch)
+    terms = _RADIUS_12_ELEMENTS[element]()
+    ref = _compression_norm(terms, 12, _G.float_value())
+    assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("element", sorted(_RADIUS_12_ELEMENTS))
+def test_norm_falls_back_to_dense_when_arpack_fails(monkeypatch, element):
+    import scipy.sparse.linalg as spla
+    terms = _RADIUS_12_ELEMENTS[element]()
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args[0].shape)
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+    monkeypatch.setattr(spla, "eigsh", fail)
+    ref = _compression_norm(terms, 12, _G.float_value())
+    assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
+    assert calls == [(625, 625)]
