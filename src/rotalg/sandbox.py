@@ -271,10 +271,11 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
     radius (compressions are nested).  The extremal eigenvalue of the Gram
     matrix is solved to a relative accuracy of 1e-11: by a dense Hermitian
     eigensolve for radius <= 10 (N = (2r+1)^2 <= 441), by ARPACK's Lanczos
-    above, falling back to the dense solve if ARPACK does not converge.
+    above, falling back to the dense solve if ARPACK does not converge
+    within 100 restarts.
     Dense stays below radius 11 because averaged elements there have top
-    gaps down to 1e-6 relative, which cost Lanczos hundreds of matvecs:
-    two to five times the time of a dense solve of that size.
+    gaps down to 1e-6 relative, which cost Lanczos hundreds of matvecs,
+    up to several times the time of a dense solve of that size.
     """
     a = a.as_float()
     dim = 2 * radius + 1
@@ -328,9 +329,12 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
         # Lanczos then converges to a lower eigenvalue
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        # every suite's Gram converges within 25 restarts; a top eigenvalue
+        # that is (nearly) multiple can stall Lanczos for thousands, and
+        # then the dense solve is the quicker one
         try:
             top = float(spla.eigsh(gram.tocsr(), k=1, which="LA", return_eigenvectors=False,
-                                   tol=1e-11, ncv=64, maxiter=20000, v0=v0)[0])
+                                   tol=1e-11, ncv=64, maxiter=100, v0=v0)[0])
         except spla.ArpackError:
             pass  # the dense solve below keeps the 1e-11 accuracy
     if top is None:

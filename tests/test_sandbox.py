@@ -433,11 +433,13 @@ def _pattern_terms(seed):
             for n, k in ((-2, 1), (-1, -2), (-1, 0), (0, 1), (1, 2), (1, -1), (2, 0))]
 
 
-def _averaged_terms():
+def _averaged_terms(seed=9, index=0):
     """An averaged random element: its top eigenvalues are close together."""
     from rotalg.suites import random_float_element
     L = build_averaging(1, (2, 3), 0.05, _G, 200)
-    a = apply_averaging(L, random_float_element(_G, random.Random(9)))
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        a = apply_averaging(L, random_float_element(_G, rng))
     assert len(a.terms) > 1
     return [(n, k, c) for n, t in a.terms.items() for k, c in t.coeffs.items()]
 
@@ -484,6 +486,25 @@ def test_norm_lanczos_at_radius_12_matches_dense_svd(monkeypatch, element):
     ref = _compression_norm(terms, 12, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
     assert len(calls) == 1
+
+
+def test_norm_falls_back_to_dense_when_lanczos_stalls(monkeypatch):
+    # the top eigenvalue of this element is double to 3e-10 relative at
+    # radius 12: ARPACK does not converge within its restart budget
+    import scipy.sparse.linalg as spla
+    eigsh, stalled = spla.eigsh, []
+
+    def watched(*args, **kwargs):
+        try:
+            return eigsh(*args, **kwargs)
+        except spla.ArpackNoConvergence:
+            stalled.append(args[0].shape)
+            raise
+    monkeypatch.setattr(spla, "eigsh", watched)
+    terms = _averaged_terms(seed=0, index=12)
+    ref = _compression_norm(terms, 12, _G.float_value())
+    assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
+    assert stalled == [(625, 625)]
 
 
 @pytest.mark.parametrize("element", sorted(_RADIUS_12_ELEMENTS))
