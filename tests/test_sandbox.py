@@ -448,15 +448,20 @@ _RADIUS_12_ELEMENTS = {"pattern": lambda: _pattern_terms(1301),
                        "symmetric": lambda: _SYMMETRIC, "averaged": _averaged_terms}
 
 
-def _count_eigsh(monkeypatch):
+def _watch_eigsh(monkeypatch):
+    """Record the shape of each eigsh call and whether ARPACK converged."""
     import scipy.sparse.linalg as spla
-    calls = []
-    eigsh = spla.eigsh
+    calls, eigsh = [], spla.eigsh
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigsh(*args, **kwargs)
-    monkeypatch.setattr(spla, "eigsh", counted)
+    def watched(*args, **kwargs):
+        try:
+            val = eigsh(*args, **kwargs)
+        except spla.ArpackNoConvergence:
+            calls.append((args[0].shape, False))
+            raise
+        calls.append((args[0].shape, True))
+        return val
+    monkeypatch.setattr(spla, "eigsh", watched)
     return calls
 
 
@@ -471,40 +476,31 @@ def test_norm_lanczos_branch_matches_dense_svd_on_symmetric_element():
 
 @pytest.mark.parametrize("radius, lanczos", [(10, False), (11, True)])
 def test_norm_solver_split_at_radius_10_matches_dense_svd(monkeypatch, radius, lanczos):
-    calls = _count_eigsh(monkeypatch)
+    calls = _watch_eigsh(monkeypatch)
     terms = _pattern_terms(1301)
     ref = _compression_norm(terms, radius, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=radius) == pytest.approx(ref, abs=1e-9)
     N = (2 * radius + 1) ** 2
-    assert calls == ([(N, N)] if lanczos else [])
+    assert calls == ([((N, N), True)] if lanczos else [])
 
 
 @pytest.mark.parametrize("element", ["symmetric", "averaged"])
 def test_norm_lanczos_at_radius_12_matches_dense_svd(monkeypatch, element):
-    calls = _count_eigsh(monkeypatch)
+    calls = _watch_eigsh(monkeypatch)
     terms = _RADIUS_12_ELEMENTS[element]()
     ref = _compression_norm(terms, 12, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
-    assert len(calls) == 1
+    assert calls == [((625, 625), True)]
 
 
 def test_norm_falls_back_to_dense_when_lanczos_stalls(monkeypatch):
     # the top eigenvalue of this element is double to 3e-10 relative at
     # radius 12: ARPACK does not converge within its restart budget
-    import scipy.sparse.linalg as spla
-    eigsh, stalled = spla.eigsh, []
-
-    def watched(*args, **kwargs):
-        try:
-            return eigsh(*args, **kwargs)
-        except spla.ArpackNoConvergence:
-            stalled.append(args[0].shape)
-            raise
-    monkeypatch.setattr(spla, "eigsh", watched)
+    calls = _watch_eigsh(monkeypatch)
     terms = _averaged_terms(seed=0, index=12)
     ref = _compression_norm(terms, 12, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
-    assert stalled == [(625, 625)]
+    assert calls == [((625, 625), False)]
 
 
 @pytest.mark.parametrize("element", sorted(_RADIUS_12_ELEMENTS))
