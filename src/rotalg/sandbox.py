@@ -268,11 +268,12 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
     """Norm of the compression of a to the frequency box |u|, |v| <= radius.
 
     A lower bound of the operator norm, monotone nondecreasing in the
-    radius (compressions are nested).  The extremal eigenvalue of the Gram
-    matrix is solved to a relative accuracy of 1e-11: by a dense Hermitian
-    eigensolve for radius <= 10 (N = (2r+1)^2 <= 441), by ARPACK's Lanczos
-    above, falling back to the dense solve if ARPACK does not converge
-    within 100 restarts.
+    radius (compressions are nested).  Layer n compresses to (truncated
+    shift u -> u+n) kron `layer_block`; the top eigenvalue of the Gram
+    matrix of their sum is solved to a relative accuracy of 1e-11: by a
+    dense Hermitian eigensolve for radius <= 10 (N = (2r+1)^2 <= 441), by
+    ARPACK's Lanczos above, falling back to the dense solve if ARPACK does
+    not converge within 100 restarts.
     Dense stays below radius 11 because averaged elements there have top
     gaps down to 1e-6 relative, which cost Lanczos hundreds of matvecs,
     up to several times the time of a dense solve of that size.
@@ -302,25 +303,17 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
     import scipy.sparse.linalg as spla
     N = dim * dim
     rows, cols, vals = [], [], []
-    us = np.arange(-radius, radius + 1)
     for n, t in live.items():
-        u_src = us[(us + n >= -radius) & (us + n <= radius)]
-        if len(u_src) == 0:
-            continue
-        for k, c in t.coeffs.items():
-            v_src = us[(us + k >= -radius) & (us + k <= radius)]
-            if len(v_src) == 0:
-                continue
-            uu, vv = np.meshgrid(u_src, v_src, indexing="ij")
-            amp = complex(c) * np.exp(-2j * np.pi * n * rho * (vv + k))
-            rows.append(((uu + n + radius) * dim + (vv + k + radius)).ravel())
-            cols.append(((uu + radius) * dim + (vv + radius)).ravel())
-            vals.append(amp.ravel())
-    if not rows:
+        B = layer_block(n, t)
+        r, c = B.nonzero()
+        us = np.arange(max(0, -n), min(dim, dim - n))
+        rows.append(((us + n)[:, None] * dim + r).ravel())
+        cols.append((us[:, None] * dim + c).ravel())
+        vals.append(np.tile(B[r, c], len(us)))
+    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N, N))
+    if not M.nnz:
         return 0.0
-    M = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N)).tocsr()
     gram = M.getH() @ M
     top = None
     if radius > 10:
@@ -333,7 +326,7 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
         # that is (nearly) multiple can stall Lanczos for thousands, and
         # then the dense solve is the quicker one
         try:
-            top = float(spla.eigsh(gram.tocsr(), k=1, which="LA", return_eigenvectors=False,
+            top = float(spla.eigsh(gram, k=1, which="LA", return_eigenvectors=False,
                                    tol=1e-11, ncv=64, maxiter=100, v0=v0)[0])
         except spla.ArpackError:
             pass  # the dense solve below keeps the 1e-11 accuracy
@@ -424,16 +417,17 @@ def apply_averaging(L: AveragingOperator, a: CrossedElement) -> CrossedElement:
 class ExtractionResult:
     plus: CrossedElement
     minus: CrossedElement
-    steps: list[tuple[int, float]]  # (n_j, residual against previous step)
 
 
 def derivative_extract(a: CrossedElement, j_count: int = 8) -> ExtractionResult:
     """Split a two-frequency element into its e^{iqx} and e^{-iqx} parts.
 
-    Differentiates along shift conjugations with denominators n_j of best
-    rational approximations, where the conjugated element differs from a
-    by phases close to identity; the divided difference converges to the
-    derivative and the two layers are then solved for linearly.
+    Differentiates along the shift conjugation by n_j, the last of the
+    first j_count best denominators whose n_j*rho is not an integer to
+    1e-15: the conjugated element differs from a by phases close to
+    identity, the divided difference approximates the derivative, and the
+    two layers are then solved for linearly.  Raises ValueError when every
+    such n_j*rho is an integer to 1e-15.
     """
     freqs = sorted(a.terms)
     if not freqs:
@@ -448,27 +442,20 @@ def derivative_extract(a: CrossedElement, j_count: int = 8) -> ExtractionResult:
         # one-sided support: the split is determined by inspection
         zero = CrossedElement.zero(angle, "float")
         plus, minus = (a, zero) if freqs[0] > 0 else (zero, a)
-        return ExtractionResult(plus, minus, [])
+        return ExtractionResult(plus, minus)
     rho = angle.float_value()
     dens = angle.best_denominators(j_count)
-    prev_plus = None
-    steps: list[tuple[int, float]] = []
-    plus = minus = None
-    for nj in dens:
+    for nj in reversed(dens):
         # signed fractional part of nj*rho in (-1/2, 1/2], decided exactly
-        nearest = angle.floor_linear(Fraction(1, 2), nj)
-        sf = nj * rho - nearest
-        delta = 2 * math.pi * sf
-        if abs(sf) < 1e-15:
-            continue
-        conj = conjugate_by_shift(a, nj)
-        deriv = (conj - a).scale(1.0 / delta)
-        plus = a.scale(0.5) + deriv.scale(1 / (2j * q))
-        minus = a.scale(0.5) - deriv.scale(1 / (2j * q))
-        if prev_plus is not None:
-            steps.append((nj, truncated_norm(plus - prev_plus, radius=16)))
-        prev_plus = plus
-    return ExtractionResult(plus, minus, steps)
+        sf = nj * rho - angle.floor_linear(Fraction(1, 2), nj)
+        if abs(sf) >= 1e-15:
+            break
+    else:
+        raise ValueError(f"best denominators {dens} all give n*rho within 1e-15 "
+                         f"of an integer: no divided difference")
+    deriv = (conjugate_by_shift(a, nj) - a).scale(1.0 / (2 * math.pi * sf))
+    return ExtractionResult(a.scale(0.5) + deriv.scale(1 / (2j * q)),
+                            a.scale(0.5) - deriv.scale(1 / (2j * q)))
 
 
 # -- membership and center checks --------------------------------------------

@@ -485,6 +485,16 @@ def test_derivative_suite_below_first_pick_exits_4(n, capsys):
     assert "5" in err["error"]
 
 
+def test_derivative_suite_on_integer_shift_phases_exits_4(capsys):
+    # rho = 1 / (2 + 1e-16): 2 * rho is an integer to 1e-15, so the first
+    # pick has no denominator to differentiate along
+    angle = json.dumps({"kind": "cf", "prefix": [0, 2, 10**16]})
+    code = main(["sandbox-verify", "--suite", "derivative", "--n", "2", "--angle", angle])
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == "sandbox-verify"
+    assert "1e-15" in err["error"]
+
+
 def test_derivative_suite_at_first_pick_passes(capsys):
     code, rep = run(capsys, "sandbox-verify", "--suite", "derivative", "--angle", "golden",
                     "--n", "4")

@@ -298,8 +298,25 @@ def test_derivative_extract_two_layers():
     # mass; at the eighth denominator that allows 0.0207 * 0.14
     assert truncated_norm(res.plus - plus, radius=12) < 3e-3
     assert truncated_norm(res.minus - minus, radius=12) < 3e-3
-    assert len(res.steps) >= 2
-    assert res.steps[-1][1] < res.steps[0][1]
+    res4 = derivative_extract(plus + minus, 4)
+    residual = max(truncated_norm(res.plus - plus, radius=12),
+                   truncated_norm(res.minus - minus, radius=12))
+    assert residual < max(truncated_norm(res4.plus - plus, radius=12),
+                          truncated_norm(res4.minus - minus, radius=12))
+
+
+def test_derivative_suite_norms_only_its_residuals(monkeypatch):
+    # one split per pick (5, 13, 34), each measured by two radius-16 norms
+    from rotalg import sandbox, suites
+    radii, norm = [], sandbox.truncated_norm
+
+    def counted(a, radius=32):
+        radii.append(radius)
+        return norm(a, radius)
+    monkeypatch.setattr(sandbox, "truncated_norm", counted)
+    monkeypatch.setattr(suites, "truncated_norm", counted)
+    assert suites.suite_derivative(_G, n=8, seed=5)["ok"]
+    assert radii == [16] * 6
 
 
 def test_derivative_extract_rejects_mixed():
@@ -516,3 +533,11 @@ def test_norm_falls_back_to_dense_when_arpack_fails(monkeypatch, element):
     ref = _compression_norm(terms, 12, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
     assert calls == [(625, 625)]
+
+
+@pytest.mark.parametrize("radius", [6, 11, 14])
+def test_norm_of_element_outside_the_box_is_zero(radius):
+    # both layers live, every dual frequency beyond 2 * radius: the
+    # compression is the zero matrix on either side of the solver split
+    terms = [(0, 30, 1.0), (1, -30, 0.5j)]
+    assert truncated_norm(_float_element(terms), radius=radius) == 0.0
