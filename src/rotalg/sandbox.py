@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, inf
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -270,13 +270,13 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
     A lower bound of the operator norm, monotone nondecreasing in the
     radius (compressions are nested).  Layer n compresses to (truncated
     shift u -> u+n) kron `layer_block`; the top eigenvalue of the Gram
-    matrix of their sum is solved to a relative accuracy of 1e-11: by a
-    dense Hermitian eigensolve for radius <= 10 (N = (2r+1)^2 <= 441), by
-    ARPACK's Lanczos above, falling back to the dense solve if ARPACK does
-    not converge within 100 restarts.
-    Dense stays below radius 11 because averaged elements there have top
-    gaps down to 1e-6 relative, which cost Lanczos hundreds of matvecs,
-    up to several times the time of a dense solve of that size.
+    G = M^H M of their sum is solved to a relative accuracy of 1e-11.  Up
+    to radius 7 (N = (2r+1)^2 <= 225), where it is the quicker solve, and
+    as the fallback when ARPACK does not converge within 100 restarts, by
+    a dense Hermitian eigensolve; above, by ARPACK's Lanczos on the real
+    form [[Re G, -Im G], [Im G, Re G]] (each eigenvalue of G twice),
+    applied through M without forming G.  ARPACK's Lanczos is real only:
+    on complex G, eigsh runs the non-symmetric Arnoldi iteration.
     """
     a = a.as_float()
     dim = 2 * radius + 1
@@ -314,24 +314,27 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
                       shape=(N, N))
     if not M.nnz:
         return 0.0
-    gram = M.getH() @ M
     top = None
-    if radius > 10:
+    if radius >= 8:
+        MH = M.getH().tocsr()
+
+        def gram_real(x):
+            y = MH @ (M @ (x[:N] + 1j * x[N:]))
+            return np.concatenate((y.real, y.imag))
         # a seeded random start: the constant vector can be (nearly)
         # orthogonal to the top eigenvector of symmetric elements, and
         # Lanczos then converges to a lower eigenvalue
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        # every suite's Gram converges within 25 restarts; a top eigenvalue
-        # that is (nearly) multiple can stall Lanczos for thousands, and
-        # then the dense solve is the quicker one
+        v0 = np.random.default_rng(0).standard_normal(2 * N)
+        # a top eigenvalue that is (nearly) multiple can stall Lanczos for
+        # thousands of restarts, and then the dense solve is the quicker one
+        op = spla.LinearOperator((2 * N, 2 * N), matvec=gram_real, dtype=float)
         try:
-            top = float(spla.eigsh(gram, k=1, which="LA", return_eigenvectors=False,
-                                   tol=1e-11, ncv=64, maxiter=100, v0=v0)[0])
+            top = float(spla.eigsh(op, k=1, which="LA", return_eigenvectors=False,
+                                   tol=1e-11, ncv=48, maxiter=100, v0=v0)[0])
         except spla.ArpackError:
             pass  # the dense solve below keeps the 1e-11 accuracy
     if top is None:
-        top = float(np.linalg.eigvalsh(gram.toarray())[-1])
+        top = float(np.linalg.eigvalsh((M.getH() @ M).toarray())[-1])
     return math.sqrt(max(top, 0.0))
 
 
@@ -509,9 +512,13 @@ def bump_power(angle: Angle, center: Fraction, power: int,
     """
     center = Fraction(center)
     coeffs: dict[int, object] = {}
+    den = 4 ** power
+    row = [1]  # binomials C(2p, j), j = 0..2p, by the exact running product
+    for j in range(2 * power):
+        row.append(row[-1] * (2 * power - j) // (j + 1))
     for k in range(-power, power + 1):
-        base = Fraction(comb(2 * power, power + k), 4 ** power)
         if mode == "exact":
+            base = Fraction(row[power + k], den)
             tw = (-center * k) % 1
             if tw.denominator not in (1, 2, 4):
                 raise ValueError("exact bump needs a center with denominator | 4")
@@ -519,7 +526,8 @@ def bump_power(angle: Angle, center: Fraction, power: int,
                     Fraction(1, 4): qi(0, 1), Fraction(3, 4): qi(0, -1)}[tw]
             coeffs[k] = PhasePoly({0: qi_mul(unit, qi(base))})
         else:
-            coeffs[k] = float(base) * cmath.exp(-2j * cmath.pi * float(center) * k)
+            # int true division rounds correctly, as float(Fraction) does
+            coeffs[k] = row[power + k] / den * cmath.exp(-2j * cmath.pi * float(center) * k)
     return TrigPoly(mode, coeffs)
 
 

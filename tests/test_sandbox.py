@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -395,6 +396,17 @@ def test_bump_power_exact_center_half():
         bump_power(_G, F(1, 3), 3, mode="exact")
 
 
+@pytest.mark.parametrize("power", [0, 1, 7, 558])
+def test_bump_power_binomials_match_math_comb(power):
+    exact = bump_power(_G, F(0), power, mode="exact")
+    flt = bump_power(_G, F(0), power, mode="float")
+    for k in range(-power, power + 1):
+        base = F(math.comb(2 * power, power + k), 4 ** power)
+        assert exact.coeffs[k] == PhasePoly.const(base)
+        # zero coefficients (2**-1116 and the like underflow) are dropped
+        assert flt.coeffs.get(k, 0.0) == float(base)
+
+
 # -- serialization -----------------------------------------------------------------------
 
 
@@ -461,7 +473,7 @@ def _averaged_terms(seed=9, index=0):
     return [(n, k, c) for n, t in a.terms.items() for k, c in t.coeffs.items()]
 
 
-_RADIUS_12_ELEMENTS = {"pattern": lambda: _pattern_terms(1301),
+_NORM_ELEMENTS = {"pattern": lambda: _pattern_terms(1301),
                        "symmetric": lambda: _SYMMETRIC, "averaged": _averaged_terms}
 
 
@@ -483,47 +495,67 @@ def _watch_eigsh(monkeypatch):
 
 
 def test_norm_lanczos_branch_matches_dense_svd_on_symmetric_element():
-    # U + U* + V + V* at radius 18 (N = 1369, the Lanczos branch above
-    # radius 10): a constant start vector misses its top eigenvector
+    # U + U* + V + V* at radius 18 (N = 1369, the Lanczos branch from
+    # radius 8): a constant start vector misses its top eigenvector
     # (2.5951130)
     ref = _compression_norm(_SYMMETRIC, 18, _G.float_value())
     assert ref == pytest.approx(2.5951366, abs=1e-6)
     assert truncated_norm(_float_element(_SYMMETRIC), radius=18) == pytest.approx(ref, abs=1e-9)
 
 
-@pytest.mark.parametrize("radius, lanczos", [(10, False), (11, True)])
-def test_norm_solver_split_at_radius_10_matches_dense_svd(monkeypatch, radius, lanczos):
+@pytest.mark.parametrize("radius, lanczos", [(7, False), (8, True)])
+def test_norm_solver_split_at_radius_8_matches_dense_svd(monkeypatch, radius, lanczos):
     calls = _watch_eigsh(monkeypatch)
     terms = _pattern_terms(1301)
     ref = _compression_norm(terms, radius, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=radius) == pytest.approx(ref, abs=1e-9)
     N = (2 * radius + 1) ** 2
-    assert calls == ([((N, N), True)] if lanczos else [])
+    assert calls == ([((2 * N, 2 * N), True)] if lanczos else [])
+
+
+@pytest.mark.parametrize("radius", [7, 8, 10])
+@pytest.mark.parametrize("element", sorted(_NORM_ELEMENTS))
+def test_norm_matches_dense_svd_across_the_split(monkeypatch, element, radius):
+    import scipy.sparse.linalg as spla
+    operators, eigsh = [], spla.eigsh
+
+    def watched(A, *args, **kwargs):
+        operators.append(A)
+        return eigsh(A, *args, **kwargs)
+    monkeypatch.setattr(spla, "eigsh", watched)
+    terms = _NORM_ELEMENTS[element]()
+    ref = _compression_norm(terms, radius, _G.float_value())
+    assert truncated_norm(_float_element(terms), radius=radius) == pytest.approx(ref, abs=1e-9)
+    # Lanczos runs on the real form of the Gram, applied matrix-free: a
+    # complex matrix would send eigsh to the Arnoldi iteration
+    assert [(isinstance(A, spla.LinearOperator), A.dtype) for A in operators] == (
+        [(True, float)] if radius >= 8 else [])
 
 
 @pytest.mark.parametrize("element", ["symmetric", "averaged"])
 def test_norm_lanczos_at_radius_12_matches_dense_svd(monkeypatch, element):
     calls = _watch_eigsh(monkeypatch)
-    terms = _RADIUS_12_ELEMENTS[element]()
+    terms = _NORM_ELEMENTS[element]()
     ref = _compression_norm(terms, 12, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
-    assert calls == [((625, 625), True)]
+    assert calls == [((1250, 1250), True)]
 
 
 def test_norm_falls_back_to_dense_when_lanczos_stalls(monkeypatch):
-    # the top eigenvalue of this element is double to 3e-10 relative at
-    # radius 12: ARPACK does not converge within its restart budget
+    # the top three eigenvalues of this element's Gram agree to 7e-11
+    # relative at radius 12: ARPACK does not converge within its restart
+    # budget
     calls = _watch_eigsh(monkeypatch)
-    terms = _averaged_terms(seed=0, index=12)
+    terms = _averaged_terms(seed=1, index=17)
     ref = _compression_norm(terms, 12, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
-    assert calls == [((625, 625), False)]
+    assert calls == [((1250, 1250), False)]
 
 
-@pytest.mark.parametrize("element", sorted(_RADIUS_12_ELEMENTS))
+@pytest.mark.parametrize("element", sorted(_NORM_ELEMENTS))
 def test_norm_falls_back_to_dense_when_arpack_fails(monkeypatch, element):
     import scipy.sparse.linalg as spla
-    terms = _RADIUS_12_ELEMENTS[element]()
+    terms = _NORM_ELEMENTS[element]()
     calls = []
 
     def fail(*args, **kwargs):
@@ -532,7 +564,7 @@ def test_norm_falls_back_to_dense_when_arpack_fails(monkeypatch, element):
     monkeypatch.setattr(spla, "eigsh", fail)
     ref = _compression_norm(terms, 12, _G.float_value())
     assert truncated_norm(_float_element(terms), radius=12) == pytest.approx(ref, abs=1e-9)
-    assert calls == [(625, 625)]
+    assert calls == [(1250, 1250)]
 
 
 @pytest.mark.parametrize("radius", [6, 11, 14])
