@@ -474,7 +474,7 @@ def _averaged_terms(seed=9, index=0):
 
 
 _NORM_ELEMENTS = {"pattern": lambda: _pattern_terms(1301),
-                       "symmetric": lambda: _SYMMETRIC, "averaged": _averaged_terms}
+                  "symmetric": lambda: _SYMMETRIC, "averaged": _averaged_terms}
 
 
 def _watch_eigsh(monkeypatch):
