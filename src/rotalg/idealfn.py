@@ -23,6 +23,7 @@ budget yields an upper bound.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -250,6 +251,7 @@ class PointwiseFunction(IdealFunction):
 
 class JoinFunction(IdealFunction):
     """Certified closed join, materialized on a window by the closure engine."""
+    _widening = threading.RLock()  # reentrant: a widening can widen a generator
 
     def __init__(self, generators: Sequence[IdealFunction], window: int,
                  depth: int, values: dict[int, ClosedCircleSet], cert: Certificate,
@@ -279,8 +281,9 @@ class JoinFunction(IdealFunction):
         if self.finite_support is not None and abs(n) > self.finite_support:
             return ClosedCircleSet.full_circle(self.angle), Certificate(
                 True, self.certificate.depth, "finite-support")
-        # extend on demand; the wider join's state replaces this one's
-        self.__dict__.update(vars(join_many(self.generators, abs(n), self.depth)))
+        with self._widening:  # widen on demand; the wider state swaps in whole
+            if abs(n) > self.window:
+                self.__dict__ = vars(join_many(self.generators, abs(n), self.depth))
         return self.value(n)
 
     def support_modulus(self) -> Optional[int]:

@@ -6,10 +6,10 @@ rational coefficients with the rotation phase held symbolically (ring-law
 tests demand literal equality); float mode evaluates phases numerically
 for norm and limit experiments.
 
-Operator norms are estimated from below by compressing the regular
-representation to a finite frequency box; the compression norm is
-monotone increasing in the box radius, so every norm-based assertion is
-phrased against this estimator.
+Operator norms are estimated from below by compressions, monotone in their
+radius: the suites' `section_norm` cuts the orbit representation at x = 0
+to |j| <= radius (one dense SVD); `truncated_norm` cuts the regular
+representation to a frequency box.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ __all__ = [
     "multiply", "adjoint", "expectation_mu", "expectation_canonical",
     "project_qn", "q_of", "fejer_bracket", "conjugate_by_shift",
     "build_averaging", "apply_averaging", "derivative_extract",
-    "membership_test", "center_check", "truncated_norm", "bump_power",
+    "membership_test", "center_check", "section_norm", "truncated_norm", "bump_power",
     "element_to_json", "element_from_json",
 ]
 
@@ -261,7 +261,27 @@ def conjugate_by_shift(a: CrossedElement, k: int) -> CrossedElement:
     return CrossedElement(a.angle, a.mode, out)
 
 
-# -- truncated regular representation ---------------------------------------
+# -- compressed representations ----------------------------------------------
+
+
+def layer_block(n: int, t: TrigPoly, radius: int, rho: float) -> np.ndarray:
+    """Dual-side block of the layer: row v+k, column v, phase in v+k."""
+    B = np.zeros((2 * radius + 1,) * 2, dtype=complex)
+    for k, c in t.coeffs.items():
+        vs = np.arange(max(-radius, -radius - k), min(radius, radius - k) + 1)
+        B[vs + k + radius, vs + radius] = c * np.exp(-2j * np.pi * n * rho * (vs + k))
+    return B
+
+
+def section_norm(a: CrossedElement, radius: int = 32) -> float:
+    """Norm of P pi_0(a) P, pi_0(a) e_j = sum c_{n,k} e^{-2 pi i n rho (j+k)} e_{j+k}
+    and P onto |j| <= radius: the sum of the layer blocks.  pi_0 is isometric
+    (the rotation algebra is simple): a lower bound of the norm, monotone in radius."""
+    a = a.as_float()
+    rho = a.angle.float_value()
+    H = sum((layer_block(n, t, radius, rho) for n, t in a.terms.items()),
+            np.zeros((2 * radius + 1,) * 2, dtype=complex))
+    return float(np.linalg.norm(H, 2))
 
 
 def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
@@ -282,14 +302,6 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
     dim = 2 * radius + 1
     rho = a.angle.float_value()
 
-    def layer_block(n: int, t: TrigPoly) -> np.ndarray:
-        """Dual-side block of the layer: row v+k, column v, phase in v+k."""
-        B = np.zeros((dim, dim), dtype=complex)
-        for k, c in t.coeffs.items():
-            vs = np.arange(max(-radius, -radius - k), min(radius, radius - k) + 1)
-            B[vs + k + radius, vs + radius] = c * np.exp(-2j * np.pi * n * rho * (vs + k))
-        return B
-
     live = {n: t for n, t in a.terms.items() if abs(n) <= 2 * radius}
     if not live:
         return 0.0
@@ -297,14 +309,14 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
         # single layer: the operator factors as (truncated shift) x (block),
         # and the truncated shift is a partial isometry of norm one
         (n, t), = live.items()
-        return float(np.linalg.norm(layer_block(n, t), 2))
+        return float(np.linalg.norm(layer_block(n, t, radius, rho), 2))
 
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     N = dim * dim
     rows, cols, vals = [], [], []
     for n, t in live.items():
-        B = layer_block(n, t)
+        B = layer_block(n, t, radius, rho)
         r, c = B.nonzero()
         us = np.arange(max(0, -n), min(dim, dim - n))
         rows.append(((us + n)[:, None] * dim + r).ravel())
@@ -548,7 +560,7 @@ def center_check(c, phi: TrigPoly, grid: int = 256,
     open arc J.  phi passes when it is (within tolerance) invariant under
     the rotation on J and its inverse on the rotated copy, and when its
     commutators with the shift generator and with a vanishing witness
-    supported near J (below 1e-6 off J) stay small in the truncated norm
+    supported near J (below 1e-6 off J) stay small in the section norm
     at radius 24.
 
     When the copies of J under the rotation overlap, the invariance
@@ -596,7 +608,7 @@ def center_check(c, phi: TrigPoly, grid: int = 256,
     norms = {}
     for name, g in (("shift", shift_el), ("witness", witness)):
         comm = multiply(phi_el, g) - multiply(g, phi_el)
-        norms[name] = truncated_norm(comm, radius=24)
+        norms[name] = section_norm(comm, radius=24)
     ok = eq_max <= tolerance and all(v <= tolerance for v in norms.values())
     notes = "" if disjoint else "rotated copies of the gap overlap; conditions chain"
     return CenterReport(ok, disjoint, eq_max, norms, notes)

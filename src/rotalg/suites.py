@@ -17,7 +17,7 @@ from .idealfn import make_basic
 from .sandbox import (CrossedElement, TrigPoly, adjoint, apply_averaging,
                       build_averaging, bump_power, center_check,
                       derivative_extract, expectation_mu, fejer_bracket,
-                      membership_test, multiply, project_qn, truncated_norm)
+                      membership_test, multiply, project_qn, section_norm)
 
 __all__ = [
     "suite_ring_laws", "suite_fejer", "suite_averaging", "suite_derivative",
@@ -101,7 +101,7 @@ def fejer_test_element(angle: Angle) -> CrossedElement:
 
 
 def suite_fejer(angle: Angle | None = None, n: int = 64, radius: int = 12) -> dict:
-    """Cesaro-mean error table: the truncated-norm error is nonincreasing
+    """Cesaro-mean error table: the section-norm error is nonincreasing
     past the degree and the low-frequency compression converges."""
     angle = angle or golden_angle()
     a = fejer_test_element(angle)
@@ -110,14 +110,14 @@ def suite_fejer(angle: Angle | None = None, n: int = 64, radius: int = 12) -> di
         raise ValueError(f"n = {n} is below the degree {deg} of the test element")
     errors = []
     for m in range(deg, n + 1):
-        err = truncated_norm(a - fejer_bracket(a, m), radius=radius)
+        err = section_norm(a - fejer_bracket(a, m), radius=radius)
         errors.append((m, err))
     monotone = all(errors[i + 1][1] <= errors[i][1] + 1e-12
                    for i in range(len(errors) - 1))
     initial = errors[0][1]
     final = errors[-1][1]
-    q2_err = truncated_norm(project_qn(a, 2) - project_qn(fejer_bracket(a, n), 2),
-                            radius=radius)
+    q2_err = section_norm(project_qn(a, 2) - project_qn(fejer_bracket(a, n), 2),
+                          radius=radius)
     ok = monotone and final <= 0.15 * initial and q2_err < 1e-2
     return {"ok": ok, "degree": deg, "radius": radius,
             "errors": [[m, e] for m, e in errors],
@@ -134,18 +134,18 @@ def suite_averaging(angle: Angle | None = None, n: int = 50, eps: float = 0.05,
     angle = angle or golden_angle()
     L = build_averaging(q, rs, eps, angle, bound)
     e_q = CrossedElement.monomial(angle, q, 0, 1.0, mode="float")
-    preserve = truncated_norm(apply_averaging(L, e_q) - e_q, radius=radius)
+    preserve = section_norm(apply_averaging(L, e_q) - e_q, radius=radius)
     kills = {}
     for r in rs:
         e_r = CrossedElement.monomial(angle, r, 0, 1.0, mode="float")
-        kills[r] = truncated_norm(apply_averaging(L, e_r), radius=radius)
+        kills[r] = section_norm(apply_averaging(L, e_r), radius=radius)
     rng = random.Random(seed)
     worst_excess = 0.0
     small_radius = 10
     for _ in range(n):
         a = random_float_element(angle, rng)
-        na = truncated_norm(a, radius=small_radius)
-        nla = truncated_norm(apply_averaging(L, a), radius=small_radius)
+        na = section_norm(a, radius=small_radius)
+        nla = section_norm(apply_averaging(L, a), radius=small_radius)
         worst_excess = max(worst_excess, nla - na)
     ok = (preserve < eps and all(v < eps for v in kills.values())
           and worst_excess <= 1e-9)
@@ -179,8 +179,8 @@ def suite_derivative(angle: Angle | None = None, n: int = 8, seed: int = 0) -> d
     for nj in picks:
         j_count = dens.index(nj) + 1
         res = derivative_extract(a, j_count)
-        r = max(truncated_norm(res.plus - plus_exact, radius=16),
-                truncated_norm(res.minus - minus_exact, radius=16))
+        r = max(section_norm(res.plus - plus_exact, radius=16),
+                section_norm(res.minus - minus_exact, radius=16))
         residuals.append((nj, r))
     decreasing = all(residuals[i + 1][1] < residuals[i][1]
                      for i in range(len(residuals) - 1))

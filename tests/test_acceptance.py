@@ -196,7 +196,7 @@ def test_criterion_07_ring_laws():
 
 
 def test_criterion_08_fejer():
-    """Cesaro means of a degree-8 element: monotone truncated-norm error,
+    """Cesaro means of a degree-8 element: monotone section-norm error,
     final ratio under 0.15, low-frequency convergence under 1e-2."""
     t0 = time.monotonic()
     rep = suite_fejer(_G, n=64)
@@ -211,7 +211,7 @@ def test_criterion_08_fejer():
 
 def test_criterion_09_averaging():
     """Frequency-selecting averaging: preserves the first layer, damps the
-    second and third under 0.05, and never increases the truncated norm."""
+    second and third under 0.05, and never increases the section norm."""
     rep = suite_averaging(_G, n=50, eps=0.05, q=1, rs=(2, 3), bound=200)
     ok = (rep["ok"] and rep["preserve_error"] < 0.05
           and all(v < 0.05 for v in rep["kill_errors"].values())

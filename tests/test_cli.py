@@ -189,6 +189,25 @@ assert "numpy" in sys.modules
     assert json.loads(proc.stdout)["suite"] == "ring"
 
 
+def test_sandbox_suites_leave_scipy_unimported():
+    # the suites norm on the orbit section, a dense SVD: scipy loads only
+    # with the box norm, truncated_norm
+    script = """
+import sys
+import rotalg.cli
+for argv in (["ring", "--n", "2"], ["fejer"], ["averaging", "--n", "2"],
+             ["derivative"], ["center"], ["membership", "--n", "2"]):
+    assert rotalg.cli.main(["sandbox-verify", "--suite", *argv, "-o", sys.argv[1]]) == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+    src = str(Path(rotalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(Path(os.devnull))],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 # every name that `rotalg` exported by eager imports before the sandbox
 # was loaded on first use, by the module that defines it
 PACKAGE_NAMES = {
@@ -207,7 +226,7 @@ PACKAGE_NAMES = {
                 "apply_averaging", "build_averaging", "center_check", "derivative_extract",
                 "element_from_json", "element_to_json", "expectation_canonical",
                 "expectation_mu", "fejer_bracket", "membership_test", "multiply",
-                "project_qn", "q_of", "truncated_norm"],
+                "project_qn", "q_of", "section_norm", "truncated_norm"],
     "finitegroup": ["FiniteAbelianGroup", "FiniteAction", "augmentation_ideal", "build_BI",
                     "check_no_intermediate_M2", "check_not_from_subgroup", "extend_ideal"],
 }

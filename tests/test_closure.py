@@ -175,6 +175,45 @@ def test_join_values_do_not_depend_on_the_window(pair, w):
         assert narrow.value_set(n) == wide.value_set(n)
 
 
+def test_concurrent_join_widening():
+    # threads read one join past its window in different orders; each
+    # widening replaces the state whole, and a narrower one never replaces
+    # a wider one, whose values a reader may already be indexing
+    import sys
+    import threading
+    r1 = make_basic(1, ClosedCircleSet.from_points(_G, [pt(F(4, 9)), pt(F(4, 9), 1)]))
+    r2 = make_basic(2, ClosedCircleSet.from_points(
+        _G, [pt(F(4, 9)), pt(F(4, 9), -1), pt(F(4, 9), -2)]))
+    wide = join_many([r1, r2], 14)
+    errs = []
+
+    def work(join, order):
+        try:
+            for n in order:
+                if join.value(n) != wide.value(n):
+                    errs.append(("value", n))
+        except Exception as exc:  # pragma: no cover
+            errs.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            j = join_many([r1, r2], 1)
+            threads = [threading.Thread(target=work, args=(j, order))
+                       for order in ([14, 2, -3], [5, -1, 12], [9, 3], [-7, 13, 1])]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            if j.window < 14:
+                errs.append(("narrowed", j.window))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errs
+
+
 def test_join_depth_zero_is_upper_bound():
     a = ClosedCircleSet.from_components(_G, (), (Arc(pt(0), pt(F(1, 5))),))
     b = ClosedCircleSet.from_components(_G, (), (Arc(pt(F(1, 10)), pt(F(3, 10))),))

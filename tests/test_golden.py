@@ -9,20 +9,29 @@ or of the finite-group model (span closure, subgroup enumeration) can show
 it changed no report byte and no exit code.  The correctness of those
 outputs is argued by the other test modules and the exponent oracle.
 
+The sandbox-verify suites whose reports carry norms (fejer, averaging,
+derivative, center) are pinned the same way under tests/golden_float/,
+except that each float may differ from its pin by a relative 1e-12.  Those
+pins guard against regressions too; they are not oracles either.
+
 Regenerate (after a deliberate change of output only) with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which rewrites every file under tests/golden/ and MANIFEST.json.
+which rewrites every file under tests/golden/ and MANIFEST.json, and every
+file under tests/golden_float/.
 """
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+FLOAT_DIR = Path(__file__).parent / "golden_float"
+FLOAT_REL = 1e-12
 
 GOLDEN = {"kind": "surd", "a": -1, "b": 1, "c": 5, "den": 2}
 SILVER = {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 1}
@@ -153,6 +162,16 @@ CASES = {
                                  "--tolerance", "1e-6", "--angle", "silver"]),
 }
 
+# sandbox-verify suites that print floats: name -> argv after the verb.
+# Each one passes (exit code 0)
+FLOAT_CASES = {
+    "fejer": ["--suite", "fejer"],
+    "averaging": ["--suite", "averaging"],
+    "averaging-n3-seed4": ["--suite", "averaging", "--n", 3, "--seed", 4],
+    "derivative": ["--suite", "derivative"],
+    "center": ["--suite", "center"],
+}
+
 
 def run_case(name: str, workdir: Path) -> tuple[int, str]:
     """Run one case in workdir; return its exit code and its report text."""
@@ -192,6 +211,40 @@ def test_golden(name, tmp_path, capsys):
     assert text == expected, f"{name}: report differs from tests/golden/{_golden_name(name)}"
 
 
+def run_float_case(name: str, workdir: Path) -> tuple[int, str]:
+    from rotalg.cli import main
+    out = workdir / f"{name}.json"
+    code = main(["sandbox-verify", *[str(a) for a in FLOAT_CASES[name]], "-o", str(out)])
+    return code, out.read_text()
+
+
+def _assert_close(got, want, where: str) -> None:
+    """Floats within FLOAT_REL of the pin (a zero pin stays zero); every
+    other value, and the shape of the document, exactly as pinned."""
+    if type(want) is float and type(got) is float:
+        assert math.isclose(got, want, rel_tol=FLOAT_REL, abs_tol=0.0), \
+            f"{where}: {got!r}, pinned {want!r}"
+    elif type(want) is dict:
+        assert type(got) is dict and sorted(got) == sorted(want), f"{where}: keys differ"
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif type(want) is list:
+        assert type(got) is list and len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r}, pinned {want!r}"
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CASES))
+def test_float_suite_pinned(name, tmp_path, capsys):
+    code, text = run_float_case(name, tmp_path)
+    capsys.readouterr()
+    assert code == 0
+    pinned = json.loads((FLOAT_DIR / f"{name}.json").read_text())
+    _assert_close(json.loads(text), pinned, name)
+
+
 def regenerate() -> None:
     import os
     import tempfile
@@ -203,6 +256,9 @@ def regenerate() -> None:
             code, text = run_case(name, Path(tmp))
             manifest[name] = code
             (GOLDEN_DIR / _golden_name(name)).write_text(text)
+        FLOAT_DIR.mkdir(exist_ok=True)
+        for name in sorted(FLOAT_CASES):
+            (FLOAT_DIR / f"{name}.json").write_text(run_float_case(name, Path(tmp))[1])
     (GOLDEN_DIR / "MANIFEST.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 

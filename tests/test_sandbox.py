@@ -12,7 +12,7 @@ from rotalg import (Arc, ClosedCircleSet, CrossedElement, TrigPoly, adjoint,
                     element_from_json, element_to_json, expectation_canonical,
                     expectation_mu, fejer_bracket, golden_angle, make_basic,
                     membership_test, multiply, project_qn, q_of,
-                    truncated_norm)
+                    section_norm, truncated_norm)
 from rotalg.circleset import pt
 from rotalg.exactnum import PhasePoly
 from rotalg.sandbox import (PhaseSearchFailed, bump_power, conjugate_by_shift,
@@ -309,13 +309,13 @@ def test_derivative_extract_two_layers():
 def test_derivative_suite_norms_only_its_residuals(monkeypatch):
     # one split per pick (5, 13, 34), each measured by two radius-16 norms
     from rotalg import sandbox, suites
-    radii, norm = [], sandbox.truncated_norm
+    radii, norm = [], sandbox.section_norm
 
     def counted(a, radius=32):
         radii.append(radius)
         return norm(a, radius)
-    monkeypatch.setattr(sandbox, "truncated_norm", counted)
-    monkeypatch.setattr(suites, "truncated_norm", counted)
+    monkeypatch.setattr(sandbox, "section_norm", counted)
+    monkeypatch.setattr(suites, "section_norm", counted)
     assert suites.suite_derivative(_G, n=8, seed=5)["ok"]
     assert radii == [16] * 6
 
@@ -573,3 +573,70 @@ def test_norm_of_element_outside_the_box_is_zero(radius):
     # compression is the zero matrix on either side of the solver split
     terms = [(0, 30, 1.0), (1, -30, 0.5j)]
     assert truncated_norm(_float_element(terms), radius=radius) == 0.0
+
+
+# -- the orbit section --------------------------------------------------------------
+
+
+def _section_reference(terms, radius, rho, x=0.0):
+    """Top singular value of P pi_x(a) P, P onto e_j with |j| <= radius, built
+    entry by entry from pi_x(a) e_j = sum c_{n,k} e^{2 pi i n (x - (j+k) rho)} e_{j+k}."""
+    import numpy as np
+    dim = 2 * radius + 1
+    H = np.zeros((dim, dim), dtype=complex)
+    for n, k, c in terms:
+        for j in range(-radius, radius + 1):
+            if abs(j + k) <= radius:
+                H[j + k + radius, j + radius] += (
+                    c * cmath.exp(2j * cmath.pi * n * (x - (j + k) * rho)))
+    return float(np.linalg.svd(H, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("radius", [0, 3, 8, 12])
+@pytest.mark.parametrize("element", sorted(_NORM_ELEMENTS))
+def test_section_norm_matches_entry_by_entry_section(element, radius):
+    terms = _NORM_ELEMENTS[element]()
+    ref = _section_reference(terms, radius, _G.float_value())
+    assert section_norm(_float_element(terms), radius=radius) == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("element", sorted(_NORM_ELEMENTS))
+def test_section_norm_monotone_in_radius(element):
+    # the sections are nested compressions of one operator
+    a = _float_element(_NORM_ELEMENTS[element]())
+    norms = [section_norm(a, radius=r) for r in range(17)]
+    assert all(lo <= hi + 1e-12 for lo, hi in zip(norms, norms[1:]))
+
+
+@pytest.mark.parametrize("k", [-5, -4, 0, 3, 4, 5])
+def test_section_norm_of_monomial(k):
+    # one entry of modulus |c| per column while the shift stays in the
+    # section, none once |k| > 2R
+    c = 0.6 - 0.8j
+    a = mono(3, k, c, "float")
+    want = abs(c) if abs(k) <= 4 else 0.0
+    assert section_norm(a, radius=2) == pytest.approx(want, abs=1e-12)
+
+
+def test_section_norm_scales_with_the_modulus():
+    a = _float_element(_pattern_terms(1301))
+    lam = -2.5 + 1j
+    assert section_norm(a.scale(lam), radius=8) == pytest.approx(
+        abs(lam) * section_norm(a, radius=8), rel=1e-12)
+
+
+def test_section_norm_at_most_the_coefficient_mass():
+    from rotalg.suites import random_float_element
+    rng = random.Random(16)
+    for _ in range(20):
+        a = random_float_element(_G, rng)
+        mass = sum(abs(c) for t in a.terms.values() for c in t.coeffs.values())
+        assert section_norm(a, radius=10) <= mass * (1 + 1e-12)
+
+
+def test_section_and_box_agree_on_a_single_layer():
+    # one layer compresses to the same block in both: the center and
+    # averaging suites' single-layer norms did not move with the switch
+    t = TrigPoly("float", {-2: 0.3j, 0: 0.5, 3: -0.25 + 0.1j})
+    a = CrossedElement(_G, "float", {4: t})
+    assert section_norm(a, radius=12) == truncated_norm(a, radius=12)
