@@ -22,7 +22,7 @@ import json
 import os
 import threading
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 from typing import Optional
 
 __all__ = [
@@ -369,17 +369,15 @@ def json_of(kind: type, value, field: str):
 
 
 def _floor_quad(P: int, D: int, Q: int) -> int:
-    """Exact floor of (P + sqrt(D)) / Q, D a non-square > 0, Q != 0."""
-    bits = 16
-    while True:
-        slo, shi = _sqrt_enclosure(D, bits)
-        xlo, xhi = Fraction(P + slo, Q), Fraction(P + shi, Q)
-        if Q < 0:
-            xlo, xhi = xhi, xlo
-        flo, fhi = floor(xlo), floor(xhi)
-        if flo == fhi:
-            return flo
-        bits *= 2
+    """Exact floor of (P + sqrt(D)) / Q, D a non-square > 0, Q != 0.
+
+    sqrt(D) is irrational, so floor(P + sqrt(D)) = P + isqrt(D), and the
+    quotient is never an integer: for Q < 0 its floor is
+    -1 - floor((P + sqrt(D)) / -Q).
+    """
+    if Q > 0:
+        return (P + isqrt(D)) // Q
+    return -((P + isqrt(D)) // -Q) - 1
 
 
 def golden_angle() -> Angle:

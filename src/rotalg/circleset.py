@@ -332,10 +332,9 @@ def covering_index(P: ClosedCircleSet, q: int) -> Optional[int]:
     """Smallest N >= 1 with P u r^-q P u ... u r^-q(N-1) P equal to the circle.
 
     Returns None when P has no interior (no finite union of rotated copies
-    of a nowhere dense set can cover).  Termination for interior sets is
-    backed by an explicit cap derived from how fast multiples of q*rho
-    come back near 0 relative to the widest arc of P.  N > COVERING_LIMIT
-    raises ValueError: at once when 1/measure(P), a lower bound of N,
+    of a nowhere dense set can cover).  Each N is decided by an exact
+    union, and the search stops at COVERING_LIMIT: N > COVERING_LIMIT
+    raises ValueError, at once when 1/measure(P), a lower bound of N,
     exceeds the limit, else when the union loop reaches it.
     """
     if q == 0:
@@ -345,42 +344,19 @@ def covering_index(P: ClosedCircleSet, q: int) -> Optional[int]:
     if not P.arcs:
         return None
     angle = P.angle
-
-    def lower_bound(e: _Expr, prec: Fraction) -> Fraction:
-        lo, hi = angle.refine(prec)
-        x, y, d = e
-        return (x + y * (lo if y > 0 else hi)) / d
-
-    prec = Fraction(1, 10**24)
-    # arc lengths as rational lower bounds; canonical arcs are disjoint
-    lengths = [lower_bound(_delta(angle, a.start, a.end), prec) for a in P.arcs]
-    if sum(lengths) * COVERING_LIMIT < 1:
+    lo, hi = angle.refine(Fraction(1, 10**24))
+    # canonical arcs are disjoint, so lower bounds of their lengths sum to
+    # a lower bound of the measure
+    measure = sum((x + y * (lo if y > 0 else hi)) / d
+                  for x, y, d in (_delta(angle, a.start, a.end) for a in P.arcs))
+    if measure * COVERING_LIMIT < 1:
         raise ValueError(f"covering-index-too-large: arcs measure below 1/{COVERING_LIMIT}")
-    L = max(lengths)  # positive: the lengths sum to at least 1/COVERING_LIMIT
-    # find m with dist(m*q*rho, Z) < L/2; the exact distance expression is
-    # e or 1-e depending on an exact half-circle test; cap >= m
-    cap = COVERING_LIMIT
-    for m in range(1, COVERING_LIMIT + 1):
-        x, y = -angle.floor_linear(0, m * q), m * q  # frac(m*q*rho) = x + y*rho
-        if angle.compare_linear(2 * x - 1, 2 * y) > 0:
-            x, y = 1 - x, -y
-        if angle.compare_linear(2 * x * L.denominator - L.numerator,
-                                2 * y * L.denominator) < 0:
-            d_lo = lower_bound((x, y, 1), prec)
-            while d_lo <= 0:
-                prec /= 1 << 16
-                d_lo = lower_bound((x, y, 1), prec)
-            cap = m * (int(2 / d_lo) + 2) + m + 2
-            break
-
     acc = P
-    for N in range(2, min(cap + 1, COVERING_LIMIT) + 1):
+    for N in range(2, COVERING_LIMIT + 1):
         acc = acc.union(P.rotate(-q * (N - 1)))
         if acc.full:
             return N
-    if cap + 1 > COVERING_LIMIT:
-        raise ValueError(f"covering-index-too-large: {COVERING_LIMIT} copies do not cover")
-    raise AssertionError("covering cap exceeded; cap computation is wrong")
+    raise ValueError(f"covering-index-too-large: {COVERING_LIMIT} copies do not cover")
 
 
 # -- serialization ----------------------------------------------------------

@@ -97,10 +97,6 @@ def _emit(args, report: dict) -> int:
     return EXIT_OK
 
 
-def _all_exact(fn, window: int) -> bool:
-    return all(fn.value(n)[1].exact for n in range(-window, window + 1))
-
-
 # -- verbs ----------------------------------------------------------------------
 # Each returns its report body from (args, angle, *input functions); main
 # adds "verb", and for the lattice verbs the angle of the first input.
@@ -121,10 +117,9 @@ def _check_closed(args, angle, fn) -> dict:
 
 
 def _meet(args, angle, a, b) -> dict:
-    m = meet(a, b)
-    return {"window": args.window, "ok": True,
-            "values": _window_values(m, args.window),
-            "all_exact": _all_exact(m, args.window)}
+    values = _window_values(meet(a, b), args.window)
+    return {"window": args.window, "ok": True, "values": values,
+            "all_exact": all(v["certificate"]["status"] == "Exact" for v in values.values())}
 
 
 def _join(args, angle, a, b) -> dict:

@@ -340,27 +340,22 @@ def _ga_vec(G: FiniteAbelianGroup, u: dict) -> list[QI]:
     return [u.get(g, _Z) for g in G.elements]
 
 
-def augmentation_ideal(group: FiniteAbelianGroup) -> IdealReport:
-    """Kernel of the trivial character: spanned by (shift minus identity).
+def _ideal_report(group: FiniteAbelianGroup, basis: list[dict]) -> IdealReport:
+    """The span of basis: two-sided when its products with every shift stay
+    in it, proper when it misses the identity (both exact rank tests)."""
+    rows = _rref([_ga_vec(group, u) for u in basis])
+    two_sided = all(_in_span(rows, _ga_vec(group, _ga_mul(group, u, {g: _ONE})))
+                    for u in basis for g in group.elements)
+    proper = not _in_span(rows, _ga_vec(group, {group.identity: _ONE}))
+    return IdealReport(basis, len(rows), two_sided, proper)
 
-    Rejects the trivial group, verifies the two-sided ideal property by
-    multiplying the basis with every shift, and properness by an exact
-    rank test against the identity.
-    """
+
+def augmentation_ideal(group: FiniteAbelianGroup) -> IdealReport:
+    """Kernel of the trivial character: spanned by (shift minus identity)."""
     if len(group) == 1:
         raise ValueError("trivial group has no augmentation ideal")
     e = group.identity
-    basis = [{g: _ONE, e: qi(-1)} if g != e else None for g in group.elements]
-    basis = [b for b in basis if b]
-    rows = _rref([_ga_vec(group, b) for b in basis])
-    two_sided = True
-    for b in basis:
-        for h in group.elements:
-            prod = _ga_mul(group, b, {h: _ONE})
-            if not _in_span(rows, _ga_vec(group, prod)):
-                two_sided = False
-    proper = not _in_span(rows, _ga_vec(group, {e: _ONE}))
-    return IdealReport(basis, len(rows), two_sided, proper)
+    return _ideal_report(group, [{g: _ONE, e: qi(-1)} for g in group.elements if g != e])
 
 
 @dataclass
@@ -541,16 +536,8 @@ def check_not_from_subgroup(action: FiniteAction, vanish_on: set[int]) -> Subgro
     return SubgroupReport(distinct, coef_dims, comparisons)
 
 
-@dataclass
-class ExtendReport:
-    basis: list[dict]
-    dimension: int
-    two_sided: bool
-    proper: bool
-
-
 def extend_ideal(group: FiniteAbelianGroup, subgroup: Iterable,
-                 J_basis: list[dict]) -> ExtendReport:
+                 J_basis: list[dict]) -> IdealReport:
     """Extend an ideal of a subgroup's algebra to the whole group algebra.
 
     The extension is the span of eta * shift over eta in the given basis;
@@ -570,15 +557,10 @@ def extend_ideal(group: FiniteAbelianGroup, subgroup: Iterable,
             if not _in_span(j_rows, _ga_vec(group, _ga_mul(group, u, {h: _ONE}))):
                 raise ValueError("given span is not an ideal of the subgroup algebra")
     ext = [_ga_mul(group, u, {g: _ONE}) for u in J_basis for g in group.elements]
-    ext = [u for u in ext if u]
-    rows = _rref([_ga_vec(group, u) for u in ext])
-    dim = len(rows)
-    two_sided = all(_in_span(rows, _ga_vec(group, _ga_mul(group, u, {g: _ONE})))
-                    for u in ext for g in group.elements)
+    rep = _ideal_report(group, [u for u in ext if u])
     # compression onto the subgroup stays in the original span, which is the
     # structural reason the extension misses the identity
-    comp_ok = all(_in_span(j_rows,
-                           _ga_vec(group, {g: c for g, c in u.items() if g in sub}))
-                  for u in ext)
-    proper = comp_ok and not _in_span(rows, _ga_vec(group, {e: _ONE}))
-    return ExtendReport(ext, dim, two_sided, proper)
+    rep.proper = all(_in_span(j_rows,
+                              _ga_vec(group, {g: c for g, c in u.items() if g in sub}))
+                     for u in rep.basis) and rep.proper
+    return rep

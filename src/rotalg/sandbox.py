@@ -581,21 +581,19 @@ def center_check(c, phi: TrigPoly, grid: int = 256,
     j_len = 1.0 - p_len
     rho = angle.float_value()
 
-    disjoint = True
+    # the copies of J rotated by -1, 0, 1 and 2 meet pairwise as J meets
+    # its rotation by 1, 2 or 3
     J_closed = ClosedCircleSet.from_components(angle, (), (Arc(arc.end, arc.start),))
-    shifted = [J_closed.rotate(k) for k in (-1, 0, 1, 2)]
-    for i in range(len(shifted)):
-        for j in range(i + 1, len(shifted)):
-            if shifted[i].intersect(shifted[j]).classify() == "has-interior":
-                disjoint = False
+    disjoint = all(J_closed.intersect(J_closed.rotate(k)).classify() != "has-interior"
+                   for k in (1, 2, 3))
 
+    # invariance at t in J; at s = t + rho in the rotated copy, invariance
+    # under the inverse rotation is the same equation
     phi_f = phi.as_float(angle)
     eq_max = 0.0
     for i in range(1, grid):
         t = j_start + j_len * i / grid
         eq_max = max(eq_max, abs(phi_f.eval_at(angle, t + rho) - phi_f.eval_at(angle, t)))
-        s = t + rho  # point of the rotated copy
-        eq_max = max(eq_max, abs(phi_f.eval_at(angle, s - rho) - phi_f.eval_at(angle, s)))
 
     # commutators against the shift generator and a vanishing witness
     phi_el = CrossedElement(angle, "float", {0: phi_f})

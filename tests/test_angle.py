@@ -1,10 +1,11 @@
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rotalg import Angle, golden_angle, named_angle, silver_angle
+from rotalg.angle import _floor_quad
 
 import oracles
 
@@ -74,6 +75,11 @@ def test_best_denominators_golden(golden):
 
 def test_best_denominators_silver(silver):
     assert silver.best_denominators(4) == [2, 5, 12, 29]
+
+
+def test_best_denominators_negative_surd_coefficient():
+    # (3 - sqrt(5))/2 = [0; 2, 1, 1, ...]: its expansion state has Q < 0
+    assert Angle("surd", surd=(3, -1, 5, 2)).best_denominators(6) == [2, 3, 5, 8, 13, 21]
 
 
 def test_best_denominators_decreasing_distance(golden):
@@ -288,3 +294,14 @@ def test_near_ties_refine_past_the_first_enclosure():
             assert angle.floor_linear(-s * p, s * q, 3) == _oracle_floor(name, -s * p, s * q, 3)
         # zero coefficient of rho: plain integer sign and floor
         assert angle.compare_linear(0, 0) == 0 and angle.floor_linear(-7, 0, 2) == -4
+
+
+@given(st.integers(-10**12, 10**12), st.integers(2, 10**20),
+       st.integers(1, 10**6), st.sampled_from((1, -1)))
+def test_floor_quad_matches_256_bit_oracle(P, D, Q, sign):
+    assume(isqrt(D) ** 2 != D)
+    Q *= sign
+    # (P + sqrt(D))/Q between the 256-bit bounds of sqrt(D), in either order
+    a, b = sorted(oracles.surd_enclosure(P, 1, D, Q))
+    assert floor(a) == floor(b), "256 bits do not decide"
+    assert _floor_quad(P, D, Q) == floor(a)

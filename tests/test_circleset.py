@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -258,6 +259,26 @@ def test_covering_index_stops_the_union_loop_at_the_limit(golden, monkeypatch):
     monkeypatch.setattr(circleset, "COVERING_LIMIT", N - 1)
     with pytest.raises(ValueError, match=f"{N - 1} copies do not cover"):
         covering_index(P, 2)
+
+
+def _model_covering_index(s, l, q):
+    """The first count N of copies r^-qk [s, s + l], 0 <= k < N, whose
+    256-bit model union is the circle."""
+    acc = []
+    for N in range(1, 200):
+        n = -q * (N - 1)
+        start, end = oracles.circle_position(s, n), oracles.circle_position(s + l, n)
+        assert None not in (start, end)
+        acc = oracles.arc_union(acc, oracles.arc_set((), [(start, end)]))
+        if acc == oracles.FULL_SET:
+            return N
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_covering_index_is_the_first_cover_of_the_exact_model(golden, q):
+    for s, l in product(range(10), range(1, 10)):
+        P = arcset(golden, pt(F(s, 10)), pt(F(s + l, 10)))
+        assert covering_index(P, q) == _model_covering_index(F(s, 10), F(l, 10), q), (s, l)
 
 
 # -- algebraic laws --------------------------------------------------------
