@@ -9,11 +9,12 @@ descriptor kinds are supported:
 * continued-fraction coefficient streams given by a finite prefix plus a
   production rule for the tail.
 
-Everything downstream (circle sets, ideal functions) funnels its order
-decisions through :meth:`Angle.compare_linear` and
-:meth:`Angle.floor_linear`, which test integer expressions against a
-cached integer enclosure of rho and refine it until the sign or floor is
-determined.  Termination is guaranteed
+Both kinds are read through their continued fraction, whose consecutive
+convergents bracket rho.  Everything downstream (circle sets, ideal
+functions) funnels its order decisions through
+:meth:`Angle.compare_linear` and :meth:`Angle.floor_linear`, which test
+integer expressions against a convergent pair and walk on to narrower
+pairs until the sign or floor is determined.  Termination is guaranteed
 because rho is irrational, so ``q + n*rho`` never vanishes for n != 0.
 """
 from __future__ import annotations
@@ -45,31 +46,24 @@ def _is_square(c: int) -> bool:
     return r * r == c
 
 
-def _sqrt_enclosure(c: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt(c) of width 2**-bits (c non-square)."""
-    s = isqrt(c << (2 * bits))
-    return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
-
-
 class Angle:
     """An exact irrational rotation parameter in (0, 1).
 
-    Immutable except for internal caches (the rational enclosure, its
-    integer copies read by the decision kernel, continued fraction
-    coefficients and convergents), which grow under a lock so instances
-    can be shared across threads.  Decisions are not memoised: each one
-    is a few integer products against the cached enclosures.
+    Immutable except for internal caches (continued fraction coefficients
+    and convergents, the narrowest convergent pair read, and the integer
+    pairs read by the decision kernel), which grow under a lock so
+    instances can be shared across threads.  Decisions are not memoised:
+    each one is a few integer products against the cached pairs.
     """
 
     def __init__(self, kind: str, *, surd: tuple[int, int, int, int] | None = None,
                  cf_prefix: list[int] | None = None, cf_rule: str = "repeat-last"):
         self.kind = kind
         self._lock = threading.RLock()
-        self._lo: Fraction | None = None
-        self._hi: Fraction | None = None
+        self._pair = 2  # k of the narrowest convergent pair read, see refine
         self._float: float | None = None
         self._coeffs: list[int] = []
-        self._convergents: list[tuple[int, int]] = []  # (p_k, q_k) for k >= 0
+        self._convergents = [(0, 1), (1, 0)]  # (p_k, q_k) for k >= -2
         # integer enclosures read by the decision kernel, see _level
         self._levels: list[tuple[int, int, int, int]] = []
 
@@ -82,7 +76,6 @@ class Angle:
             if b == 0 or c <= 1 or _is_square(c):
                 raise ValueError("surd must be irrational: need b != 0 and c a non-square > 1")
             self._surd = (a, b, c, den)
-            self._surd_bits = 16
             # CF expansion state: x_k = (P + sqrt(D)) / Q with Q | D - P^2
             if b > 0:
                 P, D, Q = a, b * b * c, den
@@ -110,8 +103,8 @@ class Angle:
         else:
             raise ValueError(f"unknown descriptor kind {kind!r}")
 
-        lo, hi = self.refine(Fraction(1, 4))
-        if not (0 < lo and hi < 1):
+        # rho is irrational, so it lies in (0, 1) exactly when its floor is 0
+        if self._coeff(0) != 0:
             raise ValueError("angle value must lie in (0, 1)")
 
     # -- continued fraction machinery ------------------------------------
@@ -141,77 +134,56 @@ class Angle:
         return a
 
     def _convergent(self, k: int) -> tuple[int, int]:
-        """(p_k, q_k) with p_k = a_k p_{k-1} + p_{k-2}."""
+        """(p_k, q_k) with p_k = a_k p_{k-1} + p_{k-2}, from p_{-2}/q_{-2} = 0/1
+        and p_{-1}/q_{-1} = 1/0."""
         with self._lock:
             conv = self._convergents
-            while len(conv) <= k:
-                i = len(conv)
-                a = self._coeff(i)
-                if i == 0:
-                    conv.append((a, 1))
-                elif i == 1:
-                    conv.append((a * conv[0][0] + 1, a))
-                else:
-                    p = a * conv[i - 1][0] + conv[i - 2][0]
-                    q = a * conv[i - 1][1] + conv[i - 2][1]
-                    conv.append((p, q))
-            return conv[k]
+            while len(conv) <= k + 2:
+                a = self._coeff(len(conv) - 2)
+                (p0, q0), (p1, q1) = conv[-2:]
+                conv.append((a * p1 + p0, a * q1 + q0))
+            return conv[k + 2]
 
     # -- enclosure and refinement ----------------------------------------
 
     def refine(self, precision: Fraction) -> tuple[Fraction, Fraction]:
         """Rational interval of width <= precision containing the value.
 
-        Successive calls return nested intervals (the cached enclosure is
-        only ever intersected with newly computed ones).
+        The interval is the first pair of consecutive convergents p_k/q_k,
+        p_{k+1}/q_{k+1} from k = 2 on (both inside (0, 1)) of width
+        1/(q_k q_{k+1}) <= precision, or the narrowest pair already read
+        when that one is narrow enough.  Convergents alternate about the
+        value and each lies between the two before it, so successive calls
+        return nested intervals.
         """
         precision = Fraction(precision)
         if precision <= 0:
             raise ValueError("precision must be positive")
         with self._lock:
-            if self._lo is not None and self._hi - self._lo <= precision:
-                return self._lo, self._hi
-            lo, hi = self._compute_enclosure(precision)
-            if self._lo is not None:
-                lo, hi = max(lo, self._lo), min(hi, self._hi)
-            self._lo, self._hi = lo, hi
-            return lo, hi
-
-    def _compute_enclosure(self, precision: Fraction) -> tuple[Fraction, Fraction]:
-        if self.kind == "surd":
-            a, b, c, den = self._surd
-            bits = self._surd_bits
-            while True:
-                slo, shi = _sqrt_enclosure(c, bits)
-                if b > 0:
-                    lo, hi = Fraction(a + b * slo, den), Fraction(a + b * shi, den)
-                else:
-                    lo, hi = Fraction(a + b * shi, den), Fraction(a + b * slo, den)
-                if hi - lo <= precision:
-                    self._surd_bits = bits
-                    return lo, hi
-                bits *= 2
-        # cf: consecutive convergents bracket the value
-        k = 1
-        while True:
-            p0, q0 = self._convergent(k)
-            p1, q1 = self._convergent(k + 1)
-            if Fraction(1, q0 * q1) <= precision:
-                x, y = Fraction(p0, q0), Fraction(p1, q1)
-                return (x, y) if x < y else (y, x)
-            k += 1
+            k = self._pair
+            while self._convergent(k)[1] * self._convergent(k + 1)[1] * precision < 1:
+                k += 1
+            self._pair = k
+            x, y = Fraction(*self._convergent(k)), Fraction(*self._convergent(k + 1))
+            return (x, y) if x < y else (y, x)
 
     def float_value(self) -> float:
+        """rho rounded to the nearest float: the rounding of both ends of
+        a pair that round alike (rho is irrational, so a pair does)."""
         if self._float is None:
-            lo, hi = self.refine(Fraction(1, 10**18))
-            self._float = float((lo + hi) / 2)
+            precision = Fraction(1, 10**18)
+            lo, hi = self.refine(precision)
+            while float(lo) != float(hi):
+                precision /= 1 << 16
+                lo, hi = self.refine(precision)
+            self._float = float(lo)
         return self._float
 
     # -- exact decisions ---------------------------------------------------
     # One integer kernel decides both signs and floors.  It reads cached
-    # integer enclosures ln/ld < rho < hn/hd, the k-th of width at most
+    # convergent pairs ln/ld < rho < hn/hd, the k-th of width at most
     # 2**-(24 + 16k), and asks refine() for the next one only when every
-    # cached enclosure leaves the decision open.
+    # cached pair leaves the decision open.
 
     def _level(self, k: int) -> tuple[int, int, int, int]:
         """The k-th integer enclosure (ln, ld, hn, hd) of rho."""

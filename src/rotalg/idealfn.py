@@ -517,6 +517,8 @@ def join_many(generators: Sequence[IdealFunction], window: int,
     """Closed join of several functions, certified on the given window."""
     if not generators:
         raise ValueError("need at least one generator")
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     angle = generators[0].angle
     # the seed reaches every generator's step, or the fixpoint misses it
     mods = [g.support_modulus() for g in generators]

@@ -16,7 +16,42 @@ def test_refine_golden_hundredth(golden):
     # the two consecutive convergents 13/21 and 21/34 bracket the value
     assert lo <= Fraction(21, 34) or lo <= Fraction(13, 21)
     assert Fraction(21, 34) <= hi or lo <= Fraction(21, 34) <= hi
-    assert lo > Fraction(61, 100) and hi < Fraction(62, 100)
+    # Fibonacci convergents: (5/8, 3/5) has width 1/40, (8/13, 5/8) is the
+    # first pair of width <= 1/100, at 1/104
+    lo, hi = golden_angle().refine(Fraction(1, 100))
+    assert (lo, hi) == (Fraction(8, 13), Fraction(5, 8))
+    olo, ohi = oracles.surd_enclosure(-1, 1, 5, 2)
+    assert lo < olo and ohi < hi
+
+
+def test_golden_surd_and_cf_refine_alike():
+    surd, cf = golden_angle(), Angle("cf", cf_prefix=[0, 1])
+    for e in range(2, 25):
+        assert surd.refine(Fraction(1, 10**e)) == cf.refine(Fraction(1, 10**e))
+
+
+def test_range_check_is_exact():
+    # rho is irrational, so it lies in (0, 1) exactly when its floor is 0;
+    # near 1 a coarse enclosure reaches 1 and must not reject the angle
+    for prefix in ([0, 1, 3], [0, 1, 4]):
+        assert 0.75 < Angle("cf", cf_prefix=prefix).float_value() < 0.85
+    surd = Angle("surd", surd=(1, 1, 13, 6))  # (1 + sqrt(13))/6 = [0; 1, 3, 3, ...]
+    cf = Angle("cf", cf_prefix=[0, 1, 3])
+    assert surd.float_value() == cf.float_value()
+    assert surd.best_denominators(12) == cf.best_denominators(12)
+    for bad in ((3, 1, 5, 2), (-3, 1, 5, 2), (1, -1, 5, 2)):  # 2.618..., -0.381..., -0.618...
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+            Angle("surd", surd=bad)
+
+
+def test_float_value_is_the_nearest_float():
+    # the last four lie within 5e-19 of a rounding boundary: the midpoint
+    # of their first convergent pair of width <= 1e-18 rounds the wrong way
+    for surd in ((-1, 1, 5, 2), (-1, 1, 2, 1), (-1, 1, 2, 5), (1, 1, 13, 6), (-27, 8, 11, -31),
+                 (-21, 6, 11, -14), (-38, 9, 10, -60), (21, -6, 2, 31)):
+        # the 256-bit bounds bracket the value whatever the signs of b and den
+        lo, hi = sorted(oracles.surd_enclosure(*surd))
+        assert float(lo) == float(hi) == Angle("surd", surd=surd).float_value(), surd
 
 
 def test_refine_vacuous_precision(golden):

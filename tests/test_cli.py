@@ -312,6 +312,23 @@ def test_integer_json_fields_accepted(capsys, tmp_path):
     assert code == 0 and rep["ok"]
 
 
+def test_negative_join_depth_exits_4(capsys):
+    # like --depth -1: bad input, not a depth-exhausted join
+    code = main(["eval", json.dumps(_basic_doc(depth=-1)), "-n", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and not captured.out and "Traceback" not in captured.err
+    err = json.loads(captured.err)
+    assert err["ok"] is False and err["verb"] == "eval"
+    assert "depth must be at least 0, got -1" in err["error"]
+
+
+def test_cf_angle_near_one_accepted(capsys):
+    # [0; 1, 3, 3, ...] = (1 + sqrt(13))/6 = 0.767... lies in (0, 1), though
+    # its convergent pair 3/4, 1/1 reaches 1
+    code, rep = run(capsys, "eval", _replaced("cf", ("angle", "prefix"), [0, 1, 3]), "-n", "1")
+    assert code == 0 and rep["ok"]
+
+
 @pytest.mark.parametrize("angle", ["silver", "silver5"])
 def test_averaging_phase_search_failure_exits_4(angle, capsys):
     # no conjugator phase within the search bound realizes the root 1/2

@@ -381,7 +381,6 @@ def test_center_far_bump_passes():
     rep = center_check(c, phi, grid=128, tolerance=1e-8)
     assert rep.ok
     assert rep.commutator_norms["witness"] < 1e-8
-    assert rep.commutator_norms["shift"] < 1e-12
     # the shifted gap copies genuinely overlap for this rotation
     assert not rep.shifted_copies_disjoint and rep.notes
 
