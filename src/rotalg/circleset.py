@@ -14,6 +14,7 @@ structural equality.  Point-only sets skip the sweep.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
@@ -399,10 +400,9 @@ def set_from_json(angle: Angle, doc: dict) -> ClosedCircleSet:
     return ClosedCircleSet.from_components(angle, pts, arcs)
 
 
-def render_svg(s: ClosedCircleSet, size: int = 420) -> str:
-    """Static SVG picture of the set as marked points/arcs on a circle."""
-    import math
-
+def render_svg(s: ClosedCircleSet) -> str:
+    """Static 420-pixel SVG picture of the set as marked points/arcs on a circle."""
+    size = 420
     cx = cy = size / 2
     r = size * 0.38
 
@@ -416,22 +416,20 @@ def render_svg(s: ClosedCircleSet, size: int = 420) -> str:
         f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="none" '
         'stroke="#bbbbbb" stroke-width="2"/>',
     ]
-    angle = s.angle
     if s.full:
         lines.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="none" '
                      'stroke="#c0392b" stroke-width="6"/>')
     else:
-        for a in s.arcs:
-            p0 = _expr_float(angle, _offset(angle, a.start))
-            span = _expr_float(angle, _delta(angle, a.start, a.end))
+        points, arcs = s.float_components()
+        for p0, span in arcs:
             x0, y0 = xy(p0)
             x1, y1 = xy(p0 + span)
             large = 1 if span > 0.5 else 0
             lines.append(
                 f'<path d="M {x0:.3f} {y0:.3f} A {r:.3f} {r:.3f} 0 {large} 0 '
                 f'{x1:.3f} {y1:.3f}" fill="none" stroke="#c0392b" stroke-width="6"/>')
-        for p in s.points:
-            x, y = xy(_expr_float(angle, _offset(angle, p)))
+        for p in points:
+            x, y = xy(p)
             lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="#2c3e50"/>')
     lines.append("</svg>")
     return "\n".join(lines)

@@ -122,21 +122,21 @@ def _meet(args, angle, a, b) -> dict:
             "all_exact": all(v["certificate"]["status"] == "Exact" for v in values.values())}
 
 
-def _join(args, angle, a, b) -> dict:
-    j = closed_join(a, b, window=args.window, depth=args.depth)
+def _join_report(args, j) -> dict:
+    """The report body that the join and close verbs share."""
     return {"window": args.window, "depth": args.depth, "ok": True,
             "certificate": _cert_json(j.certificate),
             "values": _window_values(j, args.window),
             "all_exact": j.certificate.exact}
+
+
+def _join(args, angle, a, b) -> dict:
+    return _join_report(args, closed_join(a, b, window=args.window, depth=args.depth))
 
 
 def _close(args, angle, fn) -> dict:
     j = join_many([fn], args.window, args.depth)
-    return {"window": args.window, "depth": args.depth, "ok": True,
-            "certificate": _cert_json(j.certificate),
-            "values": _window_values(j, args.window),
-            "unchanged": values_equal(fn, j, args.window),
-            "all_exact": j.certificate.exact}
+    return _join_report(args, j) | {"unchanged": values_equal(fn, j, args.window)}
 
 
 def _decompose(args, angle, fn) -> dict:

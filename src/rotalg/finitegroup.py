@@ -268,17 +268,12 @@ def elem_mul(a: CrossedMatrixElement, b: CrossedMatrixElement) -> CrossedMatrixE
 
 
 def elem_adj(a: CrossedMatrixElement) -> CrossedMatrixElement:
+    """(f g)* = g^-1 conj(f); g -> g^-1 is a bijection, so no two terms meet."""
     action = a.action
-    out: dict = {}
-    for g, f in a.coeffs.items():
-        ginv = action.group.inverse[g]
-        conj = tuple(qi_conj(c) for c in f)
-        moved = _rotate_fn(action, ginv, conj)
-        if ginv in out:
-            out[ginv] = tuple(qi_add(u, v) for u, v in zip(out[ginv], moved))
-        else:
-            out[ginv] = moved
-    return CrossedMatrixElement(action, out)
+    inverse = action.group.inverse
+    return CrossedMatrixElement(action, {
+        inverse[g]: _rotate_fn(action, inverse[g], tuple(qi_conj(c) for c in f))
+        for g, f in a.coeffs.items()})
 
 
 def expectation_onto_functions(a: CrossedMatrixElement) -> tuple:

@@ -93,9 +93,7 @@ class IdealFunction:
 
     def support_members(self, window: int) -> list[int]:
         """Supported indices within [-window, window] (value not full circle)."""
-        full = ClosedCircleSet.full_circle(self.angle)
-        return [n for n in range(-window, window + 1)
-                if self.value(n)[0] != full]
+        return [n for n in range(-window, window + 1) if not self.value(n)[0].full]
 
     # symbolic support, when a closed form is known
     def support_modulus(self) -> Optional[int]:
@@ -200,9 +198,7 @@ class WindowFunction(IdealFunction):
     def support_bound(self) -> Optional[int]:
         if self.default != "full":
             return None
-        full = ClosedCircleSet.full_circle(self.angle)
-        supp = [abs(n) for n, v in self.values.items() if v != full]
-        return max(supp, default=0)
+        return max((abs(n) for n, v in self.values.items() if not v.full), default=0)
 
 
 class PointwiseFunction(IdealFunction):
@@ -456,15 +452,14 @@ def extend_from_positive(angle: Angle, values: dict[int, ClosedCircleSet],
     W = max((n for n in values), default=0)
 
     def val(n: int) -> Optional[ClosedCircleSet]:
-        if n == 0:
-            return ClosedCircleSet.empty(angle)
+        # asked only for n >= 1: m + n, m - n with n < m, and m, n themselves
         if n in values:
             return values[n]
         # a gap inside the window is the full circle, as in the output;
         # None: unconstrained
         return full if n <= W or default == "full" else None
 
-    supp = [n for n in range(1, W + 1) if values.get(n, full) != full]
+    supp = [n for n in range(1, W + 1) if n in values and not values[n].full]
     for m in supp:
         for n in supp:
             target = val(m + n)
@@ -519,7 +514,6 @@ def join_many(generators: Sequence[IdealFunction], window: int,
         raise ValueError("need at least one generator")
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
-    angle = generators[0].angle
     # the seed reaches every generator's step, or the fixpoint misses it
     mods = [g.support_modulus() for g in generators]
     W2 = max([2 * window] + [m for m in mods if m is not None])
@@ -531,7 +525,6 @@ def join_many(generators: Sequence[IdealFunction], window: int,
         seed[n] = acc
     D, rounds, stable = _closure_fixpoint(seed, depth)
 
-    full = ClosedCircleSet.full_circle(angle)
     # collapse: once the value at the gcd of the generator progressions is
     # empty, the true join is empty on that progression and full off it
     all_empty_mod = None
@@ -545,7 +538,7 @@ def join_many(generators: Sequence[IdealFunction], window: int,
     if stable and all_empty_mod is None:
         bounds = [g.support_bound() for g in generators]
         if all(b is not None and b <= W2 for b in bounds):
-            K = max((abs(n) for n in range(-W2, W2 + 1) if D[n] != full), default=0)
+            K = max((abs(n) for n in range(-W2, W2 + 1) if not D[n].full), default=0)
             if K <= window:
                 finite_support = K
 
@@ -814,20 +807,21 @@ class SimplicityReport:
 def simplicity_report(c: IdealFunction, window: int = 10) -> SimplicityReport:
     """Decide simplicity of the associated algebra where the calculus can.
 
-    Nonempty intersection of all values produces an explicit proper ideal
-    (not simple).  A residual function with a one-point value is simple.
-    Otherwise inconclusive; when the intersection is exactly empty, no
-    generating proper ideal can exist, which is reported.
+    An intersection of all values that is neither empty nor full gives an
+    explicit proper ideal (not simple).  A residual function with a
+    one-point value is simple.  Otherwise inconclusive; the notes say when
+    the intersection is exactly empty (no generating proper ideal exists)
+    or exactly full (every nonzero value is full; only the zero ideal).
     """
     Q, cert = q_intersection(c, window)
-    if not Q.is_empty() and cert.exact:
+    if not Q.is_empty() and not Q.full and cert.exact:
         witness = make_ideal_IQ(c, Q, window)
         return SimplicityReport("not-simple", witness,
                                 "explicit proper ideal from the common zero set",
                                 Q, cert)
     cls = classify_algebra(c, window)
     if cls.verdict == "residual":
-        for n in c.support_members(window):
+        for n in cls.evidence["support"].members:
             if n != 0 and c.value_set(n).is_single_point():
                 return SimplicityReport(
                     "simple", None,
@@ -835,6 +829,8 @@ def simplicity_report(c: IdealFunction, window: int = 10) -> SimplicityReport:
     notes = ""
     if Q.is_empty() and cert.exact:
         notes = "no generating proper ideal exists (common zero set empty)"
+    elif Q.full and cert.exact:
+        notes = "every nonzero value is full: the common zero set gives only the zero ideal"
     return SimplicityReport("inconclusive", None, notes, Q, cert)
 
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .angle import Angle, PhaseSearchFailed
 from .circleset import Arc, ClosedCircleSet
-from .exactnum import PhasePoly, qi, qi_mul, qi_parts
-from .idealfn import IdealFunction
+from .exactnum import PhasePoly, qi, qi_parts
+from .idealfn import BasicFunction, IdealFunction
 
 __all__ = [
     "TrigPoly", "CrossedElement", "AveragingOperator", "PhaseSearchFailed",
@@ -515,33 +515,19 @@ def membership_test(c: IdealFunction, a: CrossedElement,
     return MembershipReport(ok, report)
 
 
-def bump_power(angle: Angle, center: Fraction, power: int,
-               mode: str = "float") -> TrigPoly:
-    """((1 + cos(2 pi (t - center))) / 2) ** power as a dual polynomial.
+def bump_power(angle: Angle, center: Fraction, power: int) -> TrigPoly:
+    """((1 + cos(2 pi (t - center))) / 2) ** power as a float dual polynomial.
 
-    Coefficients are binomials over 4**power twisted by the center phase;
-    exact mode requires the center to have denominator dividing 4 so the
-    twist stays Gaussian rational.
+    Coefficients are binomials over 4**power twisted by the center phase.
     """
-    center = Fraction(center)
-    coeffs: dict[int, object] = {}
     den = 4 ** power
     row = [1]  # binomials C(2p, j), j = 0..2p, by the exact running product
     for j in range(2 * power):
         row.append(row[-1] * (2 * power - j) // (j + 1))
-    for k in range(-power, power + 1):
-        if mode == "exact":
-            base = Fraction(row[power + k], den)
-            tw = (-center * k) % 1
-            if tw.denominator not in (1, 2, 4):
-                raise ValueError("exact bump needs a center with denominator | 4")
-            unit = {Fraction(0): qi(1, 0), Fraction(1, 2): qi(-1, 0),
-                    Fraction(1, 4): qi(0, 1), Fraction(3, 4): qi(0, -1)}[tw]
-            coeffs[k] = PhasePoly({0: qi_mul(unit, qi(base))})
-        else:
-            # int true division rounds correctly, as float(Fraction) does
-            coeffs[k] = row[power + k] / den * cmath.exp(-2j * cmath.pi * float(center) * k)
-    return TrigPoly(mode, coeffs)
+    # int true division rounds correctly, as float(Fraction) does
+    return TrigPoly("float", {k: row[power + k] / den
+                              * cmath.exp(-2j * cmath.pi * float(center) * k)
+                              for k in range(-power, power + 1)})
 
 
 @dataclass
@@ -567,7 +553,6 @@ def center_check(c, phi: TrigPoly, grid: int = 256,
     When the copies of J under the rotation overlap, the invariance
     conditions chain together; this is recorded but is not an error.
     """
-    from .idealfn import BasicFunction
     if not isinstance(c, BasicFunction) or c.q != 1:
         raise ValueError("center check needs a basic function with step 1")
     P = c.P
@@ -601,7 +586,7 @@ def center_check(c, phi: TrigPoly, grid: int = 256,
     mid = (j_start + j_len / 2) % 1.0
     half = j_len / 2
     n_pow = max(8, int(math.ceil(math.log(1e-6) / math.log(math.cos(math.pi * half) ** 2))))
-    h = bump_power(angle, Fraction(mid).limit_denominator(10**6), n_pow, mode="float")
+    h = bump_power(angle, Fraction(mid).limit_denominator(10**6), n_pow)
     witness = CrossedElement(angle, "float", {1: h})
     comm = section_norm(multiply(phi_el, witness) - multiply(witness, phi_el), radius=24)
     ok = eq_max <= tolerance and comm <= tolerance

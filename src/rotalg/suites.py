@@ -7,12 +7,15 @@ computations.
 """
 from __future__ import annotations
 
+import cmath
 import random
 from fractions import Fraction
 
 from .angle import Angle, golden_angle, named_angle
 from .circleset import Arc, ClosedCircleSet, CirclePoint
 from .exactnum import PhasePoly, qi
+from .finitegroup import (FiniteAbelianGroup, FiniteAction, augmentation_ideal, build_BI,
+                          check_no_intermediate_M2, check_not_from_subgroup, extend_ideal)
 from .idealfn import make_basic
 from .sandbox import (CrossedElement, TrigPoly, adjoint, apply_averaging,
                       build_averaging, bump_power, center_check,
@@ -100,10 +103,12 @@ def fejer_test_element(angle: Angle) -> CrossedElement:
     return el
 
 
-def suite_fejer(angle: Angle | None = None, n: int = 64, radius: int = 12) -> dict:
+def suite_fejer(angle: Angle | None = None, n: int = 64) -> dict:
     """Cesaro-mean error table: the section-norm error is nonincreasing
-    past the degree and the low-frequency compression converges."""
+    past the degree and the low-frequency compression converges, at
+    section radius 12."""
     angle = angle or golden_angle()
+    radius = 12
     a = fejer_test_element(angle)
     deg = a.degree_x()
     if n < deg:
@@ -126,12 +131,12 @@ def suite_fejer(angle: Angle | None = None, n: int = 64, radius: int = 12) -> di
             "q2_final_error": q2_err}
 
 
-def suite_averaging(angle: Angle | None = None, n: int = 50, eps: float = 0.05,
-                    q: int = 1, rs: tuple = (2, 3), bound: int = 200,
-                    seed: int = 0, radius: int = 32) -> dict:
-    """Quality of the frequency-selecting averaging operator, and the
-    contraction property on randomized elements."""
+def suite_averaging(angle: Angle | None = None, n: int = 50, seed: int = 0) -> dict:
+    """Quality of the frequency-selecting averaging operator (layer 1 kept,
+    layers 2 and 3 damped below eps = 0.05, rotations up to 200, section
+    radius 32), and the contraction property on randomized elements."""
     angle = angle or golden_angle()
+    eps, q, rs, bound, radius = 0.05, 1, (2, 3), 200, 32
     L = build_averaging(q, rs, eps, angle, bound)
     e_q = CrossedElement.monomial(angle, q, 0, 1.0, mode="float")
     preserve = section_norm(apply_averaging(L, e_q) - e_q, radius=radius)
@@ -208,7 +213,7 @@ def suite_center(tolerance: float = 1e-8) -> dict:
     first shift character fails the invariance equations.
     """
     angle, c = center_instance()
-    phi = bump_power(angle, Fraction(1, 2), 20, mode="float")
+    phi = bump_power(angle, Fraction(1, 2), 20)
     rep = center_check(c, phi, tolerance=tolerance)
     const = TrigPoly("float", {0: 1.0 + 0j})
     rep_const = center_check(c, const, tolerance=tolerance)
@@ -245,7 +250,6 @@ def suite_membership(angle: Angle | None = None, n: int = 20,
         v = c.value_set(m)
         positions, _ = v.float_components()
         # vanishing layer: product of (character - value at each point)
-        import cmath
         coeffs = {0: 1 + 0j}
         for pos in positions:
             root = cmath.exp(2j * cmath.pi * pos)
@@ -268,12 +272,6 @@ def suite_finite_group(trials: int = 200) -> dict:
     """End-to-end finite-group checks: augmentation ideals, the compressed
     intermediate algebra, the two-point rigidity, subgroup discrimination
     and ideal extension."""
-    from .finitegroup import (FiniteAbelianGroup, FiniteAction,
-                              augmentation_ideal, build_BI,
-                              check_no_intermediate_M2,
-                              check_not_from_subgroup, extend_ideal)
-    from .exactnum import qi
-
     out: dict = {}
     g2 = FiniteAbelianGroup.cyclic(2)
     aug2 = augmentation_ideal(g2)

@@ -329,6 +329,18 @@ def test_cf_angle_near_one_accepted(capsys):
     assert code == 0 and rep["ok"]
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param({"repr": "basic", "q": 0, "P": {"components": []}}, id="basic-q-0"),
+    pytest.param({"repr": "window", "default": "full", "values": {}}, id="empty-full-window"),
+])
+def test_simplicity_of_an_all_full_function_is_inconclusive(doc, capsys):
+    # the common zero set is the full circle, which gives no proper ideal
+    code, rep = run(capsys, "simplicity", json.dumps(doc))
+    assert code == 0 and rep["ok"] and rep["verdict"] == "inconclusive"
+    assert rep["q_intersection"]["set"] == {"full": True}
+    assert "only the zero ideal" in rep["notes"]
+
+
 @pytest.mark.parametrize("angle", ["silver", "silver5"])
 def test_averaging_phase_search_failure_exits_4(angle, capsys):
     # no conjugator phase within the search bound realizes the root 1/2

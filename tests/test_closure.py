@@ -362,6 +362,94 @@ def test_simplicity_two_point_block_not_simple():
         assert om.contains_set(j.value_set(k))
 
 
+@pytest.mark.parametrize("c", [
+    pytest.param(make_basic(0, ClosedCircleSet.empty(_G)), id="basic-q-0"),
+    pytest.param(window_function(_G, {}, default="full"), id="empty-full-window"),
+])
+def test_simplicity_all_full_is_inconclusive(c):
+    # every nonzero value is the full circle, so the common zero set is
+    # the full circle, which gives only the zero ideal: no witness
+    rep = simplicity_report(c, 10)
+    assert rep.q_value.full and rep.q_certificate.exact
+    assert rep.verdict == "inconclusive" and rep.witness is None
+    assert "only the zero ideal" in rep.notes
+
+
+# -- the support protocol ----------------------------------------------------------
+
+
+def test_pointwise_support_modulus_lcm_and_gcd():
+    # basics of steps 4 and 6 are supported on 4Z and 6Z; the meet (union
+    # of values) on their intersection 12Z, the naive join (intersection
+    # of values) on their union, inside 2Z
+    b4, b6 = make_basic(4, _P), make_basic(6, _P)
+    v4 = lambda m: oracles.basic_value(4, frozenset([0]), m)
+    v6 = lambda m: oracles.basic_value(6, frozenset([0]), m)
+    assert meet(b4, b6).support_modulus() == 12
+    assert naive_join(b4, b6).support_modulus() == 2
+    for m in range(-24, 25):
+        assert (oracles.meet_value(v4, v6, m) is not oracles.FULL) == (m % 12 == 0)
+        if oracles.naive_join_value(v4, v6, m) is not oracles.FULL:
+            assert m % 2 == 0
+    # a child with no known modulus leaves none
+    w = window_function(_G, {1: _P}, default="full")
+    assert meet(b4, w).support_modulus() is None
+    assert naive_join(b4, w).support_modulus() is None
+
+
+def test_pointwise_support_bound_min_and_max():
+    # full-default windows supported on {0, 1, 2} and {0, 1, 3}
+    w2 = window_function(_G, {1: _P, 2: _P}, default="full")
+    w3 = window_function(_G, {1: _P, 3: _P}, default="full")
+    assert meet(w2, w3).support_bound() == 2
+    assert naive_join(w2, w3).support_bound() == 3
+    # against a point basic, supported on all of Z: the meet still lies in
+    # {-2, ..., 2}, the naive join has no bound
+    b1 = make_basic(1, _P)
+    assert b1.support_bound() is None
+    assert meet(w2, b1).support_bound() == 2
+    assert naive_join(w2, b1).support_bound() is None
+
+
+def test_pointwise_is_point_valued():
+    arc = ClosedCircleSet.from_components(_G, (), (Arc(pt(0), pt(F(7, 10))),))
+    points = make_basic(1, _P), make_basic(2, orbit_set(0, 1))
+    assert meet(*points).is_point_valued() and naive_join(*points).is_point_valued()
+    assert not meet(points[0], make_basic(1, arc)).is_point_valued()
+    assert not naive_join(points[0], make_basic(1, arc)).is_point_valued()
+
+
+def test_collapsed_join_support_protocol():
+    # two step-2 basics over distinct points: the seed at 2 is P and its
+    # rotate by 2 intersected, which is empty, so the join is empty on 2Z
+    # and, like both generators, full off it
+    j = closed_join(make_basic(2, _P), make_basic(2, _P.rotate(2)), window=4)
+    assert j.all_empty_mod == 2
+    assert j.support_modulus() == 2
+    assert j.support_bound() is None  # 2Z is infinite
+    assert j.is_point_valued()
+    for n, empty in ((100, True), (101, False), (-37, False)):
+        v, cert = j.value(n)
+        assert (v.is_empty() if empty else v.full) and cert.exact
+        assert cert.note == "collapse"
+    assert j.window == 4
+
+
+def test_finite_support_join_support_protocol():
+    # the arc [0, 7/10] and its rotate by -rho (rho ~ 0.618) cover the
+    # circle, so the arc basic of step 1 is full off {-1, 0, 1}; it is
+    # closed, and its closure keeps that support
+    arc = ClosedCircleSet.from_components(_G, (), (Arc(pt(0), pt(F(7, 10))),))
+    j, cert = close(make_basic(1, arc), window=4)
+    assert cert.note == "finite-support" and j.finite_support == 1
+    assert j.support_modulus() == 1
+    assert j.support_bound() == 1
+    assert not j.is_point_valued()
+    v, far = j.value(50)
+    assert v.full and far.exact and far.note == "finite-support"
+    assert j.window == 4  # the read past the window did not widen it
+
+
 # -- randomized residual joins ----------------------------------------------------
 
 

@@ -204,6 +204,20 @@ def test_m2_closure_stops_at_rank_four(c):
     assert products and basis[-1] is products[-1]
 
 
+def test_swap_closure_takes_a_second_pass():
+    # swap^2 is the identity, found in the first pass; the second pass
+    # forms the four products of {swap, identity}, all in their span
+    products = []
+
+    def mul(x, y):
+        products.append(_m2_mul(x, y))
+        return products[-1]
+
+    basis, rows = _span_closure([_SWAP], mul, list, 4)
+    assert basis == [_SWAP, _EYE] and len(rows) == 2
+    assert len(products) == 1 + 4
+
+
 def test_m2_closure_of_a_full_rank_seed_forms_no_product():
     c = (qi(1), qi(2), qi(3), qi(5))
     called = []

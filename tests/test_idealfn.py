@@ -237,6 +237,32 @@ def test_extension_gap_reads_as_full_circle():
     assert ext.value_set(2).full and ext.value_set(-2).full
 
 
+def test_extension_shifted_difference_rule():
+    # with p = 1/4 - 2 rho at 1 and 2: the sum rule's target at 3 is outside
+    # the window (unknown); at (m, n) = (2, 1) the difference rule asks
+    # {p - rho} u {p} to contain {p}, which holds, and the shifted
+    # difference rule asks ({p} u {p}) rotated by 1, that is {1/4 - rho},
+    # to contain {p}, which fails
+    p = ClosedCircleSet.from_points(_G, [pt(F(1, 4), -2)])
+    with pytest.raises(ExtensionViolation) as exc:
+        extend_from_positive(_G, {1: p, 2: p}, default="unknown")
+    assert exc.value.condition == "shifted-difference-rule"
+    assert (exc.value.m, exc.value.n) == (2, 1)
+
+
+def test_extension_difference_rule():
+    # index 1 is a gap, read as the full circle; the support is {2, 3, 4}.
+    # At m = 2 the only target in the window is the empty value at 4, and
+    # at (m, n) = (3, 2) the difference rule asks the two points of 2
+    # rotated by -1 together with the point of 3 to contain the full circle
+    two = ClosedCircleSet.from_points(_G, [pt(0, -2), pt(F(3, 4), -2)])
+    three = ClosedCircleSet.from_points(_G, [pt(F(1, 4))])
+    with pytest.raises(ExtensionViolation) as exc:
+        extend_from_positive(_G, {2: two, 3: three, 4: ClosedCircleSet.empty(_G)})
+    assert exc.value.condition == "difference-rule"
+    assert (exc.value.m, exc.value.n) == (3, 2)
+
+
 # -- support and classification ---------------------------------------------
 
 

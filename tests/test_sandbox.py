@@ -377,7 +377,7 @@ def test_center_shift_character_fails():
 
 def test_center_far_bump_passes():
     angle, c = center_instance()
-    phi = bump_power(angle, F(1, 2), 20, mode="float")
+    phi = bump_power(angle, F(1, 2), 20)
     rep = center_check(c, phi, grid=128, tolerance=1e-8)
     assert rep.ok
     assert rep.commutator_norms["witness"] < 1e-8
@@ -385,23 +385,21 @@ def test_center_far_bump_passes():
     assert not rep.shifted_copies_disjoint and rep.notes
 
 
-def test_bump_power_exact_center_half():
-    t = bump_power(_G, F(1, 2), 3, mode="exact")
-    # binomials over 4^3 with alternating signs
-    assert t.coeffs[0] == PhasePoly.const(F(20, 64))
-    assert t.coeffs[1] == PhasePoly.const(F(-15, 64))
-    assert t.coeffs[3] == PhasePoly.const(F(-1, 64))
-    with pytest.raises(ValueError):
-        bump_power(_G, F(1, 3), 3, mode="exact")
+def test_bump_power_center_half():
+    t = bump_power(_G, F(1, 2), 3)
+    # binomials over 4^3 with alternating signs: e^{-i pi k} = (-1)^k
+    assert t.mode == "float"
+    for k, c in ((0, 20), (1, -15), (-1, -15), (2, 6), (3, -1), (-3, -1)):
+        assert abs(t.coeffs[k] - c / 64) <= 1e-15
+    # ((1 + cos 0) / 2)^3 = 1 at the center
+    assert abs(t.eval_at(_G, 0.5) - 1) <= 1e-15
 
 
 @pytest.mark.parametrize("power", [0, 1, 7, 558])
 def test_bump_power_binomials_match_math_comb(power):
-    exact = bump_power(_G, F(0), power, mode="exact")
-    flt = bump_power(_G, F(0), power, mode="float")
+    flt = bump_power(_G, F(0), power)
     for k in range(-power, power + 1):
         base = F(math.comb(2 * power, power + k), 4 ** power)
-        assert exact.coeffs[k] == PhasePoly.const(base)
         # zero coefficients (2**-1116 and the like underflow) are dropped
         assert flt.coeffs.get(k, 0.0) == float(base)
 
