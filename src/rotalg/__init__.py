@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 import importlib
 import importlib.util
 
-from .angle import Angle, default_angle, golden_angle, named_angle, silver_angle
+from .angle import Angle, golden_angle, named_angle, silver_angle
 from .circleset import (Arc, CirclePoint, ClosedCircleSet, covering_index,
                         render_svg, set_from_json, set_to_json)
 from .idealfn import (BasicFunction, Certificate, CIdealFunction,

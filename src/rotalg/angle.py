@@ -20,7 +20,6 @@ because rho is irrational, so ``q + n*rho`` never vanishes for n != 0.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from fractions import Fraction
 from math import isqrt
@@ -31,7 +30,6 @@ __all__ = [
     "golden_angle",
     "silver_angle",
     "named_angle",
-    "default_angle",
     "NAMED_ANGLES",
     "PhaseSearchFailed",
 ]
@@ -375,13 +373,3 @@ def named_angle(spec: str) -> Angle:
         return NAMED_ANGLES[spec]()
     return Angle.from_json(json.loads(spec))
 
-
-def default_angle() -> Angle:
-    """The angle selected by ROTALG_DEFAULT_ANGLE, golden by default."""
-    spec = os.environ.get("ROTALG_DEFAULT_ANGLE")
-    if not spec:
-        return golden_angle()
-    try:
-        return named_angle(spec)
-    except Exception as exc:
-        raise ValueError(f"bad ROTALG_DEFAULT_ANGLE {spec!r}: {exc}") from exc

@@ -16,11 +16,11 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .angle import Angle, PhaseSearchFailed, default_angle, named_angle
+from .angle import Angle, PhaseSearchFailed, golden_angle, named_angle
 from .circleset import render_svg, set_from_json, set_to_json
-from .idealfn import (canonical_decomposition, check_closed, classify_algebra,
-                      closed_join, function_from_json, join_many, meet,
-                      simplicity_report, values_equal)
+from .idealfn import (DEFAULT_DEPTH, DEFAULT_WINDOW, canonical_decomposition,
+                      check_closed, classify_algebra, closed_join, function_from_json,
+                      join_many, meet, simplicity_report, values_equal)
 
 SCHEMA_VERSION = "1"
 
@@ -36,8 +36,6 @@ class InputError(Exception):
 
 def _load_json(path: str) -> dict:
     try:
-        if path == "-":
-            return json.load(sys.stdin)
         if path.lstrip().startswith("{"):
             return json.loads(path)
         with open(path) as fh:
@@ -62,10 +60,11 @@ def _load_function(path: str, angle: Optional[Angle]):
 
 def _function_from_doc(doc: dict, path: str, angle: Optional[Angle]):
     """Rebuild an ideal function; the --angle flag's angle overrides the
-    document's embedded angles, the environment default fills the gap."""
+    document's embedded angles, and a document without one is read at the
+    golden angle."""
     gap = angle is None and isinstance(doc, dict) and "angle" not in doc
     try:
-        return function_from_json(doc, angle, outer=default_angle() if gap else None)
+        return function_from_json(doc, angle, outer=golden_angle() if gap else None)
     except (KeyError, ValueError) as exc:
         raise InputError(f"bad ideal function in {path}: {exc}") from exc
 
@@ -177,24 +176,22 @@ SUITES = {
     "center": ("suite_center", ("tolerance",)),
     "membership": ("suite_membership", ("angle", "n", "tolerance", "seed")),
 }
-SUITE_DEFAULTS = {"n": 64, "tolerance": 1e-9, "seed": 0}
 
 
 def _sandbox_verify(args, angle) -> dict:
     from . import suites  # imported on use: the lattice verbs do not need it
     name, reads = SUITES[args.suite]
-    given = {f: getattr(args, f) for f in ("angle", *SUITE_DEFAULTS)
+    given = {f: getattr(args, f) for f in ("angle", "n", "tolerance", "seed")
              if getattr(args, f) is not None}
     unread = [f"--{f}" for f in given if f not in reads]
     if unread:
         raise InputError(f"the {args.suite} suite does not read {', '.join(unread)}")
-    values = SUITE_DEFAULTS | given
     head = {"suite": args.suite}
     if "angle" in reads:
-        values["angle"] = angle or default_angle()
-        head["angle"] = values["angle"].to_json()
+        given["angle"] = angle or golden_angle()
+        head["angle"] = given["angle"].to_json()
     # the center suite runs on its own angle and reports it
-    return head | getattr(suites, name)(**{f: values[f] for f in reads})
+    return head | getattr(suites, name)(**given)
 
 
 def _group_verify(args, angle) -> dict:
@@ -207,7 +204,7 @@ def _plot(args, angle) -> int:
     if "repr" in doc:
         v, _ = _function_from_doc(doc, args.input, angle).value(args.n)
     else:
-        v = set_from_json(angle or default_angle(), doc)
+        v = set_from_json(angle or golden_angle(), doc)
     out = args.output or "set.svg"
     with open(out, "w") as fh:
         fh.write(render_svg(v) + "\n")
@@ -278,14 +275,14 @@ OPTIONS = {
     "input": (("input",), {}),
     "n": (("-n",), {"type": int, "required": True}),
     "plot_n": (("-n",), {"type": int, "default": 1}),
-    "window": (("--window",), {"type": _int_at_least(0), "default": 10}),
-    "depth": (("--depth",), {"type": _int_at_least(0), "default": 6}),
+    "window": (("--window",), {"type": _int_at_least(0), "default": DEFAULT_WINDOW}),
+    "depth": (("--depth",), {"type": _int_at_least(0), "default": DEFAULT_DEPTH}),
     "angle": (("--angle",), {"help": "named angle or JSON descriptor"}),
     "require_exact": (("--require-exact",), {"action": "store_true"}),
     "output": (("-o", "--output"), {"help": "write the report here instead of stdout"}),
     "suite": (("--suite",), {"required": True, "choices": SUITES}),
     # suite flags default to None, so that a flag given to a suite that
-    # does not read it can be told apart; SUITE_DEFAULTS fills the rest
+    # does not read it can be told apart; the suite's own defaults fill the rest
     "suite_n": (("--n",), {"type": _int_at_least(1), "dest": "n"}),
     "tolerance": (("--tolerance",), {"type": float}),
     "seed": (("--seed",), {"type": int}),

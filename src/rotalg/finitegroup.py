@@ -322,13 +322,9 @@ class IdealReport:
     proper: bool
 
 
-def _ga_mul(G: FiniteAbelianGroup, u: dict, v: dict) -> dict:
-    out: dict = {}
-    for g, c in u.items():
-        for h, d in v.items():
-            gh = G.mul(g, h)
-            out[gh] = qi_add(out.get(gh, _Z), qi_mul(c, d))
-    return {g: c for g, c in out.items() if not qi_is_zero(c)}
+def _translate(G: FiniteAbelianGroup, u: dict, g) -> dict:
+    """u times the shift g; h -> hg is a bijection, so no two terms meet."""
+    return {G.mul(h, g): c for h, c in u.items()}
 
 
 def _ga_vec(G: FiniteAbelianGroup, u: dict) -> list[QI]:
@@ -339,7 +335,7 @@ def _ideal_report(group: FiniteAbelianGroup, basis: list[dict]) -> IdealReport:
     """The span of basis: two-sided when its products with every shift stay
     in it, proper when it misses the identity (both exact rank tests)."""
     rows = _rref([_ga_vec(group, u) for u in basis])
-    two_sided = all(_in_span(rows, _ga_vec(group, _ga_mul(group, u, {g: _ONE})))
+    two_sided = all(_in_span(rows, _ga_vec(group, _translate(group, u, g)))
                     for u in basis for g in group.elements)
     proper = not _in_span(rows, _ga_vec(group, {group.identity: _ONE}))
     return IdealReport(basis, len(rows), two_sided, proper)
@@ -421,7 +417,7 @@ class M2Report:
     all_generated_full: bool
 
 
-def check_no_intermediate_M2(trials: int = 1000, seed: int = 0) -> M2Report:
+def check_no_intermediate_M2(trials: int = 1000) -> M2Report:
     """Two points swapped by an order-two shift: the crossed product is the
     full 2x2 matrix algebra and nothing sits strictly between it and the
     embedded group algebra.
@@ -458,7 +454,7 @@ def check_no_intermediate_M2(trials: int = 1000, seed: int = 0) -> M2Report:
 
     structured = diag + [(_Z, qi(1), _Z, _Z), (_Z, _Z, qi(1), _Z),
                          (qi(1), _Z, _Z, qi(-1)), (_Z, qi(0, 1), qi(0, -1), _Z)]
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def rand_candidate():
         return tuple(qi(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
@@ -549,9 +545,9 @@ def extend_ideal(group: FiniteAbelianGroup, subgroup: Iterable,
         if any(g not in sub for g in u):
             raise ValueError("basis must live on the subgroup")
         for h in sub:
-            if not _in_span(j_rows, _ga_vec(group, _ga_mul(group, u, {h: _ONE}))):
+            if not _in_span(j_rows, _ga_vec(group, _translate(group, u, h))):
                 raise ValueError("given span is not an ideal of the subgroup algebra")
-    ext = [_ga_mul(group, u, {g: _ONE}) for u in J_basis for g in group.elements]
+    ext = [_translate(group, u, g) for u in J_basis for g in group.elements]
     rep = _ideal_report(group, [u for u in ext if u])
     # compression onto the subgroup stays in the original span, which is the
     # structural reason the extension misses the identity

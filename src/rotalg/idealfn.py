@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .angle import Angle, json_int, json_of
-from .circleset import ClosedCircleSet, covering_index, set_from_json, set_to_json
+from .circleset import ClosedCircleSet, covering_index, pt, set_from_json, set_to_json
 
 __all__ = [
     "Certificate", "IdealFunction", "BasicFunction", "WindowFunction",
@@ -40,10 +40,11 @@ __all__ = [
     "classify_algebra", "canonical_decomposition", "omega",
     "q_intersection", "make_ideal_IQ", "check_c_closed", "triviality",
     "simplicity_report", "values_equal", "function_to_json",
-    "function_from_json", "DEFAULT_DEPTH",
+    "function_from_json", "DEFAULT_DEPTH", "DEFAULT_WINDOW",
 ]
 
 DEFAULT_DEPTH = 6
+DEFAULT_WINDOW = 10
 
 
 class OutsideWindowError(KeyError):
@@ -291,9 +292,7 @@ class JoinFunction(IdealFunction):
         return gcd(*mods)
 
     def support_bound(self) -> Optional[int]:
-        if self.finite_support is not None:
-            return self.finite_support
-        return None
+        return self.finite_support
 
     def is_point_valued(self) -> bool:
         if self.all_empty_mod is not None:
@@ -559,7 +558,7 @@ def join_many(generators: Sequence[IdealFunction], window: int,
                         all_empty_mod, finite_support)
 
 
-def closed_join(c1: IdealFunction, c2: IdealFunction, window: int = 10,
+def closed_join(c1: IdealFunction, c2: IdealFunction, window: int = DEFAULT_WINDOW,
                 depth: int = DEFAULT_DEPTH) -> JoinFunction:
     """Closed join of two closed functions (smallest closed function above both)."""
     for c in (c1, c2):
@@ -577,7 +576,7 @@ def closed_join_value(c1: IdealFunction, c2: IdealFunction, n: int,
     return j.value(n)
 
 
-def close(c: IdealFunction, window: int = 10,
+def close(c: IdealFunction, window: int = DEFAULT_WINDOW,
           depth: int = DEFAULT_DEPTH) -> tuple[JoinFunction, Certificate]:
     """The closure operator: smallest closed function above c."""
     j = join_many([c], window, depth)
@@ -620,7 +619,7 @@ class ClassificationReport:
     certificate: Certificate
 
 
-def classify_algebra(c: IdealFunction, window: int = 12) -> ClassificationReport:
+def classify_algebra(c: IdealFunction, window: int = DEFAULT_WINDOW) -> ClassificationReport:
     """Residual (all supported values nowhere dense) vs small (finite support).
 
     The two classes are mutually exclusive on closed functions: a closed
@@ -742,7 +741,7 @@ class CIdealFunction(IdealFunction):
 
 
 def make_ideal_IQ(c: IdealFunction, Q1: ClosedCircleSet,
-                  window: int = 10) -> CIdealFunction:
+                  window: int = DEFAULT_WINDOW) -> CIdealFunction:
     """The ideal with zero-slice Q1 and the parent's values elsewhere.
 
     Q1 must be a nonempty subset of the intersection of all nonzero
@@ -804,19 +803,21 @@ class SimplicityReport:
     q_certificate: Certificate
 
 
-def simplicity_report(c: IdealFunction, window: int = 10) -> SimplicityReport:
+def simplicity_report(c: IdealFunction, window: int = DEFAULT_WINDOW) -> SimplicityReport:
     """Decide simplicity of the associated algebra where the calculus can.
 
-    An intersection of all values that is neither empty nor full gives an
-    explicit proper ideal (not simple).  A residual function with a
-    one-point value is simple.  Otherwise inconclusive; the notes say when
-    the intersection is exactly empty (no generating proper ideal exists)
-    or exactly full (every nonzero value is full; only the zero ideal).
+    An exactly known intersection Q of all nonzero values that is not
+    empty gives an explicit proper ideal (not simple): the one with zero
+    slice Q, or, when Q is full (every nonzero value is full, so the
+    algebra is the commutative C(T)), the one of functions vanishing at
+    the point 0.  A residual function with a one-point value is simple.
+    Otherwise inconclusive; the notes say when Q is exactly empty (no
+    generating proper ideal exists).
     """
     Q, cert = q_intersection(c, window)
-    if not Q.is_empty() and not Q.full and cert.exact:
-        witness = make_ideal_IQ(c, Q, window)
-        return SimplicityReport("not-simple", witness,
+    if not Q.is_empty() and cert.exact:
+        Q1 = ClosedCircleSet.from_points(c.angle, [pt(0)]) if Q.full else Q
+        return SimplicityReport("not-simple", make_ideal_IQ(c, Q1, window),
                                 "explicit proper ideal from the common zero set",
                                 Q, cert)
     cls = classify_algebra(c, window)
@@ -829,8 +830,6 @@ def simplicity_report(c: IdealFunction, window: int = 10) -> SimplicityReport:
     notes = ""
     if Q.is_empty() and cert.exact:
         notes = "no generating proper ideal exists (common zero set empty)"
-    elif Q.full and cert.exact:
-        notes = "every nonzero value is full: the common zero set gives only the zero ideal"
     return SimplicityReport("inconclusive", None, notes, Q, cert)
 
 
@@ -838,7 +837,7 @@ def simplicity_report(c: IdealFunction, window: int = 10) -> SimplicityReport:
 # serialization
 
 
-def function_to_json(c: IdealFunction, window: Optional[int] = None) -> dict:
+def function_to_json(c: IdealFunction, window: int = DEFAULT_WINDOW) -> dict:
     base = {"angle": c.angle.to_json()}
     if isinstance(c, BasicFunction):
         return base | {"repr": "basic", "q": c.q, "P": set_to_json(c.P)}
@@ -849,8 +848,7 @@ def function_to_json(c: IdealFunction, window: Optional[int] = None) -> dict:
         return base | {"repr": "join", "depth": c.depth,
                        "gens": [function_to_json(g) for g in c.generators]}
     # lazy nodes materialize to a window
-    w = window or 10
-    vals = {str(n): set_to_json(c.value_set(n)) for n in range(-w, w + 1)}
+    vals = {str(n): set_to_json(c.value_set(n)) for n in range(-window, window + 1)}
     return base | {"repr": "window", "default": "unknown", "values": vals}
 
 
@@ -874,6 +872,6 @@ def function_from_json(doc: dict, angle: Optional[Angle] = None, *,
     if kind == "join":
         gens = [function_from_json(g, angle, outer=own)
                 for g in json_of(list, doc["gens"], "gens")]
-        return join_many(gens, window=10,
+        return join_many(gens, window=DEFAULT_WINDOW,
                          depth=json_int(doc.get("depth", DEFAULT_DEPTH), "depth"))
     raise ValueError(f"unknown representation {kind!r}")

@@ -539,8 +539,7 @@ class CenterReport:
     notes: str
 
 
-def center_check(c, phi: TrigPoly, grid: int = 256,
-                 tolerance: float = 1e-8) -> CenterReport:
+def center_check(c, phi: TrigPoly, tolerance: float) -> CenterReport:
     """Test whether phi commutes with the algebra of a basic arc-complement.
 
     c must be basic with step 1 and generating set the complement of an
@@ -573,12 +572,12 @@ def center_check(c, phi: TrigPoly, grid: int = 256,
     disjoint = all(J_closed.intersect(J_closed.rotate(k)).classify() != "has-interior"
                    for k in (1, 2, 3))
 
-    # invariance at t in J; at s = t + rho in the rotated copy, invariance
-    # under the inverse rotation is the same equation
+    # invariance at 255 evenly spaced t inside J; at s = t + rho in the
+    # rotated copy, invariance under the inverse rotation is the same equation
     phi_f = phi.as_float(angle)
     eq_max = 0.0
-    for i in range(1, grid):
-        t = j_start + j_len * i / grid
+    for i in range(1, 256):
+        t = j_start + j_len * i / 256
         eq_max = max(eq_max, abs(phi_f.eval_at(angle, t + rho) - phi_f.eval_at(angle, t)))
 
     # commutator against a vanishing witness

@@ -11,7 +11,7 @@ import cmath
 import random
 from fractions import Fraction
 
-from .angle import Angle, golden_angle, named_angle
+from .angle import Angle, named_angle
 from .circleset import Arc, ClosedCircleSet, CirclePoint
 from .exactnum import PhasePoly, qi
 from .finitegroup import (FiniteAbelianGroup, FiniteAction, augmentation_ideal, build_BI,
@@ -52,11 +52,9 @@ def random_float_element(angle: Angle, rng: random.Random) -> CrossedElement:
     return el
 
 
-def suite_ring_laws(angle: Angle | None = None, n: int = 500,
-                    seed: int = 0) -> dict:
+def suite_ring_laws(angle: Angle, n: int = 64, seed: int = 0) -> dict:
     """Exact-mode ring laws on randomized triples, plus the expectation
     identity for products (zero-layer of a*d as a finite convolution)."""
-    angle = angle or golden_angle()
     rng = random.Random(seed)
     failures = {"associativity": 0, "distributivity": 0, "adjoint": 0,
                 "expectation": 0}
@@ -103,11 +101,10 @@ def fejer_test_element(angle: Angle) -> CrossedElement:
     return el
 
 
-def suite_fejer(angle: Angle | None = None, n: int = 64) -> dict:
+def suite_fejer(angle: Angle, n: int = 64) -> dict:
     """Cesaro-mean error table: the section-norm error is nonincreasing
     past the degree and the low-frequency compression converges, at
     section radius 12."""
-    angle = angle or golden_angle()
     radius = 12
     a = fejer_test_element(angle)
     deg = a.degree_x()
@@ -131,11 +128,10 @@ def suite_fejer(angle: Angle | None = None, n: int = 64) -> dict:
             "q2_final_error": q2_err}
 
 
-def suite_averaging(angle: Angle | None = None, n: int = 50, seed: int = 0) -> dict:
+def suite_averaging(angle: Angle, n: int = 64, seed: int = 0) -> dict:
     """Quality of the frequency-selecting averaging operator (layer 1 kept,
     layers 2 and 3 damped below eps = 0.05, rotations up to 200, section
     radius 32), and the contraction property on randomized elements."""
-    angle = angle or golden_angle()
     eps, q, rs, bound, radius = 0.05, 1, (2, 3), 200, 32
     L = build_averaging(q, rs, eps, angle, bound)
     e_q = CrossedElement.monomial(angle, q, 0, 1.0, mode="float")
@@ -159,10 +155,9 @@ def suite_averaging(angle: Angle | None = None, n: int = 50, seed: int = 0) -> d
             "contraction_excess": worst_excess, "trials": n, "eps": eps}
 
 
-def suite_derivative(angle: Angle | None = None, n: int = 8, seed: int = 0) -> dict:
+def suite_derivative(angle: Angle, n: int = 64, seed: int = 0) -> dict:
     """Two-frequency splitting by differentiation along best denominators,
     on coefficients of size at most 0.01."""
-    angle = angle or golden_angle()
     rng = random.Random(seed)
 
     def small_poly() -> TrigPoly:
@@ -205,7 +200,7 @@ def center_instance():
     return angle, make_basic(1, P)
 
 
-def suite_center(tolerance: float = 1e-8) -> dict:
+def suite_center(tolerance: float = 1e-9) -> dict:
     """Central-element checks on the canonical arc-complement instance,
     which fixes its own angle (reported as "angle").
 
@@ -230,14 +225,13 @@ def suite_center(tolerance: float = 1e-8) -> dict:
             "tolerance": tolerance}
 
 
-def suite_membership(angle: Angle | None = None, n: int = 20,
-                     tolerance: float = 1e-9, seed: int = 0) -> dict:
+def suite_membership(angle: Angle, n: int = 64, tolerance: float = 1e-9,
+                     seed: int = 0) -> dict:
     """Consistency between ideal-function values and sandbox membership.
 
     For each random basic with point data, a layer built to vanish on the
     prescribed set passes, and the same layer with a constant added fails.
     """
-    angle = angle or golden_angle()
     rng = random.Random(seed)
     failures = 0
     for _ in range(n):
@@ -268,7 +262,7 @@ def suite_membership(angle: Angle | None = None, n: int = 20,
             "tolerance": tolerance}
 
 
-def suite_finite_group(trials: int = 200) -> dict:
+def suite_finite_group(trials: int) -> dict:
     """End-to-end finite-group checks: augmentation ideals, the compressed
     intermediate algebra, the two-point rigidity, subgroup discrimination
     and ideal extension."""

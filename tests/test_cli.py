@@ -211,7 +211,7 @@ for argv in (["ring", "--n", "2"], ["fejer"], ["averaging", "--n", "2"],
 # every name that `rotalg` exported by eager imports before the sandbox
 # was loaded on first use, by the module that defines it
 PACKAGE_NAMES = {
-    "angle": ["Angle", "default_angle", "golden_angle", "named_angle", "silver_angle"],
+    "angle": ["Angle", "golden_angle", "named_angle", "silver_angle"],
     "circleset": ["Arc", "CirclePoint", "ClosedCircleSet", "covering_index", "render_svg",
                   "set_from_json", "set_to_json"],
     "idealfn": ["BasicFunction", "Certificate", "CIdealFunction", "IdealFunction",
@@ -248,19 +248,6 @@ def test_phase_search_failed_lives_outside_the_sandbox():
     from rotalg import angle, sandbox
     assert sandbox.PhaseSearchFailed is angle.PhaseSearchFailed
     assert issubclass(angle.PhaseSearchFailed, RuntimeError)
-
-
-def test_env_default_angle(inputs, capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("ROTALG_DEFAULT_ANGLE", "silver")
-    doc = function_to_json(make_basic(1, _P))
-    del doc["angle"]
-    # an explicit angle in the document is not required when the
-    # environment supplies one
-    p = tmp_path / "noangle.json"
-    p.write_text(json.dumps(doc))
-    code, rep = run(capsys, "eval", p, "-n", "1")
-    assert code == 0
-    assert rep["angle"] == {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 1}
 
 
 def test_sandbox_verify_verb(capsys):
@@ -333,12 +320,14 @@ def test_cf_angle_near_one_accepted(capsys):
     pytest.param({"repr": "basic", "q": 0, "P": {"components": []}}, id="basic-q-0"),
     pytest.param({"repr": "window", "default": "full", "values": {}}, id="empty-full-window"),
 ])
-def test_simplicity_of_an_all_full_function_is_inconclusive(doc, capsys):
-    # the common zero set is the full circle, which gives no proper ideal
+def test_simplicity_of_an_all_full_function_is_not_simple(doc, capsys):
+    # every nonzero value is full, so the algebra is the layer-0 functions
+    # C(T), which is commutative and not simple; the common zero set is
+    # exactly the full circle
     code, rep = run(capsys, "simplicity", json.dumps(doc))
-    assert code == 0 and rep["ok"] and rep["verdict"] == "inconclusive"
-    assert rep["q_intersection"]["set"] == {"full": True}
-    assert "only the zero ideal" in rep["notes"]
+    assert code == 0 and rep["ok"] and rep["verdict"] == "not-simple"
+    q = rep["q_intersection"]
+    assert q["set"] == {"full": True} and q["certificate"]["status"] == "Exact"
 
 
 @pytest.mark.parametrize("angle", ["silver", "silver5"])
@@ -563,6 +552,16 @@ def test_center_suite_reports_the_angle_it_runs_on(capsys):
     assert rep["angle"] == {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 5}
 
 
+def test_dash_is_a_file_name_not_stdin(capsys, monkeypatch, tmp_path):
+    # inputs are file paths or inline JSON; stdin is not read
+    monkeypatch.chdir(tmp_path)
+    doc = json.dumps(function_to_json(make_basic(1, _P)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code = main(["eval", "-", "-n", "1"])
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == "eval" and err["error"].startswith("cannot read -")
+
+
 def test_plot_reads_its_input_once(inputs, capsys, monkeypatch, tmp_path):
     from rotalg import cli
     loads = []
@@ -570,43 +569,6 @@ def test_plot_reads_its_input_once(inputs, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_load_json", lambda path: loads.append(path) or load_json(path))
     code, _ = run(capsys, "plot", inputs["a"], "-n", "2", "-o", tmp_path / "value.svg")
     assert code == 0 and loads == [str(inputs["a"])]
-
-
-@pytest.mark.parametrize("argv", [
-    pytest.param(["eval", "{A}", "-n", "1"], id="eval"),
-    pytest.param(["join", "{A}", "{B}", "--window", "3"], id="join"),
-    pytest.param(["plot", "{A}", "-n", "2", "-o", "{SVG}"], id="plot-function"),
-    pytest.param(["plot", "{SET}", "--angle", "golden", "-o", "{SVG}"], id="plot-set-angle"),
-    pytest.param(["sandbox-verify", "--suite", "ring", "--n", "2", "--angle", "silver"],
-                 id="ring-angle"),
-])
-def test_default_angle_is_not_read_when_not_needed(argv, inputs, capsys, monkeypatch, tmp_path):
-    subs = {"{A}": str(inputs["a"]), "{B}": str(inputs["b"]), "{SET}": str(inputs["set"]),
-            "{SVG}": str(tmp_path / "out.svg")}
-    argv = [subs.get(a, a) for a in argv]
-    monkeypatch.delenv("ROTALG_DEFAULT_ANGLE", raising=False)
-    expected = main(argv), capsys.readouterr()
-    monkeypatch.setenv("ROTALG_DEFAULT_ANGLE", "nonsense")
-    assert (main(argv), capsys.readouterr()) == expected
-    assert expected[0] == 0
-
-
-@pytest.mark.parametrize("argv", [
-    pytest.param(["eval", "{NOANGLE}", "-n", "1"], id="eval-document-without-angle"),
-    pytest.param(["plot", "{SET}", "-o", "{SVG}"], id="plot-set"),
-    pytest.param(["sandbox-verify", "--suite", "ring", "--n", "2"], id="ring"),
-])
-def test_bad_default_angle_is_named_where_needed(argv, inputs, capsys, monkeypatch, tmp_path):
-    doc = function_to_json(make_basic(1, _P))
-    del doc["angle"]
-    (tmp_path / "noangle.json").write_text(json.dumps(doc))
-    subs = {"{NOANGLE}": str(tmp_path / "noangle.json"), "{SET}": str(inputs["set"]),
-            "{SVG}": str(tmp_path / "out.svg")}
-    monkeypatch.setenv("ROTALG_DEFAULT_ANGLE", "nonsense")
-    code = main([subs.get(a, a) for a in argv])
-    err = _error(capsys)
-    assert code == 4 and err["verb"] == argv[0]
-    assert "ROTALG_DEFAULT_ANGLE" in err["error"] and "'nonsense'" in err["error"]
 
 
 def _recorded_join_windows(monkeypatch, capsys, doc, argv):

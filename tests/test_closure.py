@@ -9,7 +9,7 @@ from rotalg import (Arc, ClosedCircleSet, all_empty, canonical_decomposition,
                     check_c_closed, check_closed, classify_algebra, close,
                     closed_join, closed_join_value, golden_angle, join_many,
                     make_basic, meet, naive_join, omega, q_intersection,
-                    simplicity_report, support, values_equal,
+                    simplicity_report, support, triviality, values_equal,
                     window_function)
 from rotalg.circleset import pt
 
@@ -366,13 +366,15 @@ def test_simplicity_two_point_block_not_simple():
     pytest.param(make_basic(0, ClosedCircleSet.empty(_G)), id="basic-q-0"),
     pytest.param(window_function(_G, {}, default="full"), id="empty-full-window"),
 ])
-def test_simplicity_all_full_is_inconclusive(c):
+def test_simplicity_all_full_is_not_simple(c):
     # every nonzero value is the full circle, so the common zero set is
-    # the full circle, which gives only the zero ideal: no witness
+    # the full circle and the algebra is C(T): commutative, not simple,
+    # and the witness is a proper closed ideal of it
     rep = simplicity_report(c, 10)
     assert rep.q_value.full and rep.q_certificate.exact
-    assert rep.verdict == "inconclusive" and rep.witness is None
-    assert "only the zero ideal" in rep.notes
+    assert rep.verdict == "not-simple"
+    assert check_c_closed(rep.witness, 10).ok
+    assert triviality(rep.witness) == "proper"
 
 
 # -- the support protocol ----------------------------------------------------------

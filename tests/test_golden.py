@@ -191,11 +191,6 @@ def _golden_name(name: str) -> str:
     return f"{name}.{'svg' if CASES[name][1] == 'plot' else 'json'}"
 
 
-@pytest.fixture(autouse=True)
-def _default_angle(monkeypatch):
-    monkeypatch.delenv("ROTALG_DEFAULT_ANGLE", raising=False)
-
-
 def test_manifest_lists_every_case():
     manifest = json.loads((GOLDEN_DIR / "MANIFEST.json").read_text())
     assert sorted(manifest) == sorted(CASES)
@@ -246,9 +241,7 @@ def test_float_suite_pinned(name, tmp_path, capsys):
 
 
 def regenerate() -> None:
-    import os
     import tempfile
-    os.environ.pop("ROTALG_DEFAULT_ANGLE", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     manifest = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from rotalg import (Arc, CIdealFunction, ClosedCircleSet, all_empty,
                     check_c_closed, check_closed, classify_algebra,
                     function_from_json, function_to_json, golden_angle,
-                    make_basic, make_ideal_IQ, meet, naive_join, omega,
+                    join_many, make_basic, make_ideal_IQ, meet, naive_join, omega,
                     q_intersection, support, triviality, values_equal,
                     window_function)
 from rotalg.circleset import covering_index, pt
@@ -289,6 +289,47 @@ def test_classification():
         assert v in ("residual", "small")
 
 
+def test_support_and_classification_of_an_unknown_default_window():
+    # outside its window the function is unknown, so neither a support bound
+    # nor a progression is certified: the support is the window's evidence
+    # alone.  The arc at +-2 has interior, so the function is neither
+    # residual (every value nowhere dense) nor certified small.
+    arc = ClosedCircleSet.from_components(_G, (), (Arc(pt(0), pt(F(1, 5))),))
+    c = window_function(_G, {1: _P, -1: _P.rotate(1), 2: arc, -2: arc.rotate(2)},
+                        default="unknown")
+    sup = support(c, 2)
+    assert sup.members == [-2, -1, 0, 1, 2]  # no value is full; 0 is empty
+    assert sup.symbolic is None
+    assert (sup.certificate.status, sup.certificate.note) == ("UpperBound", "window-truncated")
+    rep = classify_algebra(c, 2)
+    assert rep.verdict == "neither"
+    assert (rep.certificate.status, rep.certificate.note) == ("UpperBound", "window-truncated")
+
+
+def test_support_of_a_naive_join_with_an_arc_basic_is_window_evidence():
+    # the naive join intersects values, so it is full only where both
+    # basics are: off 2Z, and never on 2Z, where the point basic is finite
+    # (exponent oracle).  The arc operand is not point-valued, so the
+    # progression is window evidence, not exact.
+    arc = ClosedCircleSet.from_components(_G, (), (Arc(pt(0), pt(F(1, 5))),))
+    c = naive_join(make_basic(2, _P), make_basic(2, arc))
+    rep = support(c, 6)
+    assert rep.members == [m for m in range(-6, 7)
+                           if oracles.basic_value(2, frozenset([0]), m) is not oracles.FULL]
+    assert rep.symbolic == "2Z"
+    assert (rep.certificate.status, rep.certificate.note) == ("UpperBound", "window-evidence")
+
+
+def test_meet_with_a_depth_exhausted_join_is_an_upper_bound():
+    # a join given no rounds exhausts its budget: an upper bound, and so is
+    # a meet (pointwise union) read from it.  _P at 1 keeps the join from
+    # collapsing, and its nonempty value there is not forced exact.
+    j = join_many([make_basic(1, _P), make_basic(2, _P)], 3, depth=0)
+    v, cert = meet(j, make_basic(1, _P)).value(1)
+    assert v == _P
+    assert (cert.status, cert.note) == ("UpperBound", "depth-exhausted")
+
+
 # -- omega ---------------------------------------------------------------------
 
 
@@ -480,3 +521,17 @@ def test_function_json_round_trip():
                window_function(_G, {1: _P, -1: _P.rotate(1)})):
         doc = json.loads(json.dumps(function_to_json(fn)))
         assert values_equal(function_from_json(doc), fn, 5)
+
+
+def test_function_json_of_a_join_and_of_a_meet():
+    import json
+    j = join_many([make_basic(1, orbit_set(0, 1)), make_basic(2, _P)], 4)
+    doc = json.loads(json.dumps(function_to_json(j)))
+    assert doc["repr"] == "join" and len(doc["gens"]) == 2
+    assert values_equal(function_from_json(doc), j, 4)
+    # a lazy node is written as its values on the window, unknown outside
+    m = meet(make_basic(2, _P), make_basic(3, _P))
+    doc = json.loads(json.dumps(function_to_json(m, 3)))
+    assert doc["repr"] == "window" and doc["default"] == "unknown"
+    assert sorted(int(n) for n in doc["values"]) == list(range(-3, 4))
+    assert values_equal(function_from_json(doc), m, 3)

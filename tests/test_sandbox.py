@@ -364,13 +364,13 @@ def test_membership_arc_sampling():
 
 def test_center_constant_passes():
     _, c = center_instance()
-    rep = center_check(c, TrigPoly("float", {0: 2.0 + 0j}), grid=128)
+    rep = center_check(c, TrigPoly("float", {0: 2.0 + 0j}), tolerance=1e-8)
     assert rep.ok and rep.equation_max == 0.0
 
 
 def test_center_shift_character_fails():
     _, c = center_instance()
-    rep = center_check(c, TrigPoly.delta(1, mode="float"), grid=128)
+    rep = center_check(c, TrigPoly.delta(1, mode="float"), tolerance=1e-8)
     assert not rep.ok
     assert rep.equation_max > 0.1
 
@@ -378,7 +378,7 @@ def test_center_shift_character_fails():
 def test_center_far_bump_passes():
     angle, c = center_instance()
     phi = bump_power(angle, F(1, 2), 20)
-    rep = center_check(c, phi, grid=128, tolerance=1e-8)
+    rep = center_check(c, phi, tolerance=1e-8)
     assert rep.ok
     assert rep.commutator_norms["witness"] < 1e-8
     # the shifted gap copies genuinely overlap for this rotation
