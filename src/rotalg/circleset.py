@@ -4,13 +4,13 @@ Points are orbit expressions ``(q + n*rho) mod 1`` with q rational and n an
 integer; a closed set is a finite union of such points and closed
 counterclockwise arcs between them, or the full circle.  Because rho is
 irrational, two points are equal iff their (q mod 1, n) data agree, and all
-order decisions reduce to exact sign tests through the shared Angle.
+order decisions are exact: float keys with proved bounds, else Angle signs.
 
-Union and intersection of sets holding arcs are one coverage sweep
-(`_sweep`) over the exactly sorted component ends.  Results are canonical
-(touching arcs joined, points inside arcs absorbed, components in their
-exact (q, n) data order, which rotation keeps), so set equality is plain
-structural equality.  Point-only sets skip the sweep.
+Union and intersection of sets holding arcs, and target n (a u b), are one
+coverage sweep (`_sweep`) over the component ends in position order.
+Results are canonical (touching arcs joined, points inside arcs absorbed,
+components in their exact (q, n) data order, which rotation keeps), so set
+equality is plain structural equality.  Point-only sets skip the sweep.
 """
 from __future__ import annotations
 
@@ -226,6 +226,18 @@ class ClosedCircleSet:
                                    tuple(p for p in self.points if p in keep), ())
         return _sweep(self.angle, self.points + other.points, self.arcs + other.arcs, 2)
 
+    def intersect_union(self, a: "ClosedCircleSet", b: "ClosedCircleSet") -> "ClosedCircleSet":
+        """self n (a u b) in one sweep: self counts twice, so depth 3 is where
+        self and a or b cover (a canonical set covers a point at most once)."""
+        _check_context(self, a)
+        _check_context(self, b)
+        if self.full:
+            return a.union(b)
+        if a.full or b.full:
+            return self
+        return _sweep(self.angle, self.points * 2 + a.points + b.points,
+                      self.arcs * 2 + a.arcs + b.arcs, 3)
+
     def contains_point(self, p: CirclePoint) -> bool:
         if self.full or p in self.points:
             return True
@@ -282,26 +294,52 @@ def _normalize(angle: Angle, points: list[CirclePoint], arcs: list[Arc]) -> Clos
     return _sweep(angle, points, arcs, 1)
 
 
+def _position_order(angle: Angle, ends: Collection[CirclePoint]) -> list[CirclePoint]:
+    """The distinct ends sorted by position from 0: by float keys when their
+    error intervals are disjoint and clear of 0 and 1, else by the exact
+    sort (`_offset`, `_cmp`), which the float order presorts.
+
+    A key is within (|n| + 2) * 2**-51 of its end: |r - rho| <= 2**-54 for
+    the nearest float r, and the roundings of x/d, float(n), n*r, the sum
+    and % 1.0 add at most (7|n| + 4) * 2**-54 + O(|n| * 2**-105).  Twice
+    that bound also covers the test's own roundings.  0 is exact.
+    """
+    r = angle.float_value()
+    try:
+        key = {p: (p[0] / p[1] + p[2] * r) % 1.0 for p in ends}
+        order = sorted(key, key=key.__getitem__)
+        lo = 0.0  # the top of the last error interval
+        for p in order:
+            if p[0] or p[2]:
+                e = (abs(p[2]) + 2) * 2.0**-50
+                if key[p] - e <= lo:
+                    break
+                lo = key[p] + e
+        else:
+            if lo < 1.0:
+                return order
+    except OverflowError:  # n beyond float range
+        order = list(ends)
+    pos = {p: _offset(angle, p) for p in order}
+    return sorted(order, key=cmp_to_key(lambda a, b: _cmp(angle, pos[a], pos[b])))
+
+
 def _sweep(angle: Angle, points: Collection[CirclePoint], arcs: Collection[Arc],
            need: int) -> ClosedCircleSet:
     """The closed set of positions covered by at least `need` components.
 
     A point is an arc of length zero.  The distinct ends are sorted once by
-    exact position (after a float presort, so the exact sort makes about one
-    decision per end).  At each end, arcs starting there count before arcs
-    ending there: touching arcs join, and closed arcs that meet in an end
-    keep that point.  The depth at 0 is the number of arcs that wrap past
-    it; a piece open across 0 ends where the depth first falls below need.
+    position (`_position_order`).  At each end, arcs starting there count
+    before arcs ending there: touching arcs join, and closed arcs that meet
+    in an end keep that point.  The depth at 0 is the number of arcs that
+    wrap past it; a piece open across 0 ends where the depth falls below need.
     """
     starts = Counter(points)
     ends = starts.copy()
     for s, e in arcs:
         starts[s] += 1
         ends[e] += 1
-    pos = {p: _offset(angle, p) for p in starts.keys() | ends.keys()}
-    r = angle.float_value()
-    order = sorted(sorted(pos, key=lambda p: pos[p][0] / p[1] + p[2] * r),
-                   key=cmp_to_key(lambda a, b: _cmp(angle, pos[a], pos[b])))
+    order = _position_order(angle, starts.keys() | ends.keys())
     rank = {p: i for i, p in enumerate(order)}
     depth = wrapped = sum(rank[e] < rank[s] for s, e in arcs)
     pts, out = [], []

@@ -45,6 +45,9 @@ __all__ = [
 
 DEFAULT_DEPTH = 6
 DEFAULT_WINDOW = 10
+# the widest seed half-width join_many starts from: a point close at
+# --window 200 takes about 27 s on a 2-CPU box, and the cost grows as W2**3
+SEED_LIMIT = 400
 
 
 class OutsideWindowError(KeyError):
@@ -386,7 +389,7 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
                 continue
             target, moved, beside = D[t], D[n], side[m]
             if target.full or target.arcs or moved.arcs or beside.arcs:
-                cut = target.intersect(moved.rotate(-m).union(beside))
+                cut = target.intersect_union(moved.rotate(-m), beside)
                 if cut != target:
                     yield ("product", m, n), t, cut
                 continue
@@ -516,6 +519,9 @@ def join_many(generators: Sequence[IdealFunction], window: int,
     # the seed reaches every generator's step, or the fixpoint misses it
     mods = [g.support_modulus() for g in generators]
     W2 = max([2 * window] + [m for m in mods if m is not None])
+    if W2 > SEED_LIMIT:
+        raise ValueError(f"join seed half-width {W2} (twice the window, and every "
+                         f"generator step) exceeds SEED_LIMIT = {SEED_LIMIT}")
     seed: dict[int, ClosedCircleSet] = {}
     for n in range(-W2, W2 + 1):
         acc = generators[0].value_set(n)

@@ -127,8 +127,11 @@ def surd_enclosure(a, b, c, den, bits=BITS):
 
 
 def circle_position(q, n, surd=GOLDEN_SURD):
-    """floor(M * ((q + n*rho) mod 1)), or None when the enclosure leaves it open."""
-    lo, hi = surd_enclosure(*surd, bits=BITS + 64)
+    """floor(M * ((q + n*rho) mod 1)), or None when the enclosure leaves it open.
+
+    rho is enclosed to 2**-(BITS + 64) / |n|, so that n*rho is known to
+    2**-(BITS + 64) for every n."""
+    lo, hi = surd_enclosure(*surd, bits=BITS + 64 + abs(n).bit_length())
     if n < 0:
         lo, hi = hi, lo
     a, b = floor((q + n * lo) * M), floor((q + n * hi) * M)

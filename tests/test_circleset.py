@@ -1,6 +1,9 @@
 import copy
+import math
 import pickle
+import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 from math import gcd
 
@@ -389,15 +392,22 @@ pooled_points = st.one_of(st.just(pt(0)), points)
 
 
 @st.composite
-def pooled_pairs(draw):
+def pooled_sets(draw, count=2):
     pool = draw(st.lists(pooled_points, min_size=2, max_size=6, unique=True))
     pick = st.sampled_from(pool)
     comps = []
-    for _ in range(2):
+    for _ in range(count):
         pts = draw(st.lists(pick, max_size=3))
         ends = draw(st.lists(st.tuples(pick, pick), max_size=3))
         comps.append((pts, [Arc(a, b) for a, b in ends if a != b]))
     return pool, comps
+
+
+def _assume_model_decides(pool):
+    positions = [_pos(p) for p in pool]
+    assume(None not in positions)
+    positions.sort()
+    assume(all(y - x > 2**56 for x, y in zip(positions, positions[1:])))
 
 
 def _pos(p):
@@ -421,13 +431,10 @@ def _model_of(s):
 
 
 @settings(max_examples=300)
-@given(pooled_pairs())
+@given(pooled_sets())
 def test_boolean_operations_against_exact_model(example):
     pool, ((pa, aa), (pb, ab)) = example
-    positions = [_pos(p) for p in pool]
-    assume(None not in positions)
-    positions.sort()
-    assume(all(y - x > 2**56 for x, y in zip(positions, positions[1:])))
+    _assume_model_decides(pool)
     A = ClosedCircleSet.from_components(_G, pa, aa)
     B = ClosedCircleSet.from_components(_G, pb, ab)
     mA, mB = _model(pa, aa), _model(pb, ab)
@@ -476,6 +483,155 @@ def test_intersect_decisions_are_sort_bounded(monkeypatch):
     assert calls[0] <= 2 * ends * ends.bit_length()  # O((a + b) log(a + b))
     monkeypatch.undo()
     assert _model_of(got) == oracles.arc_intersect(_model((), A.arcs), _model((), B.arcs))
+
+
+def test_intersect_decisions_are_sort_bounded_on_near_ties(monkeypatch):
+    # the twin of the test above with B's ends moved below A's by less than
+    # 2**-60: no float key separates them, so the exact sort runs, on the
+    # float order as its presort
+    angle = golden_angle()
+    A = ClosedCircleSet.from_components(angle, (), _circle_ordered_arcs(range(1, 61)))
+
+    def below(p):
+        return pt(F(_pos(p) >> (oracles.BITS - 60), 2**60))
+
+    B = ClosedCircleSet.from_components(
+        angle, (), [Arc(below(a.start), below(a.end)) for a in A.arcs])
+    assert len(A.arcs) == len(B.arcs) == 30
+    calls = [0]
+    for name in ("compare_linear", "floor_linear"):
+        decide = getattr(Angle, name)
+        monkeypatch.setattr(Angle, name,
+                            lambda self, *a, decide=decide: calls.__setitem__(0, calls[0] + 1)
+                            or decide(self, *a))
+    got = A.intersect(B)
+    ends = 2 * (len(A.arcs) + len(B.arcs))
+    assert 0 < calls[0] <= 2 * ends * ends.bit_length()
+    monkeypatch.undo()
+    assert _model_of(got) == oracles.arc_intersect(_model((), A.arcs), _model((), B.arcs))
+    assert [a.start for a in got.arcs] == [a.start for a in A.arcs]
+
+
+# -- the sweep's order: certified float keys, else the exact sort -------------
+# A key is within (|n| + 2) * 2**-51 of its end's position; the keys decide
+# only when their error intervals are disjoint and clear of 0 and 1.
+
+
+def _model_order(ends):
+    """The ends sorted by their 256-bit model positions."""
+    pos = {p: _pos(p) for p in ends}
+    assert None not in pos.values()
+    return sorted(ends, key=pos.__getitem__)
+
+
+def _sweep_order(ends):
+    """The sweep's order of these ends, and whether the exact sort ran."""
+    offsets = [0]
+    offset = circleset._offset
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circleset, "_offset",
+                   lambda *a: offsets.__setitem__(0, offsets[0] + 1) or offset(*a))
+        order = circleset._position_order(_G, ends)
+    return order, offsets[0] > 0
+
+
+def test_position_order_of_random_ends_is_decided_by_float_keys():
+    rng = random.Random(21)
+    for _ in range(300):
+        ends = {pt(F(rng.randrange(60), rng.randrange(1, 61)), rng.randint(-50, 50))
+                for _ in range(rng.randint(1, 12))}
+        order, exact = _sweep_order(ends)
+        assert order == _model_order(ends)
+        assert not exact  # distinct ends of these sizes lie far apart
+
+
+def _fibonacci_ties():
+    # pt(0, F_k) lies within rho**k of 0 or 1; a rational within 1e-12 of it
+    for k in range(30, 60, 3):
+        x = round(F(_pos(pt(0, _FIB[k])), oracles.M) * 10**13)
+        for j in (-7, -3, -1, 1, 3, 7):
+            yield {pt(0, _FIB[k]), pt(F(x + j, 10**13))}
+
+
+def _wide_denominator_ties():
+    # rationals with denominators near 2**60, less than 2**-53 apart
+    rng = random.Random(60)
+    for n in (0, 0, 1, -3):
+        d1, d2 = 2**60 + 1, 2**60 + 3
+        x1 = rng.randrange(d1)
+        x2 = x1 * d2 // d1 + rng.randint(-2, 2)
+        assert abs(F(x1, d1) - F(x2, d2)) < 2.0**-53
+        yield {pt(F(x1, d1), n), pt(F(x2, d2), n), pt(F(1, 2))}
+
+
+def _large_orbit_ends():
+    # |n| >= 2**53: every key error is above 1; and n beyond float range
+    for big in (2**53, 2**60, 2**1100):
+        yield {pt(0, big), pt(0, big + 1), pt(F(1, 3), -big), pt(F(1, 2), 3)}
+
+
+def _wrap_ties():
+    # ends within 2**-54 of 0 or 1, next to 1/2: for n = -100 some keys
+    # land just below 1 although the end lies just past 0, and for n = 1
+    # some keys are 0.0 although the end lies just below 1
+    lo, hi = oracles.surd_enclosure(*oracles.GOLDEN_SURD, bits=200)
+    for n, steps in ((-100, range(1, 40)), (1, range(-40, 0))):
+        base = math.floor((math.ceil(n * lo) - n * lo) * 2**60)
+        assert base == math.floor((math.ceil(n * hi) - n * hi) * 2**60)
+        for s in steps:
+            yield {pt(F(base + s, 2**60), n), pt(F(1, 2))}
+
+
+@pytest.mark.parametrize("ties", [_fibonacci_ties, _wide_denominator_ties,
+                                  _large_orbit_ends, _wrap_ties])
+def test_position_order_of_near_ties_falls_back_to_the_exact_sort(ties):
+    exact_runs = 0
+    for ends in ties():
+        order, exact = _sweep_order(ends)
+        assert order == _model_order(ends), sorted(ends)
+        exact_runs += exact
+    assert exact_runs > 0
+
+
+def test_position_order_beyond_float_range_is_the_exact_sort():
+    ends = {pt(0, 2**1100 + j) for j in range(4)} | {pt(F(1, 2), -2**1100), pt(0)}
+    order, exact = _sweep_order(ends)
+    assert exact and order[0] == pt(0)
+    pos = {p: circleset._offset(_G, p) for p in ends}
+    assert order == sorted(ends, key=cmp_to_key(lambda a, b: circleset._cmp(_G, pos[a], pos[b])))
+
+
+# -- one sweep for target n (a u b) -------------------------------------------
+
+
+@settings(max_examples=200)
+@given(pooled_sets(3))
+def test_intersect_union_against_two_sweeps_and_exact_model(example):
+    pool, comps = example
+    _assume_model_decides(pool)
+    T, A, B = (ClosedCircleSet.from_components(_G, pts, arcs) for pts, arcs in comps)
+    got = T.intersect_union(A, B)
+    assert got == T.intersect(A.union(B))
+    mT, mA, mB = (_model(pts, arcs) for pts, arcs in comps)
+    assert _model_of(got) == oracles.arc_intersect(mT, oracles.arc_union(mA, mB))
+
+
+def test_intersect_union_cases(golden, silver):
+    T = arcset(golden, pt(F(1, 10)), pt(F(1, 2)))
+    a = arcset(golden, pt(F(1, 5)), pt(F(3, 10)))
+    b = ClosedCircleSet.from_points(golden, [pt(F(2, 5)), pt(F(3, 4))])
+    full = ClosedCircleSet.full_circle(golden)
+    assert full.intersect_union(a, b) == a.union(b)
+    assert T.intersect_union(full, b) is T and T.intersect_union(a, full) is T
+    assert T.intersect_union(a, b) == ClosedCircleSet.from_components(
+        golden, [pt(F(2, 5))], [Arc(pt(F(1, 5)), pt(F(3, 10)))])
+    points = ClosedCircleSet.from_points(golden, [pt(F(1, 4)), pt(F(2, 5)), pt(F(3, 5))])
+    assert points.intersect_union(a, T) == ClosedCircleSet.from_points(
+        golden, [pt(F(1, 4)), pt(F(2, 5))])
+    other = arcset(silver, pt(F(1, 5)), pt(F(3, 10)))
+    for args in ((a, other), (other, b)):
+        with pytest.raises(ValueError):
+            T.intersect_union(*args)
 
 
 # -- serialization -----------------------------------------------------------

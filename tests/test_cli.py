@@ -20,6 +20,7 @@ from rotalg import (Arc, ClosedCircleSet, function_to_json, golden_angle,
                     make_basic, set_to_json, window_function)
 from rotalg.circleset import pt
 from rotalg.cli import build_parser, main, report_schema
+from rotalg.idealfn import SEED_LIMIT
 
 F = Fraction
 _G = golden_angle()
@@ -497,6 +498,26 @@ def test_out_of_range_values_exit_4(argv, inputs, capsys):
     code = main([subs.get(a, a) for a in argv])
     err = _error(capsys)
     assert code == 4 and err["verb"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["join", "{A}", "{BIG}", "--window", "2"], id="join-step-1000000"),
+    pytest.param(["close", "{A}", "--window", "3000"], id="close-window-3000"),
+    pytest.param(["eval", "{JOIN}", "-n", "5000"], id="far-read-of-stabilized-join"),
+])
+def test_join_seed_beyond_its_limit_exits_4_at_once(argv, inputs, capsys, tmp_path):
+    # each of these seeds the closure on a half-width past SEED_LIMIT
+    big, join = tmp_path / "big.json", tmp_path / "join.json"
+    big.write_text(json.dumps(function_to_json(make_basic(10**6, _P))))
+    join.write_text(json.dumps({"angle": _G.to_json(), "repr": "join", "depth": 6,
+                                "gens": [json.loads(inputs["a"].read_text())]}))
+    subs = {"{A}": str(inputs["a"]), "{BIG}": str(big), "{JOIN}": str(join)}
+    start = time.perf_counter()
+    code = main([subs.get(a, a) for a in argv])
+    assert time.perf_counter() - start < 5
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == argv[0]
+    assert f"exceeds SEED_LIMIT = {SEED_LIMIT}" in err["error"]
 
 
 def test_classify_of_a_too_short_arc_exits_4_at_once(capsys):

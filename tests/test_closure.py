@@ -12,6 +12,7 @@ from rotalg import (Arc, ClosedCircleSet, all_empty, canonical_decomposition,
                     simplicity_report, support, triviality, values_equal,
                     window_function)
 from rotalg.circleset import pt
+from rotalg.idealfn import SEED_LIMIT
 
 import oracles
 
@@ -220,6 +221,15 @@ def test_join_depth_zero_is_upper_bound():
     j = join_many([make_basic(1, a), make_basic(1, b)], window=4, depth=0)
     assert not j.certificate.exact
     assert j.certificate.note == "depth-exhausted"
+
+
+def test_join_seed_is_bounded_by_seed_limit():
+    # the seed reaches twice the window and every generator step
+    join_many([make_basic(SEED_LIMIT, _P)], window=1)
+    for gens, window in (([make_basic(SEED_LIMIT + 1, _P)], 1),
+                         ([make_basic(1, _P)], SEED_LIMIT // 2 + 1)):
+        with pytest.raises(ValueError, match=f"exceeds SEED_LIMIT = {SEED_LIMIT}"):
+            join_many(gens, window)
 
 
 def test_join_rejects_non_closed_input():
