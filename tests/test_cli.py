@@ -520,6 +520,14 @@ def test_join_seed_beyond_its_limit_exits_4_at_once(argv, inputs, capsys, tmp_pa
     assert f"exceeds SEED_LIMIT = {SEED_LIMIT}" in err["error"]
 
 
+def test_arc_ends_beyond_float_range_are_ordered_exactly(capsys):
+    # n = 2**1100 has no float key: the sweep sorts that end exactly
+    arc = {"start": {"q": "0", "n": 2**1100}, "end": {"q": "1/2", "n": 0}}
+    doc = {"repr": "basic", "q": 1, "P": {"components": [{"arc": arc}]}}
+    code, rep = run(capsys, "eval", json.dumps(doc), "-n", "1")
+    assert code == 0 and rep["result"]["set"] == {"components": [{"arc": arc}]}
+
+
 def test_classify_of_a_too_short_arc_exits_4_at_once(capsys):
     # a 1/100000 arc needs more rotated copies than the documented limit,
     # which its measure shows before any union is made
