@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import INFINITY, encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
@@ -81,9 +82,81 @@ def _window_values(fn, window: int) -> dict:
     return out
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == INFINITY:
+        return "Infinity"
+    if x == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of each scalar type, as the stdlib writes it
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, from one
+    list of pieces joined once (the stdlib writes indented JSON through its
+    pure-Python encoder)."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list, nl: str) -> None:
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        # a subclass of str, int or float is written as its base
+        base = next((t for t in (str, int, float) if isinstance(obj, t)), None)
+        if base is None:
+            raise TypeError(f"Object of type {obj.__class__.__name__} "
+                            f"is not JSON serializable")
+        out.append(_SCALARS[base](obj))
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is None or isinstance(key, bool):
+        return _SCALARS[type(key)](key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
 def _emit(args, report: dict) -> int:
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__} | report
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = _json_text(report)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -214,7 +287,7 @@ def _plot(args, angle) -> int:
 
 
 def _schema(args, angle) -> int:
-    print(json.dumps(report_schema(), sort_keys=True, indent=2))
+    print(_json_text(report_schema()))
     return EXIT_OK
 
 

@@ -48,6 +48,10 @@ DEFAULT_WINDOW = 10
 # the widest seed half-width join_many starts from: a point close at
 # --window 200 takes about 27 s on a 2-CPU box, and the cost grows as W2**3
 SEED_LIMIT = 400
+# the most components (copies of P's points and arcs) a basic's value is
+# built from: lattice-query reads |n| <= 500 of one- and two-point basics,
+# and 100,000 points take about 0.4 s to build (2-CPU box)
+VALUE_LIMIT = 100_000
 
 
 class OutsideWindowError(KeyError):
@@ -150,6 +154,9 @@ class BasicFunction(IdealFunction):
             acc = self._values[below] if below else self.P
             top = min(k, 2 * below + 1) if self.P.arcs and not acc.full else k
             P, steps = self.P, range(-self.q * below, -self.q * top, -self.q)
+            if not acc.full and top * (len(P.points) + len(P.arcs)) > VALUE_LIMIT:
+                raise ValueError(f"basic value at {n} is built from {top} copies of "
+                                 f"P, past VALUE_LIMIT = {VALUE_LIMIT} components")
             self._values[top] = acc if acc.full else ClosedCircleSet.from_components(
                 angle, [*acc.points, *(p.shift(s) for s in steps for p in P.points)],
                 [*acc.arcs, *(a.shift(s) for s in steps for a in P.arcs)])
@@ -363,14 +370,29 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     sets, the cut is found by probing their points, with no set built.
     D is read live, so a caller may set D[t] to cut before asking for the
     next one.
+
+    Mirror rule: when D is reflective, D[-k] = D[k].rotate(k) on every key,
+    the constraint at (-n, -m) is the one at (m, n) rotated by t = m + n:
+    its target is D[t].rotate(t), its bound D[m].rotate(t) u
+    D[n].rotate(-m).rotate(t), so cut(-n, -m) = rotate(cut(m, n), t).  Rows
+    run in ascending m, and -n < m when t > 0, so the mirror of a constraint
+    with t > 0 was visited earlier in the pass.  While nothing has been
+    yielded, D is the D it was visited on and it was not broken, so those
+    constraints are skipped.  The yielded sequence is the full visit's.
+    The parent's one-sided rule has no mirror and is visited in full.
     """
+    quiet = parent is None  # no yield yet, and D reflective on every key
     for n in range(1, w + 1):
         if D[-n] == D[n].rotate(n):
             continue  # equality is cheap; containment on arcs is not
         for t in (-n, n):
             cut = D[t].intersect(D[-t].rotate(-t))
             if cut != D[t]:
+                quiet = False
                 yield ("reflection", n), t, cut
+    # keys past w (check_closed reads targets out to 2w) are only the
+    # mirror rule's precondition; they never report a label
+    quiet = quiet and all(-k in D and D[-k] == D[k].rotate(k) for k in D if k > w)
     side = D if parent is None else parent
     nsupp = [n for n in range(-w, w + 1) if not D[n].full]
     msupp = [m for m in range(-w, w + 1) if not side[m].full]
@@ -385,12 +407,15 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     for m in msupp:
         for n in nsupp:
             t = m + n
+            if quiet and t > 0:
+                break  # nsupp ascends: the rest of the row mirrors visited constraints
             if t not in D or D[t].is_empty():
                 continue
             target, moved, beside = D[t], D[n], side[m]
             if target.full or target.arcs or moved.arcs or beside.arcs:
                 cut = target.intersect_union(moved.rotate(-m), beside)
                 if cut != target:
+                    quiet = False
                     yield ("product", m, n), t, cut
                 continue
             # points only: p is in D[n].rotate(-m) iff p.shift(m) is in D[n];
@@ -400,6 +425,7 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
             kept = tuple(p for p in target.points
                          if p in inside or (p[0], p[1], p[2] + m) in shifted)
             if len(kept) < len(target.points):
+                quiet = False
                 yield ("product", m, n), t, ClosedCircleSet(target.angle, False, kept, ())
 
 

@@ -443,6 +443,67 @@ def test_schema_prints_the_report_schema(capsys):
     assert capsys.readouterr().out == json.dumps(report_schema(), sort_keys=True, indent=2) + "\n"
 
 
+def _stdlib_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_escapes = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028😀\ud800\udfff'))
+_json_scalars = (st.none() | st.booleans() | st.text() | _escapes
+                 | st.integers() | st.integers(min_value=2**63, max_value=2**200).map(lambda n: -n)
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300]))
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text() | _escapes, kids, max_size=4)
+                  | st.dictionaries(st.integers(), kids, max_size=3)
+                  | st.dictionaries(st.floats(allow_nan=False), kids, max_size=3)
+                  | st.dictionaries(st.booleans(), kids, max_size=2)),
+    max_leaves=30)
+
+
+@given(_json_trees)
+def test_report_writer_is_byte_identical_to_json_dumps(tree):
+    from rotalg.cli import _json_text
+    assert _json_text(tree) == _stdlib_text(tree)
+
+
+def test_report_writer_edge_values():
+    from rotalg.cli import _json_text
+    for tree in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], {None: 1},
+                 {"é\n": ("x", 10**40, -(10**40), 0.1, 1e-320)},
+                 [float("nan"), float("inf"), -float("inf")], {1.5: True, 0.25: None}):
+        assert _json_text(tree) == _stdlib_text(tree)
+
+
+class _Unserializable:
+    pass
+
+
+@pytest.mark.parametrize("tree", [
+    {1, 2}, b"bytes", _Unserializable(), {"a": [1, {2}]}, {(1, 2): 3},
+    {"a": 1, 2: "b"},  # keys that do not sort together
+], ids=["set", "bytes", "object", "nested-set", "tuple-key", "mixed-keys"])
+def test_report_writer_rejects_what_json_dumps_rejects(tree):
+    from rotalg.cli import _json_text
+    with pytest.raises(TypeError):
+        _stdlib_text(tree)
+    with pytest.raises(TypeError):
+        _json_text(tree)
+
+
+def test_far_point_basic_value_exits_4_at_once(inputs, capsys):
+    from rotalg.idealfn import VALUE_LIMIT
+    start = time.perf_counter()
+    code = main(["eval", str(inputs["a"]), "-n", str(10**12)])
+    assert time.perf_counter() - start < 5
+    err = _error(capsys)
+    assert code == 4 and f"past VALUE_LIMIT = {VALUE_LIMIT} components" in err["error"]
+    # an arc basic is full from its covering index on, however far it is read
+    code, rep = run(capsys, "eval", inputs["arc1"], "-n", str(10**12))
+    assert code == 0 and rep["result"]["set"] == set_to_json(ClosedCircleSet.full_circle(_G))
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"], ["sandbox-verify", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -78,6 +78,128 @@ def test_point_filter_cuts_like_set_operations(D, parent, with_parent):
         assert cut == ref and cut.points == ref.points and cut.arcs == ref.arcs
 
 
+# -- the mirror rule: a reflective sweep visits half the product constraints --
+
+_POOL = [pt(F(1, 7), e) for e in range(-3, 4)] + [pt(F(2, 7), 0), pt(F(1, 2), 1)]
+_STRAY = ClosedCircleSet.from_points(_G, [pt(F(3, 7))])  # on no orbit of the pool
+
+
+@st.composite
+def reflective_windows(draw, w=2):
+    """Values on [-2w, 2w] with value(-n) = rotate(value(n), n) on every
+    index: the values of a basic (closed) or drawn positive values,
+    reflected.  Some draws then add a stray point at one t and at -t, which
+    breaks product constraints and keeps the values reflective, or at one
+    k alone: in (w, 2w], past the reflection labels of a window-w check, or
+    in [1, w], where reflection breaks."""
+    if draw(st.booleans()):
+        arcs = [Arc(pt(0), pt(F(1, 3)))] if draw(st.booleans()) else []
+        P = ClosedCircleSet.from_components(
+            _G, draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3)), arcs)
+        b = make_basic(draw(st.integers(1, 3)), P)
+        positive = {n: b.value_set(n) for n in range(1, 2 * w + 1)}
+    else:
+        positive = draw(point_windows(w))
+    D = {0: ClosedCircleSet.empty(_G)}
+    for n in range(1, 2 * w + 1):
+        D[n], D[-n] = positive[n], positive[n].rotate(n)
+    broken = draw(st.sampled_from(("none", "mirrored", "beyond", "reflection")))
+    if broken == "mirrored":
+        t = draw(st.integers(1, 2 * w))
+        D[t] = D[t].union(_STRAY)
+        D[-t] = D[t].rotate(t)
+    elif broken != "none":
+        k = draw(st.integers(w + 1, 2 * w) if broken == "beyond" else st.integers(1, w))
+        D[k] = D[k].union(_STRAY)
+    return D
+
+
+def _full_visit(D, w):
+    """Every broken constraint, in the sweep's order, by set operations."""
+    out = []
+    for n in range(1, w + 1):
+        for t in (-n, n):
+            cut = D[t].intersect(D[-t].rotate(-t))
+            if cut != D[t]:
+                out.append((("reflection", n), t, cut))
+    return out + _product_cuts_by_set_operations(D, w)
+
+
+def _reference_fixpoint(seed, max_rounds):
+    """_closure_fixpoint with every constraint visited and cut live."""
+    D = dict(seed)
+    W2 = max(abs(n) for n in D)
+    for rounds in range(1, max_rounds + 1):
+        changed = False
+        for n in range(1, W2 + 1):
+            for t in (-n, n):
+                cut = D[t].intersect(D[-t].rotate(-t))
+                changed |= cut != D[t]
+                D[t] = cut
+        supp = [n for n in range(-W2, W2 + 1) if not D[n].full]
+        for m in supp:
+            for n in supp:
+                t = m + n
+                if t in D and not D[t].is_empty():
+                    cut = D[t].intersect(D[n].rotate(-m).union(D[m]))
+                    changed |= cut != D[t]
+                    D[t] = cut
+        if not changed:
+            return D, rounds, True
+    return D, max_rounds, False
+
+
+@given(reflective_windows())
+def test_mirror_rule_yields_what_a_full_visit_yields(D):
+    from rotalg.idealfn import _broken_constraints
+    assert list(_broken_constraints(D, 2)) == _full_visit(D, 2)
+
+
+@settings(max_examples=30)
+@given(reflective_windows())
+def test_mirror_rule_fixpoint_matches_a_full_visit(seed):
+    from rotalg.idealfn import _closure_fixpoint
+    assert _closure_fixpoint(seed, 6) == _reference_fixpoint(seed, 6)
+
+
+def _recorded_fixpoints(monkeypatch, run):
+    from rotalg import idealfn
+    calls, fixpoint = [], idealfn._closure_fixpoint
+
+    def recording(seed, max_rounds):
+        result = fixpoint(seed, max_rounds)
+        calls.append((seed, max_rounds, result))
+        return result
+
+    monkeypatch.setattr(idealfn, "_closure_fixpoint", recording)
+    run()
+    return calls
+
+
+def _golden_join_cases():
+    from test_golden import CASES
+    return sorted(name for name, (docs, verb, _) in CASES.items()
+                  if verb in ("join", "close", "decompose")
+                  or any(d.get("repr") == "join" for d in docs))
+
+
+@pytest.mark.parametrize("name", _golden_join_cases())
+def test_mirror_rule_fixpoints_of_the_golden_joins(name, monkeypatch, tmp_path):
+    from test_golden import run_case
+    calls = _recorded_fixpoints(monkeypatch, lambda: run_case(name, tmp_path))
+    assert calls
+    for seed, max_rounds, result in calls:
+        assert result == _reference_fixpoint(seed, max_rounds)
+
+
+def test_mirror_rule_fixpoint_of_the_found_arc_pair(monkeypatch):
+    # basic(5, arc[3/10, 2/5]) v basic(6, arc[37/100, 67/100]) at window 1
+    pair = (arc_basic(5, F(3, 10), F(1, 10)), arc_basic(6, F(37, 100), F(3, 10)))
+    calls = _recorded_fixpoints(monkeypatch, lambda: join_many(pair, 1))
+    [(seed, max_rounds, result)] = calls
+    assert result == _reference_fixpoint(seed, max_rounds)
+
+
 # -- closed join -----------------------------------------------------------
 
 

@@ -93,6 +93,29 @@ def test_far_arc_basic_value_stops_at_the_covering_index(monkeypatch):
     assert not b.value_set(5 * (N - 1)).full and b.value_set(5 * N).full
 
 
+def test_basic_value_is_bounded_by_value_limit(monkeypatch):
+    from rotalg import idealfn
+    # lattice-query reads |n| <= 500 of two-point basics
+    assert idealfn.VALUE_LIMIT >= 100 * 500 * 2
+    monkeypatch.setattr(idealfn, "VALUE_LIMIT", 12)
+    two = ClosedCircleSet.from_points(_G, [pt(F(1, 7)), pt(F(2, 7))])
+    b = make_basic(2, two)
+    assert len(b.value_set(12).points) == 12  # 6 copies of 2 points: at the limit
+    for n in (14, -14, 2 * 10**12):
+        with pytest.raises(ValueError, match="past VALUE_LIMIT = 12 components"):
+            b.value_set(n)
+    # an arc basic stops growing once full, however far it is read
+    arc = make_basic(1, ClosedCircleSet.from_components(_G, (), (Arc(pt(0), pt(F(2, 5))),)))
+    assert arc.value_set(10**12).full and arc.value_set(-10**12).full
+    # a short arc doubles its way up to 1 and 3 copies of P's 3 components;
+    # the 7 copies of the next step are refused before they are built
+    mixed = make_basic(1, two.union(ClosedCircleSet.from_components(
+        _G, (), (Arc(pt(0), pt(F(1, 1000))),))))
+    with pytest.raises(ValueError, match="built from 7 copies of P"):
+        mixed.value_set(10**12)
+    assert sorted(mixed._values) == [1, 3]
+
+
 def test_basic_q_zero_convention():
     b0 = make_basic(0, _P)
     assert b0.value_set(0).is_empty()
