@@ -128,30 +128,27 @@ def _write_json(obj, out: list, nl: str) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            name = key if isinstance(key, str) else _scalar_text(key)
+            if name is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            out.append(sep + encode_basestring_ascii(name) + ": ")
             _write_json(value, out, inner)
             sep = "," + inner
         out.append(nl + "}")
     else:
-        # a subclass of str, int or float is written as its base
-        base = next((t for t in (str, int, float) if isinstance(obj, t)), None)
-        if base is None:
+        text = _scalar_text(obj)  # a subclass of str, int or float
+        if text is None:
             raise TypeError(f"Object of type {obj.__class__.__name__} "
                             f"is not JSON serializable")
-        out.append(_SCALARS[base](obj))
+        out.append(text)
 
 
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is None or isinstance(key, bool):
-        return _SCALARS[type(key)](key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+def _scalar_text(obj) -> Optional[str]:
+    """The stdlib's text of a str (quoted), None, bool, int or float, or of
+    a subclass as its base; None for any other type."""
+    base = next((t for t in (str, type(None), bool, int, float) if isinstance(obj, t)), None)
+    return None if base is None else _SCALARS[base](obj)
 
 
 def _emit(args, report: dict) -> int:
