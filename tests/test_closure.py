@@ -34,11 +34,13 @@ def exps_of(s):
 # -- the constraint sweep's point filter -------------------------------------
 
 
+_POOL = [pt(F(1, 7), e) for e in range(-3, 4)] + [pt(F(2, 7), 0), pt(F(1, 2), 1)]
+
+
 @st.composite
 def point_windows(draw, w=2):
     """Values on [-2w, 2w], empty at 0: mostly orbit point sets, some full,
     some arcs (which keep the set-operation path)."""
-    pool = [pt(F(1, 7), e) for e in range(-3, 4)] + [pt(F(2, 7), 0), pt(F(1, 2), 1)]
     values = {0: ClosedCircleSet.empty(_G)}
     for n in range(-2 * w, 2 * w + 1):
         if n == 0:
@@ -47,7 +49,7 @@ def point_windows(draw, w=2):
         if kind == "full":
             values[n] = ClosedCircleSet.full_circle(_G)
             continue
-        pts = draw(st.lists(st.sampled_from(pool), max_size=5))
+        pts = draw(st.lists(st.sampled_from(_POOL), max_size=5))
         arcs = [Arc(pt(0), pt(F(1, 3)))] if kind == "arc" else []
         values[n] = ClosedCircleSet.from_components(_G, pts, arcs)
     return values
@@ -80,7 +82,6 @@ def test_point_filter_cuts_like_set_operations(D, parent, with_parent):
 
 # -- the mirror rule: a reflective sweep visits half the product constraints --
 
-_POOL = [pt(F(1, 7), e) for e in range(-3, 4)] + [pt(F(2, 7), 0), pt(F(1, 2), 1)]
 _STRAY = ClosedCircleSet.from_points(_G, [pt(F(3, 7))])  # on no orbit of the pool
 
 
