@@ -24,19 +24,22 @@ from .idealfn import (BasicFunction, Certificate, CIdealFunction,
                       meet, naive_join, omega, q_intersection,
                       simplicity_report, support, triviality, values_equal,
                       window_function)
-from .finitegroup import (FiniteAbelianGroup, FiniteAction,
-                          augmentation_ideal, build_BI,
-                          check_no_intermediate_M2, check_not_from_subgroup,
-                          extend_ideal)
+
+# modules no lattice verb needs load on first use of a name they export,
+# which is then bound here (PEP 562): these of finitegroup, and all of
+# sandbox's __all__ (sandbox imports numpy)
+_LAZY = {"finitegroup": ("FiniteAbelianGroup", "FiniteAction", "augmentation_ideal",
+                         "build_BI", "check_no_intermediate_M2", "check_not_from_subgroup",
+                         "extend_ideal")}
 
 
 def __getattr__(name: str):
-    """The names of `sandbox`, which imports numpy, load it on first use
-    (PEP 562) and are then bound here.  A submodule's name is left to the
-    import system, so that `from rotalg import cli` does not load it."""
+    # a submodule's name goes to the import system: `from rotalg import cli` loads neither
     if not name.startswith("_") and importlib.util.find_spec(f".{name}", __name__) is None:
-        sandbox = importlib.import_module(".sandbox", __name__)
-        globals().update({n: getattr(sandbox, n) for n in sandbox.__all__})
-        if name in sandbox.__all__:
+        lazy = next((m for m, names in _LAZY.items() if name in names), "sandbox")
+        module = importlib.import_module(f".{lazy}", __name__)
+        names = _LAZY.get(lazy, module.__all__)
+        globals().update({n: getattr(module, n) for n in names})
+        if name in names:
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple, Optional
 from . import __version__
 from .angle import Angle, PhaseSearchFailed, golden_angle, named_angle
 from .circleset import render_svg, set_from_json, set_to_json
-from .idealfn import (DEFAULT_DEPTH, DEFAULT_WINDOW, canonical_decomposition,
-                      check_closed, classify_algebra, closed_join, function_from_json,
-                      join_many, meet, simplicity_report, values_equal)
+from .idealfn import (COUNT_LIMIT, DEFAULT_DEPTH, DEFAULT_WINDOW,
+                      canonical_decomposition, check_closed, classify_algebra, closed_join,
+                      function_from_json, join_many, meet, simplicity_report, values_equal)
 
 SCHEMA_VERSION = "1"
 
@@ -340,6 +340,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _count(text: str) -> int:
+    """A suite's --n or group-verify's --trials: from 1 to COUNT_LIMIT."""
+    value = _int_at_least(1)(text)
+    if value > COUNT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be at most COUNT_LIMIT = {COUNT_LIMIT}, got {value}")
+    return value
+
+
+_count.__name__ = "int"
+
+
 # option -> (flags, add_argument keywords); a verb lists the options it reads
 OPTIONS = {
     "input": (("input",), {}),
@@ -353,10 +365,10 @@ OPTIONS = {
     "suite": (("--suite",), {"required": True, "choices": SUITES}),
     # suite flags default to None, so that a flag given to a suite that
     # does not read it can be told apart; the suite's own defaults fill the rest
-    "suite_n": (("--n",), {"type": _int_at_least(1), "dest": "n"}),
+    "suite_n": (("--n",), {"type": _count, "dest": "n"}),
     "tolerance": (("--tolerance",), {"type": float}),
     "seed": (("--seed",), {"type": int}),
-    "trials": (("--trials",), {"type": _int_at_least(1), "default": 200}),
+    "trials": (("--trials",), {"type": _count, "default": 200}),
 }
 
 

@@ -15,11 +15,11 @@ pointwise meets/naive joins, and certified closed joins computed by a
 constraint-propagation engine for the closure operator.
 
 Certificate discipline: every computed value carries an exactness flag.
-The closed-join engine upgrades window-stabilized results to exact only in
-the rigorously justified cases (empty value, collapse modulo d, certified
-finite support); otherwise stabilization plus a window closedness check is
-reported as exact with an explanatory note, and exhausting the round
-budget yields an upper bound.
+A closed join is exact on all of Z when it holds a closed form: basic(d,
+empty) on a collapse onto dZ, a full-default window on a certified finite
+support; an empty window value is exact on its own.  Otherwise a stabilized
+sweep plus a window closedness check is reported as exact with an
+explanatory note, and exhausting the round budget yields an upper bound.
 """
 from __future__ import annotations
 
@@ -52,6 +52,10 @@ SEED_LIMIT = 400
 # built from: lattice-query reads |n| <= 500 of one- and two-point basics,
 # and 100,000 points take about 0.4 s to build (2-CPU box)
 VALUE_LIMIT = 100_000
+# the largest suite --n or group-verify --trials: per unit the ring suite
+# takes 1.7 ms (17 s at the limit), fejer up to 0.75, group-verify 0.18 (2-CPU
+# box); derivative's n convergents took 0.06 s at 10**4, 1.45 s at 10**5
+COUNT_LIMIT = 10_000
 
 
 class OutsideWindowError(KeyError):
@@ -150,6 +154,7 @@ class BasicFunction(IdealFunction):
             # k (P when none) and the rotated copies of P it lacks.  Arcs
             # cover the circle after finitely many copies, so an arc basic
             # doubles its way up to k and stops growing once it is full.
+            # Components are the outer loop, so an empty P walks no steps.
             below = max((j for j in self._values if j < k), default=0)
             acc = self._values[below] if below else self.P
             top = min(k, 2 * below + 1) if self.P.arcs and not acc.full else k
@@ -158,8 +163,8 @@ class BasicFunction(IdealFunction):
                 raise ValueError(f"basic value at {n} is built from {top} copies of "
                                  f"P, past VALUE_LIMIT = {VALUE_LIMIT} components")
             self._values[top] = acc if acc.full else ClosedCircleSet.from_components(
-                angle, [*acc.points, *(p.shift(s) for s in steps for p in P.points)],
-                [*acc.arcs, *(a.shift(s) for s in steps for a in P.arcs)])
+                angle, [*acc.points, *(p.shift(s) for p in P.points for s in steps)],
+                [*acc.arcs, *(a.shift(s) for a in P.arcs for s in steps)])
             value = self._values.get(k)
         # reflection: value(-kq) is value(kq) rotated by kq
         return (value if n > 0 else value.rotate(k * self.q)), EXACT
@@ -257,56 +262,47 @@ class PointwiseFunction(IdealFunction):
 
 
 class JoinFunction(IdealFunction):
-    """Certified closed join, materialized on a window by the closure engine."""
+    """Certified closed join, materialized on a window by the closure engine.
+    `closed`, the certified closed form on all of Z if there is one, answers
+    each index `values` does not hold, with the join's certificate.  A collapse
+    holds no values: a depth-exhausted window may still hold non-empty ones."""
     _widening = threading.RLock()  # reentrant: a widening can widen a generator
 
     def __init__(self, generators: Sequence[IdealFunction], window: int,
                  depth: int, values: dict[int, ClosedCircleSet], cert: Certificate,
-                 all_empty_mod: Optional[int] = None,
-                 finite_support: Optional[int] = None):
+                 closed: Optional[IdealFunction] = None):
         self.generators = list(generators)
         self.angle = generators[0].angle
         self.window = window
         self.depth = depth
         self.values = values
         self.certificate = cert
-        self.all_empty_mod = all_empty_mod
-        self.finite_support = finite_support
+        self.closed = closed
 
     def value(self, n: int) -> tuple[ClosedCircleSet, Certificate]:
-        if self.all_empty_mod is not None:
-            if n % self.all_empty_mod == 0:
-                return ClosedCircleSet.empty(self.angle), Certificate(
-                    True, self.certificate.depth, "collapse")
-            return ClosedCircleSet.full_circle(self.angle), Certificate(
-                True, self.certificate.depth, "collapse")
-        if abs(n) <= self.window:
-            v = self.values[n]
+        v = self.values.get(n)
+        if v is not None:
             if v.is_empty():
                 return v, Certificate(True, self.certificate.depth, "empty-forced")
             return v, self.certificate
-        if self.finite_support is not None and abs(n) > self.finite_support:
-            return ClosedCircleSet.full_circle(self.angle), Certificate(
-                True, self.certificate.depth, "finite-support")
+        if self.closed is not None:
+            return self.closed.value(n)[0], self.certificate
         with self._widening:  # widen on demand; the wider state swaps in whole
             if abs(n) > self.window:
                 self.__dict__ = vars(join_many(self.generators, abs(n), self.depth))
         return self.value(n)
 
     def support_modulus(self) -> Optional[int]:
-        if self.all_empty_mod is not None:
-            return self.all_empty_mod
         mods = [g.support_modulus() for g in self.generators]
-        if any(m is None for m in mods):
-            return None
-        return gcd(*mods)
+        mod = self.closed.support_modulus() if self.closed is not None else None
+        return mod or (None if None in mods else gcd(*mods))
 
     def support_bound(self) -> Optional[int]:
-        return self.finite_support
+        return self.closed.support_bound() if self.closed is not None else None
 
     def is_point_valued(self) -> bool:
-        if self.all_empty_mod is not None:
-            return True
+        if self.closed is not None:
+            return self.closed.is_point_valued()
         return all(g.is_point_valued() for g in self.generators)
 
 
@@ -556,38 +552,25 @@ def join_many(generators: Sequence[IdealFunction], window: int,
         seed[n] = acc
     D, rounds, stable = _closure_fixpoint(seed, depth)
 
-    # collapse: once the value at the gcd of the generator progressions is
-    # empty, the true join is empty on that progression and full off it
-    all_empty_mod = None
-    if all(m is not None for m in mods):
-        d = gcd(*mods)
-        if 0 < d <= W2 and D[d].is_empty():
-            all_empty_mod = d
-    # certified finite support: generators have certified bounds and the
-    # fixpoint is full-circle outside [-window, window]
-    finite_support = None
-    if stable and all_empty_mod is None:
-        bounds = [g.support_bound() for g in generators]
-        if all(b is not None and b <= W2 for b in bounds):
-            K = max((abs(n) for n in range(-W2, W2 + 1) if not D[n].full), default=0)
-            if K <= window:
-                finite_support = K
-
-    if all_empty_mod is not None:
-        fn_exact, note = True, "collapse"
-    elif finite_support is not None:
-        fn_exact, note = True, "finite-support"
-    elif stable:
-        # stabilized sweep plus window closedness; exact per the
-        # certification contract, globally rigorous only in the cases above
-        fn_exact, note = True, "window-stabilized"
-    else:
-        fn_exact, note = False, "depth-exhausted"
-
     values = {n: D[n] for n in range(-window, window + 1)}
+    d = gcd(*mods) if None not in mods else 0
+    K = max((abs(n) for n in D if not D[n].full), default=0)
+    if 0 < d <= W2 and D[d].is_empty():
+        # collapse: once the value at the gcd of the generator progressions
+        # is empty, the true join is basic(d, empty): empty on dZ, full off it
+        closed, note, values = BasicFunction(d, D[d]), "collapse", {}
+    elif stable and all(b is not None and b <= W2
+                        for b in (g.support_bound() for g in generators)) and K <= window:
+        # certified finite support: generators have certified bounds and the
+        # fixpoint is full-circle outside [-K, K], inside the window
+        closed = WindowFunction(generators[0].angle, {n: D[n] for n in range(-K, K + 1)})
+        note = "finite-support"
+    else:
+        # a stabilized sweep plus window closedness is exact per the
+        # certification contract, globally rigorous only with a closed form
+        closed, note = None, "window-stabilized" if stable else "depth-exhausted"
     return JoinFunction(generators, window, depth, values,
-                        Certificate(fn_exact, rounds, note),
-                        all_empty_mod, finite_support)
+                        Certificate(stable or closed is not None, rounds, note), closed)
 
 
 def closed_join(c1: IdealFunction, c2: IdealFunction, window: int = DEFAULT_WINDOW,
@@ -848,8 +831,9 @@ def simplicity_report(c: IdealFunction, window: int = DEFAULT_WINDOW) -> Simplic
     """
     Q, cert = q_intersection(c, window)
     if not Q.is_empty() and cert.exact:
+        # Q1 is a nonempty, non-full part of Q: make_ideal_IQ's checks hold
         Q1 = ClosedCircleSet.from_points(c.angle, [pt(0)]) if Q.full else Q
-        return SimplicityReport("not-simple", make_ideal_IQ(c, Q1, window),
+        return SimplicityReport("not-simple", CIdealFunction(c, {0: Q1}),
                                 "explicit proper ideal from the common zero set",
                                 Q, cert)
     cls = classify_algebra(c, window)

@@ -19,8 +19,8 @@ import rotalg
 from rotalg import (Arc, ClosedCircleSet, function_to_json, golden_angle,
                     make_basic, set_to_json, window_function)
 from rotalg.circleset import pt
-from rotalg.cli import build_parser, main, report_schema
-from rotalg.idealfn import SEED_LIMIT
+from rotalg.cli import InputError, build_parser, main, report_schema
+from rotalg.idealfn import COUNT_LIMIT, SEED_LIMIT
 
 F = Fraction
 _G = golden_angle()
@@ -169,7 +169,8 @@ def test_reader_closing_the_pipe_early_is_no_traceback(tmp_path):
 
 
 def test_lattice_verbs_leave_numpy_unimported(inputs, tmp_path):
-    # numpy loads with the sandbox, on the first sandbox verb
+    # numpy loads with the sandbox, on the first sandbox verb; the exact
+    # side modules of the sandboxes load on first use too
     script = f"""
 import sys
 import rotalg.cli
@@ -178,6 +179,7 @@ for argv in ({["eval", str(inputs["a"]), "-n", "3"]!r},
              {["check-closed", str(inputs["a"]), "--window", "2"]!r}):
     assert rotalg.cli.main(argv + ["-o", {str(tmp_path / "out.json")!r}]) == 0, argv
 assert "numpy" not in sys.modules
+assert "rotalg.finitegroup" not in sys.modules and "rotalg.exactnum" not in sys.modules
 assert rotalg.cli.main(["sandbox-verify", "--suite", "ring", "--n", "2"]) == 0
 assert "numpy" in sys.modules
 """
@@ -504,6 +506,17 @@ def test_far_point_basic_value_exits_4_at_once(inputs, capsys):
     assert code == 0 and rep["result"]["set"] == set_to_json(ClosedCircleSet.full_circle(_G))
 
 
+def test_far_reads_of_an_empty_basic_and_its_collapsed_join_exit_0_at_once(capsys):
+    empty = function_to_json(make_basic(1, ClosedCircleSet.empty(_G)))
+    join = {"angle": _G.to_json(), "repr": "join", "depth": 6, "gens": [empty]}
+    for doc, note in ((empty, ""), (join, "collapse")):
+        start = time.perf_counter()
+        code, rep = run(capsys, "eval", json.dumps(doc), "-n", str(10**12))
+        assert time.perf_counter() - start < 5
+        assert code == 0 and rep["result"]["set"] == set_to_json(ClosedCircleSet.empty(_G))
+        assert rep["result"]["certificate"]["note"] == note
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"], ["sandbox-verify", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -553,12 +566,30 @@ def test_flags_nothing_reads_exit_4(argv, flag, inputs, capsys, tmp_path):
     pytest.param(["sandbox-verify", "--suite", "ring", "--n", "0"], id="suite-n-zero"),
     pytest.param(["group-verify", "--trials", "0"], id="trials-zero"),
     pytest.param(["sandbox-verify", "--suite", "fejer", "--n", "3"], id="fejer-below-degree"),
+    pytest.param(["group-verify", "--trials", str(10**9)], id="trials-past-count-limit"),
+    pytest.param(["sandbox-verify", "--suite", "ring", "--n", str(COUNT_LIMIT + 1)],
+                 id="suite-n-past-count-limit"),
+    pytest.param(["sandbox-verify", "--suite", "derivative", "--n", str(10**9)],
+                 id="derivative-n-past-count-limit"),
 ])
 def test_out_of_range_values_exit_4(argv, inputs, capsys):
     subs = {"{A}": str(inputs["a"]), "{B}": str(inputs["b"])}
+    start = time.perf_counter()
     code = main([subs.get(a, a) for a in argv])
+    assert time.perf_counter() - start < 5
     err = _error(capsys)
     assert code == 4 and err["verb"] == argv[0]
+
+
+@pytest.mark.parametrize("argv, dest", [(["group-verify", "--trials"], "trials"),
+                                        (["sandbox-verify", "--suite", "ring", "--n"], "n")])
+def test_counts_are_bounded_by_count_limit(argv, dest):
+    # parsed only: a run at the limit takes seconds (see COUNT_LIMIT)
+    parser = build_parser(argv[0])
+    assert getattr(parser.parse_args(argv + [str(COUNT_LIMIT)]), dest) == COUNT_LIMIT
+    with pytest.raises(InputError, match=f"must be at most COUNT_LIMIT = {COUNT_LIMIT}, "
+                                         f"got {COUNT_LIMIT + 1}"):
+        parser.parse_args(argv + [str(COUNT_LIMIT + 1)])
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rotalg import (Arc, ClosedCircleSet, all_empty, canonical_decomposition,
-                    check_c_closed, check_closed, classify_algebra, close,
-                    closed_join, closed_join_value, golden_angle, join_many,
-                    make_basic, meet, naive_join, omega, q_intersection,
-                    simplicity_report, support, triviality, values_equal,
-                    window_function)
+from rotalg import (Arc, BasicFunction, Certificate, ClosedCircleSet, WindowFunction,
+                    all_empty, canonical_decomposition, check_c_closed, check_closed,
+                    classify_algebra, close, closed_join, closed_join_value, golden_angle,
+                    join_many, make_basic, meet, naive_join, omega, q_intersection,
+                    simplicity_report, support, triviality, values_equal, window_function)
 from rotalg.circleset import pt
 from rotalg.idealfn import SEED_LIMIT
 
@@ -29,6 +28,12 @@ def exps_of(s):
     if s.full:
         return oracles.FULL
     return frozenset(p.n for p in s.points)
+
+
+def collapse_modulus(j):
+    """The d of a join whose closed form is basic(d, empty)."""
+    assert isinstance(j.closed, BasicFunction) and j.closed.P.is_empty()
+    return j.closed.q
 
 
 # -- the constraint sweep's point filter -------------------------------------
@@ -208,7 +213,7 @@ def test_join_of_disjoint_orbit_points_collapses():
     j = closed_join(make_basic(1, _P), make_basic(1, _P.rotate(1)),
                     window=6, depth=4)
     assert j.certificate.exact and j.certificate.depth <= 4
-    assert j.all_empty_mod == 1
+    assert collapse_modulus(j) == 1
     assert all(j.value_set(n).is_empty() for n in range(-6, 7))
     assert check_closed(j, 6).ok
 
@@ -231,7 +236,7 @@ def test_join_against_tuple_enumeration_oracle():
 def test_join_of_mixed_steps_collapses():
     # steps 1 and 2 over the same point: products force everything empty
     j = closed_join(make_basic(1, _P), make_basic(2, _P), window=5)
-    assert j.all_empty_mod == 1
+    assert collapse_modulus(j) == 1
     assert j.value_set(1).is_empty()
 
 
@@ -465,10 +470,15 @@ def test_simplicity_singleton_point():
     assert rep.verdict == "simple"
 
 
-def test_simplicity_not_simple_with_witness(silver):
+def test_simplicity_not_simple_with_witness(silver, monkeypatch):
+    from rotalg import idealfn
+    calls = []
+    q_int = idealfn.q_intersection
+    monkeypatch.setattr(idealfn, "q_intersection", lambda *a: calls.append(a) or q_int(*a))
     half = ClosedCircleSet.from_components(silver, (), (Arc(pt(0), pt(F(1, 2))),))
     rep = simplicity_report(make_basic(1, half), 10)
     assert rep.verdict == "not-simple"
+    assert len(calls) == 1  # the witness is built from the Q already found
     assert rep.witness is not None
     assert check_c_closed(rep.witness, 10).ok
 
@@ -554,35 +564,45 @@ def test_pointwise_is_point_valued():
     assert not naive_join(points[0], make_basic(1, arc)).is_point_valued()
 
 
+# indices each closed-form join is read at: its window, one past it, far out
+def _reads(window):
+    return [*range(-window - 1, window + 2), 10**6, -10**6, 10**6 + 1, -10**6 - 1]
+
+
 def test_collapsed_join_support_protocol():
     # two step-2 basics over distinct points: the seed at 2 is P and its
-    # rotate by 2 intersected, which is empty, so the join is empty on 2Z
-    # and, like both generators, full off it
+    # rotate by 2 intersected, which is empty, so the join is basic(2, empty):
+    # empty on 2Z and, like both generators, full off it
     j = closed_join(make_basic(2, _P), make_basic(2, _P.rotate(2)), window=4)
-    assert j.all_empty_mod == 2
+    assert collapse_modulus(j) == 2
+    assert j.certificate.exact and j.certificate.note == "collapse"
     assert j.support_modulus() == 2
     assert j.support_bound() is None  # 2Z is infinite
     assert j.is_point_valued()
-    for n, empty in ((100, True), (101, False), (-37, False)):
+    for n in _reads(4):
         v, cert = j.value(n)
-        assert (v.is_empty() if empty else v.full) and cert.exact
-        assert cert.note == "collapse"
+        assert (v.is_empty() if n % 2 == 0 else v.full) and cert == j.certificate
     assert j.window == 4
 
 
 def test_finite_support_join_support_protocol():
     # the arc [0, 7/10] and its rotate by -rho (rho ~ 0.618) cover the
     # circle, so the arc basic of step 1 is full off {-1, 0, 1}; it is
-    # closed, and its closure keeps that support
+    # closed, and its closure is itself, with that support
     arc = ClosedCircleSet.from_components(_G, (), (Arc(pt(0), pt(F(7, 10))),))
-    j, cert = close(make_basic(1, arc), window=4)
-    assert cert.note == "finite-support" and j.finite_support == 1
+    b = make_basic(1, arc)
+    j, cert = close(b, window=4)
+    assert cert.exact and cert.note == "finite-support"
+    assert isinstance(j.closed, WindowFunction) and j.closed.default == "full"
     assert j.support_modulus() == 1
     assert j.support_bound() == 1
     assert not j.is_point_valued()
-    v, far = j.value(50)
-    assert v.full and far.exact and far.note == "finite-support"
-    assert j.window == 4  # the read past the window did not widen it
+    for n in _reads(4):
+        v, got = j.value(n)
+        assert v == (b.value_set(n) if abs(n) <= 1 else ClosedCircleSet.full_circle(_G))
+        # the window's empty values keep their own note
+        assert got == (Certificate(True, cert.depth, "empty-forced") if n == 0 else cert)
+    assert j.window == 4  # the reads past the window did not widen it
 
 
 # -- randomized residual joins ----------------------------------------------------
