@@ -6,11 +6,12 @@ counterclockwise arcs between them, or the full circle.  Because rho is
 irrational, two points are equal iff their (q mod 1, n) data agree, and all
 order decisions are exact: float keys with proved bounds, else Angle signs.
 
-Union and intersection of sets holding arcs, and target n (a u b), are one
-coverage sweep (`_sweep`) over the component ends in position order.
+Union and intersection of sets holding arcs, and target n (a.rotate(k) u b),
+are one coverage sweep (`_sweep`) over the component ends in position order.
 Results are canonical (touching arcs joined, points inside arcs absorbed,
 components in their exact (q, n) data order, which rotation keeps), so set
-equality is plain structural equality.  Point-only sets skip the sweep.
+equality is plain structural equality.  Point-only sets skip the sweep: they
+probe each set's frozenset of points, built once, on first use.
 """
 from __future__ import annotations
 
@@ -128,7 +129,7 @@ def _expr_float(angle: Angle, e: _Expr) -> float:
 class ClosedCircleSet:
     """A normalized finite union of points and closed arcs, or everything."""
 
-    __slots__ = ("angle", "full", "points", "arcs")
+    __slots__ = ("angle", "full", "points", "arcs", "_frozen_points")
 
     def __init__(self, angle: Angle, full: bool, points: tuple[CirclePoint, ...],
                  arcs: tuple[Arc, ...]):
@@ -137,6 +138,12 @@ class ClosedCircleSet:
         self.full = full
         self.points = points
         self.arcs = arcs
+        self._frozen_points = None  # built on first use by _point_set
+
+    def _point_set(self) -> frozenset:
+        if self._frozen_points is None:
+            self._frozen_points = frozenset(self.points)
+        return self._frozen_points
 
     # -- constructors ------------------------------------------------------
 
@@ -219,27 +226,42 @@ class ClosedCircleSet:
         if other.full:
             return self
         if not self.arcs and not other.arcs:
-            keep = set(other.points)  # a subsequence of canonical order is canonical
+            keep = other._point_set()  # a subsequence of canonical order is canonical
             if keep.issuperset(self.points):
                 return self
             return ClosedCircleSet(self.angle, False,
                                    tuple(p for p in self.points if p in keep), ())
         return _sweep(self.angle, self.points + other.points, self.arcs + other.arcs, 2)
 
-    def intersect_union(self, a: "ClosedCircleSet", b: "ClosedCircleSet") -> "ClosedCircleSet":
-        """self n (a u b) in one sweep: self counts twice, so depth 3 is where
-        self and a or b cover (a canonical set covers a point at most once)."""
+    def intersect_union(self, a: "ClosedCircleSet", k: int,
+                        b: "ClosedCircleSet") -> "ClosedCircleSet":
+        """self n (a.rotate(k) u b), and self itself when nothing is cut."""
         _check_context(self, a)
         _check_context(self, b)
-        if self.full:
-            return a.union(b)
         if a.full or b.full:
             return self
-        return _sweep(self.angle, self.points * 2 + a.points + b.points,
-                      self.arcs * 2 + a.arcs + b.arcs, 3)
+        if self.full:
+            bound = a.rotate(k).union(b)
+            return self if bound.full else bound
+        if self.arcs or a.arcs or b.arcs:
+            # self counts twice: depth 3 is where self and a or b cover (a
+            # canonical set covers a point at most once)
+            a = a.rotate(k)
+            cut = _sweep(self.angle, self.points * 2 + a.points + b.points,
+                         self.arcs * 2 + a.arcs + b.arcs, 3)
+            return self if cut == self else cut
+        # points only: p is in a.rotate(k) iff its shift by -k is in a, and a
+        # point hashes and compares as its plain tuple, so the probe builds
+        # no point; a subsequence of canonical order is canonical
+        inside, moved = b._point_set(), a._point_set()
+        kept = tuple(p for p in self.points
+                     if p in inside or (p[0], p[1], p[2] - k) in moved)
+        if len(kept) == len(self.points):
+            return self
+        return ClosedCircleSet(self.angle, False, kept, ())
 
     def contains_point(self, p: CirclePoint) -> bool:
-        if self.full or p in self.points:
+        if self.full or p in self._point_set():
             return True
         return bool(self.arcs) and not _sweep(self.angle, (p,), self.arcs, 2).is_empty()
 
@@ -250,7 +272,7 @@ class ClosedCircleSet:
         if other.full:
             return False
         if not self.arcs and not other.arcs:
-            return set(self.points) >= set(other.points)
+            return self._point_set().issuperset(other.points)
         return self.intersect(other) == other
 
     def float_components(self) -> tuple[list[float], list[tuple[float, float]]]:
@@ -266,7 +288,7 @@ class ClosedCircleSet:
 
 
 def _check_context(a: ClosedCircleSet, b: ClosedCircleSet) -> None:
-    if not a.angle.same_as(b.angle):
+    if a.angle is not b.angle and not a.angle.same_as(b.angle):
         raise ValueError("circle sets built over different angle contexts")
 
 

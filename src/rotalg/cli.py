@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 from . import __version__
 from .angle import Angle, PhaseSearchFailed, golden_angle, named_angle
 from .circleset import render_svg, set_from_json, set_to_json
-from .idealfn import (COUNT_LIMIT, DEFAULT_DEPTH, DEFAULT_WINDOW,
+from .idealfn import (COUNT_LIMIT, DEFAULT_DEPTH, DEFAULT_WINDOW, SEED_LIMIT,
                       canonical_decomposition, check_closed, classify_algebra, closed_join,
                       function_from_json, join_many, meet, simplicity_report, values_equal)
 
@@ -330,26 +330,21 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: Optional[int] = None, bound: str = ""):
+    """An int from low to high, where bound says what high is."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {bound}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
-def _count(text: str) -> int:
-    """A suite's --n or group-verify's --trials: from 1 to COUNT_LIMIT."""
-    value = _int_at_least(1)(text)
-    if value > COUNT_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"must be at most COUNT_LIMIT = {COUNT_LIMIT}, got {value}")
-    return value
-
-
-_count.__name__ = "int"
+# a suite's --n or group-verify's --trials
+_count = _int_in(1, COUNT_LIMIT, f"COUNT_LIMIT = {COUNT_LIMIT}")
 
 
 # option -> (flags, add_argument keywords); a verb lists the options it reads
@@ -357,8 +352,11 @@ OPTIONS = {
     "input": (("input",), {}),
     "n": (("-n",), {"type": int, "required": True}),
     "plot_n": (("-n",), {"type": int, "default": 1}),
-    "window": (("--window",), {"type": _int_at_least(0), "default": DEFAULT_WINDOW}),
-    "depth": (("--depth",), {"type": _int_at_least(0), "default": DEFAULT_DEPTH}),
+    # one bound for every verb: a join seeds the closure on twice the window
+    "window": (("--window",), {"type": _int_in(0, SEED_LIMIT // 2, (
+        f"{SEED_LIMIT // 2}, or twice the window exceeds SEED_LIMIT = {SEED_LIMIT}")),
+        "default": DEFAULT_WINDOW}),
+    "depth": (("--depth",), {"type": _int_in(0), "default": DEFAULT_DEPTH}),
     "angle": (("--angle",), {"help": "named angle or JSON descriptor"}),
     "require_exact": (("--require-exact",), {"action": "store_true"}),
     "output": (("-o", "--output"), {"help": "write the report here instead of stdout"}),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import QI, qi, qi_add, qi_conj, qi_div, qi_is_zero, qi_mul, qi_neg
@@ -31,29 +32,43 @@ _ONE = qi(1)
 # -- exact linear algebra over Q(i) -------------------------------------------
 
 
+def _pivot(row: list[QI]) -> int:
+    return row.index(_ONE)  # a reduced row's first nonzero entry is 1
+
+
+def _reduce(rows: list[list[QI]], v: Sequence[QI]) -> Sequence[QI]:
+    """v less its part along a reduced basis, whose rows may come in any order."""
+    for b in rows:
+        c = v[_pivot(b)]
+        if not qi_is_zero(c):
+            v = [qi_add(x, qi_neg(qi_mul(c, y))) for x, y in zip(v, b)]
+    return v
+
+
+def _insert(rows: list[list[QI]], v: Sequence[QI]) -> bool:
+    """One Gauss-Jordan step: append v to the reduced basis rows if it is
+    not in their span, scaled to 1 at its pivot, whose column is cleared
+    from the earlier rows.  Returns whether rows grew."""
+    r = _reduce(rows, v)
+    p = next((i for i, x in enumerate(r) if not qi_is_zero(x)), None)
+    if p is None:
+        return False
+    inv = r[p]
+    r = [qi_div(x, inv) for x in r]
+    for i, b in enumerate(rows):
+        c = b[p]
+        if not qi_is_zero(c):
+            rows[i] = [qi_add(x, qi_neg(qi_mul(c, y))) for x, y in zip(b, r)]
+    rows.append(r)
+    return True
+
+
 def _rref(rows: list[list[QI]]) -> list[list[QI]]:
-    """Reduced basis of the row span (Gaussian elimination over Q(i))."""
-    rows = [list(r) for r in rows]
+    """Reduced basis of the row span (Gauss-Jordan over Q(i)), by pivot."""
     basis: list[list[QI]] = []
-    pivots: list[int] = []
     for r in rows:
-        for b, p in zip(basis, pivots):
-            c = r[p]
-            if not qi_is_zero(c):
-                r = [qi_add(x, qi_neg(qi_mul(c, y))) for x, y in zip(r, b)]
-        p = next((i for i, x in enumerate(r) if not qi_is_zero(x)), None)
-        if p is None:
-            continue
-        inv = r[p]
-        r = [qi_div(x, inv) for x in r]
-        for i, (b, bp) in enumerate(zip(basis, pivots)):
-            c = b[p]
-            if not qi_is_zero(c):
-                basis[i] = [qi_add(x, qi_neg(qi_mul(c, y))) for x, y in zip(b, r)]
-        basis.append(r)
-        pivots.append(p)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order]
+        _insert(basis, r)
+    return sorted(basis, key=_pivot)
 
 
 def _rank(rows: list[list[QI]]) -> int:
@@ -61,48 +76,34 @@ def _rank(rows: list[list[QI]]) -> int:
 
 
 def _in_span(basis_rref: list[list[QI]], v: list[QI]) -> bool:
-    r = list(v)
-    for b in basis_rref:
-        p = next(i for i, x in enumerate(b) if not qi_is_zero(x))
-        c = r[p]
-        if not qi_is_zero(c):
-            r = [qi_add(x, qi_neg(qi_mul(c, y))) for x, y in zip(r, b)]
-    return all(qi_is_zero(x) for x in r)
+    return all(qi_is_zero(x) for x in _reduce(basis_rref, v))
 
 
 def _span_closure(gens: list, mul, vec, dim: int) -> tuple[list, list[list[QI]]]:
     """Close the span of gens under mul inside a dim-dimensional space.
 
-    Returns (basis, rows): elements spanning the generated algebra and the
-    reduced basis of their vectors.  When the generators already span the
-    whole space they are returned as they are; otherwise only independent
-    elements are kept, so no product of dependent ones is formed, and the
-    closure stops as soon as the span reaches the ambient dimension.
+    Returns (basis, rows): independent elements spanning the generated
+    algebra and the reduced basis of their vectors, by pivot.  The
+    generators, then their products, each grow the basis by one
+    Gauss-Jordan step or are dropped; the closure stops as soon as the span
+    reaches dim.
     """
-    rows = _rref([vec(g) for g in gens])
-    if len(rows) == dim:
-        return list(gens), rows
-    basis: list = []
-    rows = []
-    for g in gens:
-        v = vec(g)
-        if not _in_span(rows, v):
-            basis.append(g)
-            rows = _rref(rows + [v])
-    grown = True
-    while grown:
-        grown = False
-        for x in list(basis):
-            for y in list(basis):
-                p = mul(x, y)
-                v = vec(p)
-                if not _in_span(rows, v):
-                    basis.append(p)
-                    rows = _rref(rows + [v])
-                    if len(rows) == dim:
-                        return basis, rows
-                    grown = True
-    return basis, rows
+    basis, rows = [], []
+
+    def products():  # passes over the basis as it stands, until one adds nothing
+        size = None
+        while size != len(basis):
+            size = len(basis)
+            for x in list(basis):
+                for y in list(basis):
+                    yield mul(x, y)
+
+    for e in chain(gens, products()):
+        if _insert(rows, vec(e)):
+            basis.append(e)
+            if len(rows) == dim:
+                break
+    return basis, sorted(rows, key=_pivot)
 
 
 # -- groups and actions --------------------------------------------------------
@@ -511,10 +512,8 @@ def check_not_from_subgroup(action: FiniteAction, vanish_on: set[int]) -> Subgro
     basis, _ = _span_closure(gens, elem_mul, CrossedMatrixElement.vec,
                              len(G) * action.npoints)
     # coefficient space of B at each group element, by exact rank
-    coef_dims = {}
-    for g in G.elements:
-        rows = [list(b.coeffs[g]) for b in basis if g in b.coeffs]
-        coef_dims[g] = _rank(rows) if rows else 0
+    coef_dims = {g: _rank([b.coeffs[g] for b in basis if g in b.coeffs])
+                 for g in G.elements}
 
     comparisons = []
     distinct = True

@@ -362,10 +362,9 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     D[n].rotate(-m) u side[m], where side is the parent's map when given
     (the one-sided rule of an ideal) and D itself otherwise.  Constraints
     met trivially (equal reflection sides, a full side, an empty target)
-    are skipped.  When the target, D[n] and side[m] are all finite point
-    sets, the cut is found by probing their points, with no set built.
-    D is read live, so a caller may set D[t] to cut before asking for the
-    next one.
+    are skipped.  A product cut is one `intersect_union`, which returns D[t]
+    itself when nothing is cut.  D is read live, so a caller may set D[t]
+    to cut before asking for the next one.
 
     Mirror rule: when D is reflective, D[-k] = D[k].rotate(k) on every key,
     the constraint at (-n, -m) is the one at (m, n) rotated by t = m + n:
@@ -392,14 +391,6 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     side = D if parent is None else parent
     nsupp = [n for n in range(-w, w + 1) if not D[n].full]
     msupp = [m for m in range(-w, w + 1) if not side[m].full]
-    held: dict[int, tuple] = {}  # id(s) -> (s, its points); holding s keeps its id unique
-
-    def points_of(s: ClosedCircleSet) -> frozenset:
-        entry = held.get(id(s))
-        if entry is None:
-            entry = held[id(s)] = (s, frozenset(s.points))
-        return entry[1]
-
     for m in msupp:
         for n in nsupp:
             t = m + n
@@ -407,22 +398,10 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
                 break  # nsupp ascends: the rest of the row mirrors visited constraints
             if t not in D or D[t].is_empty():
                 continue
-            target, moved, beside = D[t], D[n], side[m]
-            if target.full or target.arcs or moved.arcs or beside.arcs:
-                cut = target.intersect_union(moved.rotate(-m), beside)
-                if cut != target:
-                    quiet = False
-                    yield ("product", m, n), t, cut
-                continue
-            # points only: p is in D[n].rotate(-m) iff p.shift(m) is in D[n];
-            # a point hashes and compares as its plain tuple, so the probe
-            # builds no point
-            inside, shifted = points_of(beside), points_of(moved)
-            kept = tuple(p for p in target.points
-                         if p in inside or (p[0], p[1], p[2] + m) in shifted)
-            if len(kept) < len(target.points):
+            cut = D[t].intersect_union(D[n], -m, side[m])
+            if cut is not D[t]:
                 quiet = False
-                yield ("product", m, n), t, ClosedCircleSet(target.angle, False, kept, ())
+                yield ("product", m, n), t, cut
 
 
 def _labels(D: dict[int, ClosedCircleSet], w: int,

@@ -610,7 +610,7 @@ def test_intersect_union_against_two_sweeps_and_exact_model(example):
     pool, comps = example
     _assume_model_decides(pool)
     T, A, B = (ClosedCircleSet.from_components(_G, pts, arcs) for pts, arcs in comps)
-    got = T.intersect_union(A, B)
+    got = T.intersect_union(A, 0, B)
     assert got == T.intersect(A.union(B))
     mT, mA, mB = (_model(pts, arcs) for pts, arcs in comps)
     assert _model_of(got) == oracles.arc_intersect(mT, oracles.arc_union(mA, mB))
@@ -621,17 +621,51 @@ def test_intersect_union_cases(golden, silver):
     a = arcset(golden, pt(F(1, 5)), pt(F(3, 10)))
     b = ClosedCircleSet.from_points(golden, [pt(F(2, 5)), pt(F(3, 4))])
     full = ClosedCircleSet.full_circle(golden)
-    assert full.intersect_union(a, b) == a.union(b)
-    assert T.intersect_union(full, b) is T and T.intersect_union(a, full) is T
-    assert T.intersect_union(a, b) == ClosedCircleSet.from_components(
+    assert full.intersect_union(a, 0, b) == a.union(b)
+    assert full.intersect_union(a, 2, b) == a.rotate(2).union(b)
+    # a full target whose bound is full is not cut
+    assert full.intersect_union(full, 1, b) is full
+    assert full.intersect_union(arcset(golden, pt(0), pt(F(1, 2))), 0,
+                                arcset(golden, pt(F(1, 2)), pt(0))) is full
+    assert T.intersect_union(full, 3, b) is T and T.intersect_union(a, -1, full) is T
+    assert T.intersect_union(a, 0, b) == ClosedCircleSet.from_components(
         golden, [pt(F(2, 5))], [Arc(pt(F(1, 5)), pt(F(3, 10)))])
+    assert T.intersect_union(a.rotate(-1), 1, b) == T.intersect_union(a, 0, b)
     points = ClosedCircleSet.from_points(golden, [pt(F(1, 4)), pt(F(2, 5)), pt(F(3, 5))])
-    assert points.intersect_union(a, T) == ClosedCircleSet.from_points(
+    assert points.intersect_union(a, 0, T) == ClosedCircleSet.from_points(
         golden, [pt(F(1, 4)), pt(F(2, 5))])
+    # points alone: p is in A.rotate(k) iff its shift by -k is in A
+    A = ClosedCircleSet.from_points(golden, [pt(F(1, 4), -2), pt(F(3, 5), 1)])
+    assert points.intersect_union(A, 2, b) == ClosedCircleSet.from_points(
+        golden, [pt(F(1, 4)), pt(F(2, 5))])
+    assert points.intersect_union(A, -1, points) is points
     other = arcset(silver, pt(F(1, 5)), pt(F(3, 10)))
-    for args in ((a, other), (other, b)):
+    for args in ((a, 0, other), (other, 0, b)):
         with pytest.raises(ValueError):
             T.intersect_union(*args)
+
+
+_ORBIT = st.builds(pt, st.sampled_from([F(0), F(1, 3), F(1, 2)]), st.integers(-2, 2))
+
+
+@st.composite
+def operands(draw):
+    """A point-only set on three orbits, so that rotated points meet, a set
+    with arcs, or the full circle."""
+    kind = draw(st.sampled_from(("points", "arcs", "full")))
+    if kind == "full":
+        return ClosedCircleSet.full_circle(_G)
+    if kind == "arcs":
+        return draw(circle_sets(_ORBIT))
+    return ClosedCircleSet.from_points(_G, draw(st.lists(_ORBIT, max_size=5)))
+
+
+@given(operands(), operands(), st.integers(-3, 3), operands())
+def test_intersect_union_is_the_set_expression(T, A, k, B):
+    got = T.intersect_union(A, k, B)
+    want = T.intersect(A.rotate(k).union(B))
+    assert (got.full, got.points, got.arcs) == (want.full, want.points, want.arcs)
+    assert (got is T) == (got == T)
 
 
 # -- serialization -----------------------------------------------------------

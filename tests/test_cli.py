@@ -592,6 +592,23 @@ def test_counts_are_bounded_by_count_limit(argv, dest):
         parser.parse_args(argv + [str(COUNT_LIMIT + 1)])
 
 
+@pytest.mark.parametrize("argv", [["check-closed", "{A}"], ["meet", "{A}", "{B}"],
+                                  ["classify", "{A}"], ["simplicity", "{A}"]],
+                         ids=lambda argv: argv[0])
+def test_window_is_bounded_by_half_the_seed_limit(argv, inputs, capsys):
+    # parsed only at the bound: check-closed --window 200 takes seconds
+    subs = {"{A}": str(inputs["a"]), "{B}": str(inputs["b"])}
+    argv = [subs.get(a, a) for a in argv] + ["--window"]
+    limit = SEED_LIMIT // 2
+    assert build_parser(argv[0]).parse_args(argv + [str(limit)]).window == limit
+    start = time.perf_counter()
+    code = main(argv + [str(limit + 1)])
+    assert time.perf_counter() - start < 5
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == argv[0]
+    assert f"exceeds SEED_LIMIT = {SEED_LIMIT}, got {limit + 1}" in err["error"]
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["join", "{A}", "{BIG}", "--window", "2"], id="join-step-1000000"),
     pytest.param(["close", "{A}", "--window", "3000"], id="close-window-3000"),

@@ -605,6 +605,34 @@ def test_finite_support_join_support_protocol():
     assert j.window == 4  # the reads past the window did not widen it
 
 
+def test_closed_form_joins_answer_support_classify_and_q_exactly():
+    # a collapse onto Z: every value is empty, so the support is Z, every
+    # value is nowhere dense and the common zero set Q is empty
+    j = closed_join(make_basic(1, _P), make_basic(1, _P.rotate(1)), window=6)
+    assert collapse_modulus(j) == 1
+    sup = support(j, 6)
+    assert sup.symbolic == "Z" and sup.certificate.exact
+    cls = classify_algebra(j, 6)
+    assert cls.verdict == "residual" and cls.certificate.exact
+    Q, cert = q_intersection(j, 6)
+    assert Q.is_empty() and cert.exact
+    # two overlapping arc basics of step 1 join to a finite support: the
+    # value at 1 is at most [1/5, 2/5] and the one at -1 its rotate by 1,
+    # [1/5 + rho, 2/5 + rho], which misses it (rho ~ 0.618), so Q is empty
+    arc = {k: ClosedCircleSet.from_components(_G, (), (Arc(pt(a), pt(b)),))
+           for k, (a, b) in {"left": (0, F(2, 5)), "right": (F(1, 5), F(3, 5))}.items()}
+    j = join_many([make_basic(1, arc["left"]), make_basic(1, arc["right"])], 20, 30)
+    assert j.certificate.note == "finite-support"
+    assert isinstance(j.closed, WindowFunction)
+    sup = support(j, 20)
+    assert sup.symbolic == "finite" and sup.certificate.exact
+    assert sup.members == [n for n in range(-20, 21) if not j.value_set(n).full]
+    cls = classify_algebra(j, 20)
+    assert cls.verdict == "small" and cls.certificate.exact
+    Q, cert = q_intersection(j, 20)
+    assert Q.is_empty() and cert.exact
+
+
 # -- randomized residual joins ----------------------------------------------------
 
 

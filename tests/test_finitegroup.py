@@ -227,6 +227,17 @@ def test_m2_closure_of_a_full_rank_seed_forms_no_product():
     assert basis == [_EYE, _SWAP, c, _m2_adj(c)]
 
 
+def test_m2_closure_of_a_full_rank_seed_keeps_only_independent_generators():
+    # the duplicate adds nothing, and the closure stops at rank four before
+    # it reads the last generator
+    c = (qi(1), qi(2), qi(3), qi(5))
+    called = []
+    basis, rows = _span_closure([_EYE, _SWAP, _EYE, c, _m2_adj(c), c],
+                                lambda x, y: called.append(1), list, 4)
+    assert basis == [_EYE, _SWAP, c, _m2_adj(c)] and not called
+    assert rows == _rref([list(_EYE), list(_SWAP), list(c), list(_m2_adj(c))])
+
+
 def test_m2_closure_of_the_copy_alone_is_the_copy():
     basis, rows = _span_closure([_EYE, _SWAP], _m2_mul, list, 4)
     assert len(rows) == 2 and basis == [_EYE, _SWAP]
