@@ -218,11 +218,11 @@ def _decompose(args, angle, fn) -> dict:
 
 def _classify(args, angle, fn) -> dict:
     rep = classify_algebra(fn, args.window)
-    sup = rep.evidence["support"]
+    sup = rep.support
     return {"window": args.window, "ok": True, "verdict": rep.verdict,
             "support": {"members": sup.members, "symbolic": sup.symbolic,
                         "certificate": _cert_json(sup.certificate)},
-            "value_kinds": {str(k): v for k, v in rep.evidence["value_kinds"].items()},
+            "value_kinds": {str(k): v for k, v in rep.value_kinds.items()},
             "certificate": _cert_json(rep.certificate),
             "all_exact": rep.certificate.exact}
 

@@ -24,9 +24,8 @@ explanatory note, and exhausting the round budget yields an upper bound.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .angle import Angle, json_int, json_of
 from .circleset import ClosedCircleSet, covering_index, pt, set_from_json, set_to_json
@@ -62,8 +61,7 @@ class OutsideWindowError(KeyError):
     """A window function with unknown outside values was queried there."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Exactness evidence attached to a computed value or function."""
     exact: bool
     depth: int = 0
@@ -339,14 +337,16 @@ def values_equal(c1: IdealFunction, c2: IdealFunction, window: int) -> bool:
 # closedness checks
 
 
-@dataclass
-class ClosednessReport:
-    ok: bool
+class ClosednessReport(NamedTuple):
     # ("reflection", n), ("product", m, n); for ideals also ("domination", n)
     # and ("product-symmetric", m, n)
     violations: list[tuple]
 
-    def __bool__(self) -> bool:
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def __bool__(self) -> bool:  # a one-field tuple is always truthy
         return self.ok
 
 
@@ -419,15 +419,12 @@ def check_closed(c: IdealFunction, window: int) -> ClosednessReport:
     a complete check.
     """
     vals = {n: c.value_set(n) for n in range(-2 * window, 2 * window + 1)}
-    viols = _labels(vals, window)
-    return ClosednessReport(not viols, viols)
+    return ClosednessReport(_labels(vals, window))
 
 
-@dataclass
 class ExtensionViolation(Exception):
-    condition: str
-    m: int
-    n: int
+    def __init__(self, condition: str, m: int, n: int):
+        self.condition, self.m, self.n = condition, m, n
 
     def __str__(self) -> str:
         return f"{self.condition} violated at (m={self.m}, n={self.n})"
@@ -581,10 +578,8 @@ def close(c: IdealFunction, window: int = DEFAULT_WINDOW,
 # support, classification, decomposition
 
 
-@dataclass
-class SupportReport:
+class SupportReport(NamedTuple):
     members: list[int]          # within the window
-    window: int
     symbolic: Optional[str]     # e.g. "Z", "2Z", "finite"
     certificate: Certificate
 
@@ -593,7 +588,7 @@ def support(c: IdealFunction, window: int) -> SupportReport:
     members = c.support_members(window)
     bound = c.support_bound()
     if bound is not None and bound <= window:
-        return SupportReport(members, window, "finite", EXACT)
+        return SupportReport(members, "finite", EXACT)
     mod = c.support_modulus()
     if mod is not None:
         # symbolic progression, when the window confirms every multiple
@@ -601,15 +596,14 @@ def support(c: IdealFunction, window: int) -> SupportReport:
             sym = "Z" if mod == 1 else f"{mod}Z"
             cert = EXACT if c.is_point_valued() else Certificate(
                 False, 0, "window-evidence")
-            return SupportReport(members, window, sym, cert)
-    return SupportReport(members, window, None,
-                         Certificate(False, 0, "window-truncated"))
+            return SupportReport(members, sym, cert)
+    return SupportReport(members, None, Certificate(False, 0, "window-truncated"))
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     verdict: str                # 'residual' | 'small' | 'neither'
-    evidence: dict
+    support: SupportReport
+    value_kinds: dict[int, str]  # member -> ClosedCircleSet.classify()
     certificate: Certificate
 
 
@@ -624,17 +618,15 @@ def classify_algebra(c: IdealFunction, window: int = DEFAULT_WINDOW) -> Classifi
     sup = support(c, window)
     kinds = {n: c.value_set(n).classify() for n in sup.members}
     nowhere_dense = all(k in ("empty", "finite-points") for k in kinds.values())
-    evidence = {"support": sup, "value_kinds": kinds}
     if sup.symbolic == "finite":
-        return ClassificationReport("small", evidence, EXACT)
+        return ClassificationReport("small", sup, kinds, EXACT)
     if nowhere_dense:
-        return ClassificationReport("residual", evidence, sup.certificate)
-    return ClassificationReport("neither", evidence,
+        return ClassificationReport("residual", sup, kinds, sup.certificate)
+    return ClassificationReport("neither", sup, kinds,
                                 Certificate(False, 0, "window-truncated"))
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     critical: list[tuple[int, ClosedCircleSet]]
     rejoin_ok: bool
     certificate: Certificate
@@ -775,7 +767,7 @@ def check_c_closed(j: CIdealFunction, window: int) -> ClosednessReport:
                      .intersect(cv[m].rotate(-n).union(jv[n])))
             if not bound.contains_set(target):
                 viols.append(("product-symmetric", m, n))
-    return ClosednessReport(not viols, viols)
+    return ClosednessReport(viols)
 
 
 def triviality(j: CIdealFunction) -> str:
@@ -788,8 +780,7 @@ def triviality(j: CIdealFunction) -> str:
     return "proper"
 
 
-@dataclass
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     verdict: str  # 'not-simple' | 'simple' | 'inconclusive'
     witness: Optional[CIdealFunction]
     notes: str
@@ -817,7 +808,7 @@ def simplicity_report(c: IdealFunction, window: int = DEFAULT_WINDOW) -> Simplic
                                 Q, cert)
     cls = classify_algebra(c, window)
     if cls.verdict == "residual":
-        for n in cls.evidence["support"].members:
+        for n in cls.support.members:
             if n != 0 and c.value_set(n).is_single_point():
                 return SimplicityReport(
                     "simple", None,
