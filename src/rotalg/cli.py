@@ -52,7 +52,13 @@ def _resolve_angle(args) -> Optional[Angle]:
     try:
         return named_angle(args.angle)
     except Exception as exc:
-        raise InputError(f"bad angle {args.angle!r}: {exc}") from exc
+        raise InputError(f"bad angle {args.angle!r}: {_reason(exc)}") from exc
+
+
+def _reason(exc: Exception) -> str:
+    """What a reader's error says; a plain KeyError is a missing field (an
+    OutsideWindowError, a subclass, names its index itself)."""
+    return f"missing field {exc}" if type(exc) is KeyError else str(exc)
 
 
 def _load_function(path: str, angle: Optional[Angle]):
@@ -67,7 +73,7 @@ def _function_from_doc(doc: dict, path: str, angle: Optional[Angle]):
     try:
         return function_from_json(doc, angle, outer=golden_angle() if gap else None)
     except (KeyError, ValueError) as exc:
-        raise InputError(f"bad ideal function in {path}: {exc}") from exc
+        raise InputError(f"bad ideal function in {path}: {_reason(exc)}") from exc
 
 
 def _cert_json(cert) -> dict:
@@ -274,7 +280,10 @@ def _plot(args, angle) -> int:
     if "repr" in doc:
         v, _ = _function_from_doc(doc, args.input, angle).value(args.n)
     else:
-        v = set_from_json(angle or golden_angle(), doc)
+        try:
+            v = set_from_json(angle or golden_angle(), doc)
+        except (KeyError, ValueError) as exc:
+            raise InputError(f"bad circle set in {args.input}: {_reason(exc)}") from exc
     out = args.output or "set.svg"
     with open(out, "w") as fh:
         fh.write(render_svg(v) + "\n")
@@ -347,6 +356,16 @@ def _int_in(low: int, high: Optional[int] = None, bound: str = ""):
 _count = _int_in(1, COUNT_LIMIT, f"COUNT_LIMIT = {COUNT_LIMIT}")
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < INFINITY:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be a positive finite float, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 # option -> (flags, add_argument keywords); a verb lists the options it reads
 OPTIONS = {
     "input": (("input",), {}),
@@ -364,7 +383,7 @@ OPTIONS = {
     # suite flags default to None, so that a flag given to a suite that
     # does not read it can be told apart; the suite's own defaults fill the rest
     "suite_n": (("--n",), {"type": _count, "dest": "n"}),
-    "tolerance": (("--tolerance",), {"type": float}),
+    "tolerance": (("--tolerance",), {"type": _tolerance}),
     "seed": (("--seed",), {"type": int}),
     "trials": (("--trials",), {"type": _count, "default": 200}),
 }

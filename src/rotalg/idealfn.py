@@ -60,6 +60,10 @@ COUNT_LIMIT = 10_000
 class OutsideWindowError(KeyError):
     """A window function with unknown outside values was queried there."""
 
+    def __str__(self) -> str:
+        return (f"index {self.args[0]} is outside the window of a window function "
+                f"whose default is unknown")
+
 
 class Certificate(NamedTuple):
     """Exactness evidence attached to a computed value or function."""

@@ -515,7 +515,7 @@ def membership_test(c: IdealFunction, a: CrossedElement,
     return MembershipReport(ok, report)
 
 
-def bump_power(angle: Angle, center: Fraction, power: int) -> TrigPoly:
+def bump_power(center: Fraction, power: int) -> TrigPoly:
     """((1 + cos(2 pi (t - center))) / 2) ** power as a float dual polynomial.
 
     Coefficients are binomials over 4**power twisted by the center phase.
@@ -585,7 +585,7 @@ def center_check(c, phi: TrigPoly, tolerance: float) -> CenterReport:
     mid = (j_start + j_len / 2) % 1.0
     half = j_len / 2
     n_pow = max(8, int(math.ceil(math.log(1e-6) / math.log(math.cos(math.pi * half) ** 2))))
-    h = bump_power(angle, Fraction(mid).limit_denominator(10**6), n_pow)
+    h = bump_power(Fraction(mid).limit_denominator(10**6), n_pow)
     witness = CrossedElement(angle, "float", {1: h})
     comm = section_norm(multiply(phi_el, witness) - multiply(witness, phi_el), radius=24)
     ok = eq_max <= tolerance and comm <= tolerance

@@ -208,7 +208,7 @@ def suite_center(tolerance: float = 1e-9) -> dict:
     first shift character fails the invariance equations.
     """
     angle, c = center_instance()
-    phi = bump_power(angle, Fraction(1, 2), 20)
+    phi = bump_power(Fraction(1, 2), 20)
     rep = center_check(c, phi, tolerance=tolerance)
     const = TrigPoly("float", {0: 1.0 + 0j})
     rep_const = center_check(c, const, tolerance=tolerance)

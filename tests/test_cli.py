@@ -170,15 +170,20 @@ def test_reader_closing_the_pipe_early_is_no_traceback(tmp_path):
 
 def test_lattice_verbs_leave_numpy_unimported(inputs, tmp_path):
     # numpy loads with the sandbox, on the first sandbox verb; the exact
-    # side modules of the sandboxes load on first use too
+    # side modules of the sandboxes load on first use too; every lattice
+    # report record gets built
     script = f"""
 import sys
 import rotalg.cli
 for argv in ({["eval", str(inputs["a"]), "-n", "3"]!r},
              {["join", str(inputs["a"]), str(inputs["b"])]!r},
-             {["check-closed", str(inputs["a"]), "--window", "2"]!r}):
+             {["check-closed", str(inputs["a"]), "--window", "2"]!r},
+             {["classify", str(inputs["a"]), "--window", "2"]!r},
+             {["simplicity", str(inputs["a"]), "--window", "2"]!r},
+             {["decompose", str(inputs["a"]), "--window", "2"]!r}):
     assert rotalg.cli.main(argv + ["-o", {str(tmp_path / "out.json")!r}]) == 0, argv
 assert "numpy" not in sys.modules
+assert "dataclasses" not in sys.modules  # the lattice records are NamedTuples
 assert "rotalg.finitegroup" not in sys.modules and "rotalg.exactnum" not in sys.modules
 assert rotalg.cli.main(["sandbox-verify", "--suite", "ring", "--n", "2"]) == 0
 assert "numpy" in sys.modules
@@ -315,7 +320,8 @@ def test_negative_join_depth_exits_4(capsys):
 def test_cf_angle_near_one_accepted(capsys):
     # [0; 1, 3, 3, ...] = (1 + sqrt(13))/6 = 0.767... lies in (0, 1), though
     # its convergent pair 3/4, 1/1 reaches 1
-    code, rep = run(capsys, "eval", _replaced("cf", ("angle", "prefix"), [0, 1, 3]), "-n", "1")
+    code, rep = run(capsys, "eval", _replaced(_DOCS["cf"], ("angle", "prefix"), [0, 1, 3]),
+                    "-n", "1")
     assert code == 0 and rep["ok"]
 
 
@@ -609,6 +615,17 @@ def test_window_is_bounded_by_half_the_seed_limit(argv, inputs, capsys):
     assert f"exceeds SEED_LIMIT = {SEED_LIMIT}, got {limit + 1}" in err["error"]
 
 
+@pytest.mark.parametrize("suite", [["--suite", "membership", "--n", "2"], ["--suite", "center"]],
+                         ids=lambda suite: suite[1])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tolerance_is_a_positive_finite_float(suite, value, capsys):
+    # parsed before the suite runs: exit 4 (bad input), not 2 (a check failed)
+    code = main(["sandbox-verify", *suite, "--tolerance", value])
+    err = _error(capsys)
+    assert code == 4 and err["verb"] == "sandbox-verify"
+    assert f"must be a positive finite float, got {value}" in err["error"]
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["join", "{A}", "{BIG}", "--window", "2"], id="join-step-1000000"),
     pytest.param(["close", "{A}", "--window", "3000"], id="close-window-3000"),
@@ -756,6 +773,38 @@ def test_collapsed_join_document_answers_far_reads_without_widening(
 
 # -- malformed documents ---------------------------------------------------------
 
+_UNKNOWN = function_to_json(window_function(_G, {1: _P}, default="unknown"))
+
+
+@pytest.mark.parametrize("argv, index", [
+    pytest.param(["eval", "{W}", "-n", "5"], 5, id="eval"),
+    pytest.param(["check-closed", "{W}"], -20, id="check-closed"),
+    pytest.param(["close", "{W}"], -20, id="close"),
+    pytest.param(["decompose", "{W}"], -10, id="decompose"),
+    # the join reads its generator on loading
+    pytest.param(["eval", "{JOIN}", "-n", "1"], -20, id="join-document"),
+])
+def test_reads_outside_an_unknown_default_window_name_the_index(argv, index, capsys):
+    join = {"angle": _G.to_json(), "repr": "join", "gens": [_UNKNOWN]}
+    subs = {"{W}": json.dumps(_UNKNOWN), "{JOIN}": json.dumps(join)}
+    code = main([subs.get(a, a) for a in argv])
+    err = _error(capsys)
+    assert code == 4 and err["error"].endswith(
+        f"index {index} is outside the window of a window function whose default is unknown")
+
+
+def test_missing_fields_are_named(capsys):
+    point = {"pt": {"q": "1/7"}}  # no n
+    basic = {**function_to_json(make_basic(1, _P)), "P": {"components": [point]}}
+    for argv, field in (
+            (["eval", json.dumps(basic), "-n", "1"], "n"),
+            (["plot", json.dumps({"components": [point]}), "-o", os.devnull], "n"),
+            (["eval", json.dumps(_DOCS["basic"]), "-n", "1",
+              "--angle", '{"kind": "surd", "a": 1}'], "b")):
+        assert main(argv) == 4
+        assert _error(capsys)["error"].endswith(f": missing field '{field}'"), argv
+
+
 _ARC = ClosedCircleSet.from_components(_G, [pt(F(1, 2), 1)], (Arc(pt(0), pt(F(1, 5))),))
 _DOCS = {
     "basic": function_to_json(make_basic(1, _P)),
@@ -768,9 +817,13 @@ _DOCS["join"] = {"angle": _G.to_json(), "repr": "join", "depth": 2,
                  "gens": [_DOCS["basic"], _DOCS["arc"]]}
 
 
-def _replaced(name: str, path: tuple, value) -> str:
-    """The named document with the field at path set to value, as text."""
-    doc = copy.deepcopy(_DOCS[name])
+_SET = set_to_json(_ARC)
+_ANGLES = {"surd": _G.to_json(), "cf": _DOCS["cf"]["angle"]}
+
+
+def _replaced(doc, path: tuple, value) -> str:
+    """The document with the field at path set to value, as text."""
+    doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -801,7 +854,7 @@ def _fields(doc, path=()):
     ("join", ("gens", 1, "angle"), {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 1}),
 ])
 def test_malformed_documents_exit_4(name, path, value, capsys):
-    code = main(["eval", _replaced(name, path, value), "-n", "1"])
+    code = main(["eval", _replaced(_DOCS[name], path, value), "-n", "1"])
     captured = capsys.readouterr()
     assert code == 4 and not captured.out
     err = json.loads(captured.err)
@@ -834,18 +887,40 @@ def test_document_that_is_no_object_exits_4(text, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["ok"] is False
 
 
+_FUZZ_VALUES = st.sampled_from([None, [], [1], "x", 1.5, "1/0"])
+
+
+def _main_quietly(argv) -> int:
+    """main's exit code, which must be a report's or bad input's with a JSON error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 4:
+        assert json.loads(err.getvalue())["ok"] is False
+    return code
+
+
 @given(st.sampled_from([(name, path) for name, doc in _DOCS.items() for path in _fields(doc)]),
-       st.sampled_from([None, [], [1], "x", 1.5, "1/0"]))
+       _FUZZ_VALUES)
 def test_document_readers_fuzz(field, value):
     # any one field of a valid document replaced: a report or bad input,
     # never an exception out of main
-    text = _replaced(*field, value)
-    for argv in (["eval", text, "-n", "1"], ["check-closed", text, "--window", "1"]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3, 4)
-        if code == 4:
-            assert json.loads(err.getvalue())["ok"] is False
+    text, basic = _replaced(_DOCS[field[0]], field[1], value), json.dumps(_DOCS["basic"])
+    for argv in (["eval", text, "-n", "1"], ["check-closed", text, "--window", "1"],
+                 ["meet", basic, text, "--window", "1"], ["join", basic, text, "--window", "1"]):
+        code = _main_quietly(argv)
         if field[0] == "join" and field[1][0] == "gens" and field[1][2:3] == ("angle",):
             assert code == 4  # a join generator's angle is read and checked
+
+
+@given(st.sampled_from(list(_fields(_SET))), _FUZZ_VALUES)
+def test_set_reader_fuzz(path, value):
+    _main_quietly(["plot", _replaced(_SET, path, value), "-o", os.devnull])
+
+
+@given(st.sampled_from([(name, path) for name, doc in _ANGLES.items() for path in _fields(doc)]),
+       _FUZZ_VALUES)
+def test_angle_descriptor_fuzz(field, value):
+    angle = _replaced(_ANGLES[field[0]], field[1], value)
+    _main_quietly(["eval", json.dumps(_DOCS["basic"]), "-n", "1", "--angle", angle])

@@ -376,8 +376,8 @@ def test_center_shift_character_fails():
 
 
 def test_center_far_bump_passes():
-    angle, c = center_instance()
-    phi = bump_power(angle, F(1, 2), 20)
+    _, c = center_instance()
+    phi = bump_power(F(1, 2), 20)
     rep = center_check(c, phi, tolerance=1e-8)
     assert rep.ok
     assert rep.commutator_norms["witness"] < 1e-8
@@ -386,7 +386,7 @@ def test_center_far_bump_passes():
 
 
 def test_bump_power_center_half():
-    t = bump_power(_G, F(1, 2), 3)
+    t = bump_power(F(1, 2), 3)
     # binomials over 4^3 with alternating signs: e^{-i pi k} = (-1)^k
     assert t.mode == "float"
     for k, c in ((0, 20), (1, -15), (-1, -15), (2, 6), (3, -1), (-3, -1)):
@@ -397,7 +397,7 @@ def test_bump_power_center_half():
 
 @pytest.mark.parametrize("power", [0, 1, 7, 558])
 def test_bump_power_binomials_match_math_comb(power):
-    flt = bump_power(_G, F(0), power)
+    flt = bump_power(F(0), power)
     for k in range(-power, power + 1):
         base = F(math.comb(2 * power, power + k), 4 ** power)
         # zero coefficients (2**-1116 and the like underflow) are dropped
