@@ -577,6 +577,11 @@ def test_flags_nothing_reads_exit_4(argv, flag, inputs, capsys, tmp_path):
                  id="suite-n-past-count-limit"),
     pytest.param(["sandbox-verify", "--suite", "derivative", "--n", str(10**9)],
                  id="derivative-n-past-count-limit"),
+    # a tolerance must be positive and finite: exit 4 (bad input), not 2 (a check failed)
+    *[pytest.param(["sandbox-verify", *suite, "--tolerance", value],
+                   id=f"{suite[1]}-tolerance-{value}")
+      for suite in (["--suite", "membership", "--n", "2"], ["--suite", "center"])
+      for value in ("nan", "inf", "0", "-1")],
 ])
 def test_out_of_range_values_exit_4(argv, inputs, capsys):
     subs = {"{A}": str(inputs["a"]), "{B}": str(inputs["b"])}
@@ -613,17 +618,6 @@ def test_window_is_bounded_by_half_the_seed_limit(argv, inputs, capsys):
     err = _error(capsys)
     assert code == 4 and err["verb"] == argv[0]
     assert f"exceeds SEED_LIMIT = {SEED_LIMIT}, got {limit + 1}" in err["error"]
-
-
-@pytest.mark.parametrize("suite", [["--suite", "membership", "--n", "2"], ["--suite", "center"]],
-                         ids=lambda suite: suite[1])
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_tolerance_is_a_positive_finite_float(suite, value, capsys):
-    # parsed before the suite runs: exit 4 (bad input), not 2 (a check failed)
-    code = main(["sandbox-verify", *suite, "--tolerance", value])
-    err = _error(capsys)
-    assert code == 4 and err["verb"] == "sandbox-verify"
-    assert f"must be a positive finite float, got {value}" in err["error"]
 
 
 @pytest.mark.parametrize("argv", [
