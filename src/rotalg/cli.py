@@ -277,7 +277,7 @@ def _group_verify(args, angle) -> dict:
 
 def _plot(args, angle) -> int:
     doc = _load_json(args.input)
-    if "repr" in doc:
+    if isinstance(doc, dict) and "repr" in doc:
         v, _ = _function_from_doc(doc, args.input, angle).value(args.n)
     else:
         try:

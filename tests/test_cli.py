@@ -877,8 +877,9 @@ def test_join_generators_are_read_at_the_join_angle(capsys):
 def test_document_that_is_no_object_exits_4(text, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(text)
-    assert main(["eval", str(path), "-n", "1"]) == 4
-    assert json.loads(capsys.readouterr().err)["ok"] is False
+    for argv in (["eval", str(path), "-n", "1"], ["plot", str(path), "-o", os.devnull]):
+        assert main(argv) == 4
+        assert json.loads(capsys.readouterr().err)["ok"] is False
 
 
 _FUZZ_VALUES = st.sampled_from([None, [], [1], "x", 1.5, "1/0"])
