@@ -27,7 +27,7 @@ from .idealfn import (BasicFunction, Certificate, CIdealFunction,
 
 # modules no lattice verb needs load on first use of a name they export,
 # which is then bound here (PEP 562): these of finitegroup, and all of
-# sandbox's __all__ (sandbox imports numpy)
+# sandbox's __all__ (numpy loads later still, with the first norm)
 _LAZY = {"finitegroup": ("FiniteAbelianGroup", "FiniteAction", "augmentation_ideal",
                          "build_BI", "check_no_intermediate_M2", "check_not_from_subgroup",
                          "extend_ideal")}

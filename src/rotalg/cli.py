@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 from . import __version__
 from .angle import Angle, PhaseSearchFailed, golden_angle, named_angle
 from .circleset import render_svg, set_from_json, set_to_json
-from .idealfn import (COUNT_LIMIT, DEFAULT_DEPTH, DEFAULT_WINDOW, SEED_LIMIT,
+from .idealfn import (COUNT_LIMIT, DEFAULT_DEPTH, DEFAULT_WINDOW, DEPTH_LIMIT, SEED_LIMIT,
                       canonical_decomposition, check_closed, classify_algebra, closed_join,
                       function_from_json, join_many, meet, simplicity_report, values_equal)
 
@@ -375,7 +375,8 @@ OPTIONS = {
     "window": (("--window",), {"type": _int_in(0, SEED_LIMIT // 2, (
         f"{SEED_LIMIT // 2}, or twice the window exceeds SEED_LIMIT = {SEED_LIMIT}")),
         "default": DEFAULT_WINDOW}),
-    "depth": (("--depth",), {"type": _int_in(0), "default": DEFAULT_DEPTH}),
+    "depth": (("--depth",), {"type": _int_in(0, DEPTH_LIMIT, f"DEPTH_LIMIT = {DEPTH_LIMIT}"),
+                             "default": DEFAULT_DEPTH}),
     "angle": (("--angle",), {"help": "named angle or JSON descriptor"}),
     "require_exact": (("--require-exact",), {"action": "store_true"}),
     "output": (("-o", "--output"), {"help": "write the report here instead of stdout"}),

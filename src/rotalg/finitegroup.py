@@ -10,10 +10,9 @@ C(X), non-crossed-product coefficient spaces) are certified, not sampled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactnum import QI, qi, qi_add, qi_conj, qi_div, qi_is_zero, qi_mul, qi_neg
 
@@ -217,8 +216,7 @@ class FiniteAction:
 # an element is a dict g -> coefficient vector (tuple of QI over the points)
 
 
-@dataclass
-class CrossedMatrixElement:
+class CrossedMatrixElement(NamedTuple):
     action: FiniteAction
     coeffs: dict  # g -> tuple[QI, ...]
 
@@ -315,8 +313,7 @@ def regular_matrix(a: CrossedMatrixElement) -> list[list[QI]]:
 # -- the five operations --------------------------------------------------------
 
 
-@dataclass
-class IdealReport:
+class IdealReport(NamedTuple):
     basis: list[dict]        # group-algebra vectors as {g: QI}
     dimension: int
     two_sided: bool
@@ -350,8 +347,7 @@ def augmentation_ideal(group: FiniteAbelianGroup) -> IdealReport:
     return _ideal_report(group, [{g: _ONE, e: qi(-1)} for g in group.elements if g != e])
 
 
-@dataclass
-class BIReport:
+class BIReport(NamedTuple):
     dimension: int
     star_closed: bool
     functions_intersection_dim: int   # dim of (B n C(X))
@@ -409,8 +405,7 @@ def _m2_adj(a):
     return (qi_conj(a[0]), qi_conj(a[2]), qi_conj(a[1]), qi_conj(a[3]))
 
 
-@dataclass
-class M2Report:
+class M2Report(NamedTuple):
     iso_verified: bool
     embedded_group_algebra: _M2Basis
     functions_image: _M2Basis
@@ -476,8 +471,7 @@ def check_no_intermediate_M2(trials: int = 1000) -> M2Report:
     return M2Report(iso, [eye, swap], diag, done, all_full)
 
 
-@dataclass
-class SubgroupReport:
+class SubgroupReport(NamedTuple):
     distinct_from_all: bool
     coefficient_dims: dict  # g -> dim of the coefficient space of B at g
     comparisons: list[tuple]  # (subgroup elements, matches_B)
@@ -550,7 +544,6 @@ def extend_ideal(group: FiniteAbelianGroup, subgroup: Iterable,
     rep = _ideal_report(group, [u for u in ext if u])
     # compression onto the subgroup stays in the original span, which is the
     # structural reason the extension misses the identity
-    rep.proper = all(_in_span(j_rows,
-                              _ga_vec(group, {g: c for g, c in u.items() if g in sub}))
-                     for u in rep.basis) and rep.proper
-    return rep
+    return rep._replace(proper=all(
+        _in_span(j_rows, _ga_vec(group, {g: c for g, c in u.items() if g in sub}))
+        for u in rep.basis) and rep.proper)

@@ -55,6 +55,10 @@ VALUE_LIMIT = 100_000
 # takes 1.7 ms (17 s at the limit), fejer up to 0.75, group-verify 0.18 (2-CPU
 # box); derivative's n convergents took 0.06 s at 10**4, 1.45 s at 10**5
 COUNT_LIMIT = 10_000
+# the most closure sweeps a join runs (--depth, a join document's "depth"):
+# tests, goldens and bench ask for at most 6, and no join measured needed
+# more than 10 (an arc pair that collapses, 0.18 s at window 1, 2-CPU box)
+DEPTH_LIMIT = 100
 
 
 class OutsideWindowError(KeyError):
@@ -862,6 +866,8 @@ def function_from_json(doc: dict, angle: Optional[Angle] = None, *,
     if kind == "join":
         gens = [function_from_json(g, angle, outer=own)
                 for g in json_of(list, doc["gens"], "gens")]
-        return join_many(gens, window=DEFAULT_WINDOW,
-                         depth=json_int(doc.get("depth", DEFAULT_DEPTH), "depth"))
+        depth = json_int(doc.get("depth", DEFAULT_DEPTH), "depth")
+        if depth > DEPTH_LIMIT:
+            raise ValueError(f"depth must be at most DEPTH_LIMIT = {DEPTH_LIMIT}, got {depth}")
+        return join_many(gens, window=DEFAULT_WINDOW, depth=depth)
     raise ValueError(f"unknown representation {kind!r}")

@@ -9,18 +9,16 @@ for norm and limit experiments.
 Operator norms are estimated from below by compressions, monotone in their
 radius: the suites' `section_norm` cuts the orbit representation at x = 0
 to |j| <= radius (one dense SVD); `truncated_norm` cuts the regular
-representation to a frequency box.
+representation to a frequency box.  numpy is imported by the norms and
+`layer_block` alone, so the exact arithmetic runs without it.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from .angle import Angle, PhaseSearchFailed
 from .circleset import Arc, ClosedCircleSet
@@ -41,17 +39,21 @@ def _phase(angle: Angle, j: int) -> complex:
     return cmath.exp(2j * cmath.pi * angle.float_value() * j)
 
 
-@dataclass
 class TrigPoly:
     """Finitely supported map k -> coefficient of the k-th dual character.
 
     Coefficients are `PhasePoly` (exact) or `complex` (float), alike in truth
-    value, +, -, * and `conjugate()`; only the phase and `as_float` read the mode."""
-    mode: str
-    coeffs: dict[int, object] = field(default_factory=dict)
+    value, +, -, * and `conjugate()`; only the phase and `as_float` read the mode.
+    Equal when mode and coefficients are equal; not hashable."""
 
-    def __post_init__(self):
-        self.coeffs = {k: c for k, c in self.coeffs.items() if c}
+    def __init__(self, mode: str, coeffs: dict[int, object] | None = None):
+        self.mode = mode
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrigPoly):
+            return NotImplemented
+        return (self.mode, self.coeffs) == (other.mode, other.coeffs)
 
     @classmethod
     def _of(cls, mode: str, coeffs: dict[int, object]) -> "TrigPoly":
@@ -123,15 +125,18 @@ class TrigPoly:
         return TrigPoly("float", {k: c.to_complex(angle) for k, c in self.coeffs.items()})
 
 
-@dataclass
 class CrossedElement:
-    """Finite sum over x-frequencies n of e^{inx} times a dual polynomial."""
-    angle: Angle
-    mode: str
-    terms: dict[int, TrigPoly] = field(default_factory=dict)
+    """Finite sum over x-frequencies n of e^{inx} times a dual polynomial.
+    Equal when angle, mode and terms are equal; not hashable."""
 
-    def __post_init__(self):
-        self.terms = {n: t for n, t in self.terms.items() if not t.is_zero()}
+    def __init__(self, angle: Angle, mode: str, terms: dict[int, TrigPoly] | None = None):
+        self.angle, self.mode = angle, mode
+        self.terms = {n: t for n, t in (terms or {}).items() if not t.is_zero()}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CrossedElement):
+            return NotImplemented
+        return (self.angle, self.mode, self.terms) == (other.angle, other.mode, other.terms)
 
     @staticmethod
     def zero(angle: Angle, mode: str = "exact") -> "CrossedElement":
@@ -266,6 +271,7 @@ def conjugate_by_shift(a: CrossedElement, k: int) -> CrossedElement:
 
 def layer_block(n: int, t: TrigPoly, radius: int, rho: float) -> np.ndarray:
     """Dual-side block of the layer: row v+k, column v, phase in v+k."""
+    import numpy as np
     B = np.zeros((2 * radius + 1,) * 2, dtype=complex)
     for k, c in t.coeffs.items():
         if abs(k) <= 2 * radius:  # else no v has |v|, |v + k| <= radius
@@ -278,6 +284,7 @@ def section_norm(a: CrossedElement, radius: int = 32) -> float:
     """Norm of P pi_0(a) P, pi_0(a) e_j = sum c_{n,k} e^{-2 pi i n rho (j+k)} e_{j+k}
     and P onto |j| <= radius: the sum of the layer blocks.  pi_0 is isometric
     (the rotation algebra is simple): a lower bound of the norm, monotone in radius."""
+    import numpy as np
     a = a.as_float()
     rho = a.angle.float_value()
     H = sum((layer_block(n, t, radius, rho) for n, t in a.terms.items()),
@@ -299,6 +306,7 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
     applied through M without forming G.  ARPACK's Lanczos is real only:
     on complex G, eigsh runs the non-symmetric Arnoldi iteration.
     """
+    import numpy as np
     a = a.as_float()
     dim = 2 * radius + 1
     rho = a.angle.float_value()
@@ -354,8 +362,7 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
 # -- averaging operators -----------------------------------------------------
 
 
-@dataclass
-class AveragingOperator:
+class AveragingOperator(NamedTuple):
     """Convex phase combination of shift conjugations: a -> sum b_i U_i a U_i*."""
     terms: list[tuple[complex, int]]
 
@@ -429,8 +436,7 @@ def apply_averaging(L: AveragingOperator, a: CrossedElement) -> CrossedElement:
 # -- coefficient extraction by differentiation -------------------------------
 
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     plus: CrossedElement
     minus: CrossedElement
 
@@ -477,8 +483,7 @@ def derivative_extract(a: CrossedElement, j_count: int = 8) -> ExtractionResult:
 # -- membership and center checks --------------------------------------------
 
 
-@dataclass
-class MembershipReport:
+class MembershipReport(NamedTuple):
     ok: bool
     per_frequency: dict[int, tuple[bool, float]]  # n -> (ok, max |value|)
 
@@ -530,8 +535,7 @@ def bump_power(center: Fraction, power: int) -> TrigPoly:
                               for k in range(-power, power + 1)})
 
 
-@dataclass
-class CenterReport:
+class CenterReport(NamedTuple):
     ok: bool
     shifted_copies_disjoint: bool
     equation_max: float

@@ -20,7 +20,7 @@ from rotalg import (Arc, ClosedCircleSet, function_to_json, golden_angle,
                     make_basic, set_to_json, window_function)
 from rotalg.circleset import pt
 from rotalg.cli import InputError, build_parser, main, report_schema
-from rotalg.idealfn import COUNT_LIMIT, SEED_LIMIT
+from rotalg.idealfn import COUNT_LIMIT, DEPTH_LIMIT, SEED_LIMIT
 
 F = Fraction
 _G = golden_angle()
@@ -169,9 +169,10 @@ def test_reader_closing_the_pipe_early_is_no_traceback(tmp_path):
 
 
 def test_lattice_verbs_leave_numpy_unimported(inputs, tmp_path):
-    # numpy loads with the sandbox, on the first sandbox verb; the exact
-    # side modules of the sandboxes load on first use too; every lattice
-    # report record gets built
+    # numpy loads with the first norm, not with the sandbox: the ring suite
+    # and group-verify compute no float; the exact side modules of the
+    # sandboxes load on first use; every lattice report record gets built
+    out = str(tmp_path / "out.json")
     script = f"""
 import sys
 import rotalg.cli
@@ -181,11 +182,15 @@ for argv in ({["eval", str(inputs["a"]), "-n", "3"]!r},
              {["classify", str(inputs["a"]), "--window", "2"]!r},
              {["simplicity", str(inputs["a"]), "--window", "2"]!r},
              {["decompose", str(inputs["a"]), "--window", "2"]!r}):
-    assert rotalg.cli.main(argv + ["-o", {str(tmp_path / "out.json")!r}]) == 0, argv
+    assert rotalg.cli.main(argv + ["-o", {out!r}]) == 0, argv
 assert "numpy" not in sys.modules
 assert "dataclasses" not in sys.modules  # the lattice records are NamedTuples
 assert "rotalg.finitegroup" not in sys.modules and "rotalg.exactnum" not in sys.modules
 assert rotalg.cli.main(["sandbox-verify", "--suite", "ring", "--n", "2"]) == 0
+assert rotalg.cli.main(["group-verify", "--trials", "1", "-o", {out!r}]) == 0
+assert "numpy" not in sys.modules
+assert "dataclasses" not in sys.modules  # so are the sandbox and finite-group records
+assert rotalg.cli.main(["sandbox-verify", "--suite", "center", "-o", {out!r}]) == 0
 assert "numpy" in sys.modules
 """
     src = str(Path(rotalg.__file__).resolve().parents[1])
@@ -568,6 +573,10 @@ def test_flags_nothing_reads_exit_4(argv, flag, inputs, capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     pytest.param(["check-closed", "{A}", "--window", "-3"], id="window-negative"),
     pytest.param(["join", "{A}", "{B}", "--depth", "-1"], id="depth-negative"),
+    pytest.param(["join", "{A}", "{B}", "--depth", str(DEPTH_LIMIT + 1)],
+                 id="depth-past-depth-limit"),
+    pytest.param(["eval", json.dumps(_basic_doc(depth=DEPTH_LIMIT + 1)), "-n", "1"],
+                 id="join-document-depth-past-depth-limit"),
     pytest.param(["sandbox-verify", "--suite", "membership", "--n", "-2"], id="suite-n-negative"),
     pytest.param(["sandbox-verify", "--suite", "ring", "--n", "0"], id="suite-n-zero"),
     pytest.param(["group-verify", "--trials", "0"], id="trials-zero"),
@@ -601,6 +610,16 @@ def test_counts_are_bounded_by_count_limit(argv, dest):
     with pytest.raises(InputError, match=f"must be at most COUNT_LIMIT = {COUNT_LIMIT}, "
                                          f"got {COUNT_LIMIT + 1}"):
         parser.parse_args(argv + [str(COUNT_LIMIT + 1)])
+
+
+def test_depth_is_bounded_by_depth_limit():
+    # parsed only, as join, close and decompose share the option; a join
+    # document past the limit is read in the out-of-range test above
+    parser, argv = build_parser("join"), ["join", "a.json", "b.json", "--depth"]
+    assert parser.parse_args(argv + [str(DEPTH_LIMIT)]).depth == DEPTH_LIMIT
+    with pytest.raises(InputError, match=f"must be at most DEPTH_LIMIT = {DEPTH_LIMIT}, "
+                                         f"got {DEPTH_LIMIT + 1}"):
+        parser.parse_args(argv + [str(DEPTH_LIMIT + 1)])
 
 
 @pytest.mark.parametrize("argv", [["check-closed", "{A}"], ["meet", "{A}", "{B}"],

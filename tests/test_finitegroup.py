@@ -8,12 +8,12 @@ from rotalg import (FiniteAbelianGroup, FiniteAction, augmentation_ideal,
                     build_BI, check_no_intermediate_M2,
                     check_not_from_subgroup, extend_ideal)
 from rotalg.exactnum import qi, qi_is_zero, qi_parts, qi_to_complex
-from rotalg.finitegroup import (CrossedMatrixElement, elem_adj, elem_mul,
+from rotalg.finitegroup import (CrossedMatrixElement, IdealReport, elem_adj, elem_mul,
                                 expectation_onto_functions,
                                 expectation_weighted, function_element,
                                 group_algebra_element, regular_matrix,
-                                _in_span, _m2_adj, _m2_mul, _rank, _rref,
-                                _span_closure)
+                                _ideal_report, _in_span, _m2_adj, _m2_mul, _rank,
+                                _rref, _span_closure)
 
 F = Fraction
 
@@ -280,6 +280,16 @@ def test_extend_ideal_trivial_cases():
     assert rep0.dimension == 0
     full = extend_ideal(g4, {0, 2}, [{0: qi(1)}, {2: qi(1)}])
     assert full.dimension == 4 and not full.proper
+
+
+def test_extend_ideal_report_keeps_its_proper_value():
+    # the compression check replaces `proper` and leaves every other field
+    g4 = FiniteAbelianGroup.cyclic(4)
+    rep = extend_ideal(g4, {0, 2}, [{2: qi(1), 0: qi(-1)}])
+    assert type(rep) is IdealReport and rep.proper is True
+    assert rep == _ideal_report(g4, rep.basis)
+    full = extend_ideal(g4, {0, 2}, [{0: qi(1)}, {2: qi(1)}])
+    assert full.proper is False and full == _ideal_report(g4, full.basis)
 
 
 def test_extend_ideal_rejects_non_ideal():

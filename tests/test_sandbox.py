@@ -12,7 +12,7 @@ from rotalg import (Arc, ClosedCircleSet, CrossedElement, TrigPoly, adjoint,
                     element_from_json, element_to_json, expectation_canonical,
                     expectation_mu, fejer_bracket, golden_angle, make_basic,
                     membership_test, multiply, project_qn, q_of,
-                    section_norm, truncated_norm)
+                    section_norm, silver_angle, truncated_norm)
 from rotalg.circleset import pt
 from rotalg.exactnum import PhasePoly
 from rotalg.sandbox import (PhaseSearchFailed, bump_power, conjugate_by_shift,
@@ -120,6 +120,24 @@ def test_exact_and_float_modes_agree(seed):
             assert p.conjugate() == p.conj()
             assert not p - p
     assert not PhasePoly() and not PhasePoly({0: (0, 0, 1)})
+
+
+def test_elements_compare_by_value_without_zeros_and_are_unhashable():
+    one, zero = PhasePoly.const(1), PhasePoly.const(0)
+    t = TrigPoly("exact", {0: one, 1: PhasePoly.const(F(1, 2))})
+    assert TrigPoly("exact", {**t.coeffs, 2: zero}) == t
+    assert TrigPoly("float", {0: 1 + 0j, 3: 0j}) == TrigPoly("float", {0: 1 + 0j})
+    assert TrigPoly("exact", {1: zero}) == TrigPoly.zero("exact")
+    assert TrigPoly("float", {}) != TrigPoly("exact", {})
+    assert t != TrigPoly("exact", {0: one})
+    a = CrossedElement(_G, "exact", {2: t})
+    assert CrossedElement(_G, "exact", {2: t, 3: TrigPoly("exact", {1: zero})}) == a
+    assert CrossedElement(_G, "float", {}) != CrossedElement(_G, "exact", {})
+    assert CrossedElement(silver_angle(), "exact", {2: t}) != a
+    assert a != CrossedElement(_G, "exact", {1: t})
+    for x in (t, a):
+        with pytest.raises(TypeError):
+            hash(x)
 
 
 # -- expectations ---------------------------------------------------------------
