@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from .angle import Angle
 
-__all__ = ["QI", "qi", "qi_parts", "qi_add", "qi_mul", "qi_div", "qi_conj",
+__all__ = ["QI", "qi", "qi_parts", "qi_add", "qi_mul", "qi_addmul", "qi_div", "qi_conj",
            "qi_neg", "qi_is_zero", "qi_to_complex", "PhasePoly"]
 
 # (re + im*i) / den as ints with den > 0 and gcd(re, im, den) == 1.  That
@@ -51,6 +51,15 @@ def qi_add(a: QI, b: QI) -> QI:
 
 def qi_mul(a: QI, b: QI) -> QI:
     return _reduce(a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0], a[2] * b[2])
+
+
+def qi_addmul(x: QI, c: QI, y: QI) -> QI:
+    """x + c*y with one reduction; x itself when y is zero."""
+    if not y[0] and not y[1]:
+        return x
+    d = c[2] * y[2]
+    return _reduce(x[0] * d + (c[0] * y[0] - c[1] * y[1]) * x[2],
+                   x[1] * d + (c[0] * y[1] + c[1] * y[0]) * x[2], x[2] * d)
 
 
 def qi_div(a: QI, b: QI) -> QI:
@@ -126,7 +135,7 @@ class PhasePoly:
         for j1, c1 in self.terms.items():
             for j2, c2 in other.terms.items():
                 j = j1 + j2
-                out[j] = qi_add(out[j], qi_mul(c1, c2)) if j in out else qi_mul(c1, c2)
+                out[j] = qi_addmul(out[j], c1, c2) if j in out else qi_mul(c1, c2)
         for j in [j for j, c in out.items() if qi_is_zero(c)]:
             del out[j]
         return PhasePoly._of(out)

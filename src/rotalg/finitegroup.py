@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactnum import QI, qi, qi_add, qi_conj, qi_div, qi_is_zero, qi_mul, qi_neg
+from .exactnum import QI, qi, qi_add, qi_addmul, qi_conj, qi_div, qi_is_zero, qi_mul, qi_neg
 
 __all__ = [
     "FiniteAbelianGroup", "FiniteAction", "CrossedMatrixElement",
@@ -40,7 +40,8 @@ def _reduce(rows: list[list[QI]], v: Sequence[QI]) -> Sequence[QI]:
     for b in rows:
         c = v[_pivot(b)]
         if not qi_is_zero(c):
-            v = [qi_add(x, qi_neg(qi_mul(c, y))) for x, y in zip(v, b)]
+            c = qi_neg(c)
+            v = [qi_addmul(x, c, y) for x, y in zip(v, b)]
     return v
 
 
@@ -57,7 +58,8 @@ def _insert(rows: list[list[QI]], v: Sequence[QI]) -> bool:
     for i, b in enumerate(rows):
         c = b[p]
         if not qi_is_zero(c):
-            rows[i] = [qi_add(x, qi_neg(qi_mul(c, y))) for x, y in zip(b, r)]
+            c = qi_neg(c)
+            rows[i] = [qi_addmul(x, c, y) for x, y in zip(b, r)]
     rows.append(r)
     return True
 
@@ -288,7 +290,7 @@ def expectation_weighted(a: CrossedMatrixElement) -> dict:
     for g, f in a.coeffs.items():
         s = _Z
         for x in range(a.action.npoints):
-            s = qi_add(s, qi_mul(w[x], f[x]))
+            s = qi_addmul(s, w[x], f[x])
         out[g] = s
     return out
 
@@ -395,10 +397,10 @@ _M2Basis = list[tuple[QI, QI, QI, QI]]
 
 
 def _m2_mul(a, b):
-    return (qi_add(qi_mul(a[0], b[0]), qi_mul(a[1], b[2])),
-            qi_add(qi_mul(a[0], b[1]), qi_mul(a[1], b[3])),
-            qi_add(qi_mul(a[2], b[0]), qi_mul(a[3], b[2])),
-            qi_add(qi_mul(a[2], b[1]), qi_mul(a[3], b[3])))
+    return (qi_addmul(qi_mul(a[0], b[0]), a[1], b[2]),
+            qi_addmul(qi_mul(a[0], b[1]), a[1], b[3]),
+            qi_addmul(qi_mul(a[2], b[0]), a[3], b[2]),
+            qi_addmul(qi_mul(a[2], b[1]), a[3], b[3]))
 
 
 def _m2_adj(a):

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .angle import Angle, PhaseSearchFailed
 from .circleset import Arc, ClosedCircleSet
-from .exactnum import PhasePoly, qi, qi_parts
+from .exactnum import PhasePoly, qi, qi_addmul, qi_mul, qi_parts
 from .idealfn import BasicFunction, IdealFunction
 
 __all__ = [
@@ -136,7 +136,8 @@ class CrossedElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CrossedElement):
             return NotImplemented
-        return (self.angle, self.mode, self.terms) == (other.angle, other.mode, other.terms)
+        return ((self.mode, self.terms) == (other.mode, other.terms)
+                and self.angle.same_as(other.angle))
 
     @staticmethod
     def zero(angle: Angle, mode: str = "exact") -> "CrossedElement":
@@ -190,13 +191,35 @@ class CrossedElement:
         return not self.terms
 
 
+def _flat(a: CrossedElement) -> list[tuple]:
+    """The exact element as (n, k, j, coefficient) terms of e^{inx} (k-th shift) z**j."""
+    return [(n, k, j, q) for n, f in a.terms.items() for k, c in f.coeffs.items()
+            for j, q in c.terms.items()]
+
+
 def multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
     """Product in the crossed product.
 
     For single layers: e^{inx} f * e^{imx} g = e^{i(n+m)x} (f o rot^m) g,
-    extended bilinearly.
+    extended bilinearly.  Exact products are one loop over flat (n, k, j)
+    terms, rot^m shifting j by k*m; float products compose and convolve.
     """
     a._check(b)
+    if a.mode == "exact":
+        acc: dict[tuple[int, int, int], tuple] = {}
+        fb = _flat(b)
+        for n, k1, j1, x in _flat(a):
+            for m, k2, j2, y in fb:
+                key = (n + m, k1 + k2, j1 + j2 + k1 * m)
+                s = acc.get(key)
+                acc[key] = qi_mul(x, y) if s is None else qi_addmul(s, x, y)
+        nested: dict[int, dict[int, dict]] = {}
+        for (t, k, j), q in acc.items():
+            if q[0] or q[1]:
+                nested.setdefault(t, {}).setdefault(k, {})[j] = q
+        return CrossedElement(a.angle, "exact", {
+            t: TrigPoly._of("exact", {k: PhasePoly._of(p) for k, p in ks.items()})
+            for t, ks in nested.items()})
     out: dict[int, TrigPoly] = {}
     for n, f in a.terms.items():
         for m, g in b.terms.items():

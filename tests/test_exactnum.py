@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from rotalg.exactnum import (PhasePoly, qi, qi_add, qi_conj, qi_div, qi_is_zero,
-                             qi_mul, qi_neg, qi_parts, qi_to_complex)
+from rotalg.exactnum import (PhasePoly, qi, qi_add, qi_addmul, qi_conj, qi_div,
+                             qi_is_zero, qi_mul, qi_neg, qi_parts, qi_to_complex)
 from rotalg.sandbox import CrossedElement, element_from_json, element_to_json
 
 F = Fraction
@@ -70,6 +70,20 @@ def test_equality_after_cancellation():
     assert qi_add(qi(F(1, 6), F(1, 3)), qi(F(1, 3), F(-1, 3))) == qi(F(1, 2))
     assert qi_mul(qi(0, 1), qi(0, 1)) == qi(-1)
     assert qi_add(qi(F(5, 7), 2), qi(F(-5, 7), -2)) == qi(0) == (0, 0, 1)
+
+
+@given(pairs, pairs, pairs)
+def test_qi_addmul_is_add_of_mul(x, c, y):
+    out = qi_addmul(qi(*x), qi(*c), qi(*y))
+    assert_canonical(out)
+    assert out == qi_add(qi(*x), qi_mul(qi(*c), qi(*y)))
+
+
+def test_qi_addmul_with_zero_operands_and_result():
+    x, c, zero = qi(F(2, 3), -1), qi(F(1, 2), F(1, 5)), qi(0)
+    assert qi_addmul(x, c, zero) is x
+    assert qi_addmul(zero, c, x) == qi_mul(c, x)
+    assert qi_addmul(qi_neg(qi_mul(c, x)), c, x) == zero == (0, 0, 1)
 
 
 @given(pairs)

@@ -13,6 +13,7 @@ from rotalg import (Arc, ClosedCircleSet, CrossedElement, TrigPoly, adjoint,
                     expectation_mu, fejer_bracket, golden_angle, make_basic,
                     membership_test, multiply, project_qn, q_of,
                     section_norm, silver_angle, truncated_norm)
+from rotalg.angle import named_angle
 from rotalg.circleset import pt
 from rotalg.exactnum import PhasePoly
 from rotalg.sandbox import (PhaseSearchFailed, bump_power, conjugate_by_shift,
@@ -79,6 +80,48 @@ def test_ring_laws_exact():
         a, b, c = (random_exact_element(_G, rng) for _ in range(3))
         assert multiply(multiply(a, b), c).terms == multiply(a, multiply(b, c)).terms
         assert multiply(a, b + c).terms == (multiply(a, b) + multiply(a, c)).terms
+
+
+def _zero_free(a: CrossedElement) -> bool:
+    return all(q[0] or q[1] for t in a.terms.values() for c in t.coeffs.values()
+               for q in c.terms.values())
+
+
+def test_exact_product_cancels_without_zero_terms():
+    one, v = mono(0, 0), mono(1, 0)
+    p = multiply(one + v, one - v)
+    assert p == one - multiply(v, v)
+    assert set(p.terms) == {0, 2} and _zero_free(p)
+
+
+def _composed_convolutions(a: CrossedElement, b: CrossedElement) -> CrossedElement:
+    """The product as the sum over layer pairs of (f o rot^m) g at layer n + m."""
+    out = CrossedElement.zero(_G)
+    for n, f in a.terms.items():
+        for m, g in b.terms.items():
+            out = out + CrossedElement(_G, "exact", {n + m: f.compose_rotation(_G, m).convolve(g)})
+    return out
+
+
+def test_exact_product_matches_composed_convolutions():
+    rng = random.Random(12)
+    widest = 0
+    for _ in range(20):
+        a, b, c, d = (random_exact_element(_G, rng) for _ in range(4))
+        ab, cd = multiply(a, b), multiply(c, d)
+        for x, y in ((a, b), (ab, cd), (cd, a)):
+            p = multiply(x, y)
+            assert p == _composed_convolutions(x, y) and _zero_free(p)
+            widest = max([widest] + [len(q.terms) for t in p.terms.values()
+                                     for q in t.coeffs.values()])
+    assert widest >= 3  # products of products hold PhasePolys of several terms
+
+
+def test_elements_over_equal_angles_are_equal():
+    g1, g2 = named_angle("golden"), named_angle("golden")
+    assert g1 is not g2
+    assert CrossedElement.monomial(g1, 1, 0) == CrossedElement.monomial(g2, 1, 0)
+    assert CrossedElement.monomial(g1, 1, 0) != CrossedElement.monomial(named_angle("silver"), 1, 0)
 
 
 def test_conjugation_phase_law():
