@@ -39,11 +39,11 @@ MUTANTS = [
 ]
 
 
-def stale(src: Path = SRC) -> list[str]:
+def stale() -> list[str]:
     """The entries whose old text does not occur exactly once in its file."""
     out = []
-    for path, old, new, _ in MUTANTS:
-        count = (src / path).read_text().count(old)
+    for path, old, _, _ in MUTANTS:
+        count = (SRC / path).read_text().count(old)
         if count != 1:
             out.append(f"{path}: {old!r} occurs {count} times")
     return out
@@ -68,9 +68,9 @@ def main() -> int:
     bad = stale()
     for line in bad:
         print(f"stale: {line}")
+    if bad:
+        return 1
     for path, old, new, tests in MUTANTS:
-        if (SRC / path).read_text().count(old) != 1:
-            continue
         proc = run_mutant(path, old, new, tests)
         verdict = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, f"ERROR {proc.returncode}")
         print(f"{verdict}: {path}: {old!r} -> {new!r}")
