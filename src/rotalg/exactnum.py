@@ -14,8 +14,8 @@ from math import gcd, lcm
 
 from .angle import Angle
 
-__all__ = ["QI", "qi", "qi_parts", "qi_add", "qi_mul", "qi_addmul", "qi_div", "qi_conj",
-           "qi_neg", "qi_is_zero", "qi_to_complex", "PhasePoly"]
+__all__ = ["QI", "qi", "qi_frac", "qi_parts", "qi_add", "qi_mul", "qi_addmul", "qi_div",
+           "qi_conj", "qi_neg", "qi_is_zero", "qi_to_complex", "PhasePoly"]
 
 # (re + im*i) / den as ints with den > 0 and gcd(re, im, den) == 1.  That
 # form is unique, so tuple equality is equality in Q(i).
@@ -38,6 +38,11 @@ def qi(re=0, im=0) -> QI:
     den = lcm(re.denominator, im.denominator)
     return (re.numerator * (den // re.denominator),
             im.numerator * (den // im.denominator), den)
+
+
+def qi_frac(a: int, b: int, c: int = 0, d: int = 1) -> QI:
+    """a/b + (c/d)*i for ints with b, d > 0, reduced once."""
+    return _reduce(a * d, c * b, b * d)
 
 
 def qi_parts(a: QI) -> tuple[Fraction, Fraction]:

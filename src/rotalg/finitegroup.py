@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactnum import QI, qi, qi_add, qi_addmul, qi_conj, qi_div, qi_is_zero, qi_mul, qi_neg
+from .exactnum import (QI, qi, qi_add, qi_addmul, qi_conj, qi_div, qi_frac, qi_is_zero, qi_mul,
+                       qi_neg)
 
 __all__ = [
     "FiniteAbelianGroup", "FiniteAction", "CrossedMatrixElement",
@@ -455,9 +456,8 @@ def check_no_intermediate_M2(trials: int = 1000) -> M2Report:
     rng = random.Random(0)
 
     def rand_candidate():
-        return tuple(qi(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-                     for _ in range(4))
+        return tuple(qi_frac(rng.randint(-9, 9), rng.randint(1, 9),
+                             rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))
 
     all_full = True
     done = 0

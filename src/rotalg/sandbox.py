@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .angle import Angle, PhaseSearchFailed
 from .circleset import Arc, ClosedCircleSet
-from .exactnum import PhasePoly, qi, qi_addmul, qi_mul, qi_parts
+from .exactnum import PhasePoly, qi, qi_addmul, qi_conj, qi_mul, qi_parts
 from .idealfn import BasicFunction, IdealFunction
 
 __all__ = [
@@ -197,6 +197,17 @@ def _flat(a: CrossedElement) -> list[tuple]:
             for j, q in c.terms.items()]
 
 
+def _nest(angle: Angle, flat: dict[tuple[int, int, int], tuple]) -> CrossedElement:
+    """The exact element of flat (n, k, j) -> coefficient terms, exact zeros dropped."""
+    nested: dict[int, dict[int, dict]] = {}
+    for (t, k, j), q in flat.items():
+        if q[0] or q[1]:
+            nested.setdefault(t, {}).setdefault(k, {})[j] = q
+    return CrossedElement(angle, "exact", {
+        t: TrigPoly._of("exact", {k: PhasePoly._of(p) for k, p in ks.items()})
+        for t, ks in nested.items()})
+
+
 def multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
     """Product in the crossed product.
 
@@ -213,13 +224,7 @@ def multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
                 key = (n + m, k1 + k2, j1 + j2 + k1 * m)
                 s = acc.get(key)
                 acc[key] = qi_mul(x, y) if s is None else qi_addmul(s, x, y)
-        nested: dict[int, dict[int, dict]] = {}
-        for (t, k, j), q in acc.items():
-            if q[0] or q[1]:
-                nested.setdefault(t, {}).setdefault(k, {})[j] = q
-        return CrossedElement(a.angle, "exact", {
-            t: TrigPoly._of("exact", {k: PhasePoly._of(p) for k, p in ks.items()})
-            for t, ks in nested.items()})
+        return _nest(a.angle, acc)
     out: dict[int, TrigPoly] = {}
     for n, f in a.terms.items():
         for m, g in b.terms.items():
@@ -230,7 +235,10 @@ def multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
 
 
 def adjoint(a: CrossedElement) -> CrossedElement:
-    """(e^{inx} f)* = e^{-inx} (conj(f) o rot^{-n}), extended additively."""
+    """(e^{inx} f)* = e^{-inx} (conj(f) o rot^{-n}), extended additively;
+    exactly, the flat term (n, k, j) goes to (-n, -k, kn - j), conjugated."""
+    if a.mode == "exact":
+        return _nest(a.angle, {(-n, -k, k * n - j): qi_conj(q) for n, k, j, q in _flat(a)})
     out: dict[int, TrigPoly] = {}
     for n, f in a.terms.items():
         g = f.conjugate_function().compose_rotation(a.angle, -n)

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from .angle import Angle, named_angle
 from .circleset import Arc, ClosedCircleSet, CirclePoint
-from .exactnum import PhasePoly, qi
+from .exactnum import qi, qi_add, qi_frac
 from .finitegroup import (FiniteAbelianGroup, FiniteAction, augmentation_ideal, build_BI,
                           check_no_intermediate_M2, check_not_from_subgroup, extend_ideal)
 from .idealfn import make_basic
-from .sandbox import (CrossedElement, TrigPoly, adjoint, apply_averaging,
+from .sandbox import (CrossedElement, TrigPoly, _nest, adjoint, apply_averaging,
                       build_averaging, bump_power, center_check,
                       derivative_extract, expectation_mu, fejer_bracket,
                       membership_test, multiply, project_qn, section_norm)
@@ -31,14 +31,12 @@ __all__ = [
 
 def random_exact_element(angle: Angle, rng: random.Random) -> CrossedElement:
     """Four exact terms with |n|, |k| <= 2 and Gaussian-rational coefficients."""
-    el = CrossedElement.zero(angle, "exact")
+    flat: dict[tuple[int, int, int], tuple] = {}
     for _ in range(4):
-        n = rng.randint(-2, 2)
-        k = rng.randint(-2, 2)
-        c = PhasePoly({rng.randint(-1, 1): qi(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                                              Fraction(rng.randint(-6, 6), rng.randint(1, 4)))})
-        el = el + CrossedElement.monomial(angle, n, k, c, mode="exact")
-    return el
+        key = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-1, 1))  # n, k, j
+        q = qi_frac(rng.randint(-6, 6), rng.randint(1, 4), rng.randint(-6, 6), rng.randint(1, 4))
+        flat[key] = qi_add(flat[key], q) if key in flat else q
+    return _nest(angle, flat)
 
 
 def random_float_element(angle: Angle, rng: random.Random) -> CrossedElement:
