@@ -23,19 +23,47 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 _KERNEL = "key = (n + m, k1 + k2, j1 + j2 + k1 * m)"
+_KERNEL_TESTS = ["tests/test_sandbox.py::test_exact_product_matches_composed_convolutions"]
 _PRODUCT_TESTS = ["tests/test_sandbox.py::test_exact_product_cancels_without_zero_terms",
-                  "tests/test_sandbox.py::test_exact_product_matches_composed_convolutions"]
+                  *_KERNEL_TESTS]
 _ADDMUL_TESTS = ["tests/test_exactnum.py::test_qi_addmul_is_add_of_mul",
                  "tests/test_exactnum.py::test_qi_addmul_with_zero_operands_and_result"]
+_ADJOINT = "(-n, -k, k * n - j)"
+_ADJOINT_TESTS = ["tests/test_sandbox.py::test_exact_adjoint_matches_conjugate_then_rotate"]
+_QI_FRAC_TESTS = ["tests/test_exactnum.py::test_qi_frac_is_qi_of_two_fractions",
+                  "tests/test_exactnum.py::test_qi_frac_zero_negative_and_reducible_cases"]
+_NEAR_TIES = "tests/test_circleset.py::test_position_order_of_near_ties_falls_back_to_the_exact_sort"
 
 # (file under src/, old text, new text, test ids that must fail)
 MUTANTS = [
-    ("rotalg/sandbox.py", _KERNEL, "key = (n + m, k1 + k2, j1 + j2 + k2 * n)", _PRODUCT_TESTS),
-    ("rotalg/sandbox.py", _KERNEL, "key = (n + m, k1 + k2, j1 + j2 - k1 * m)", _PRODUCT_TESTS),
+    ("rotalg/sandbox.py", _KERNEL, "key = (n + m, k1 + k2, j1 + j2 + k2 * n)", _KERNEL_TESTS),
+    ("rotalg/sandbox.py", _KERNEL, "key = (n + m, k1 + k2, j1 + j2 - k1 * m)", _KERNEL_TESTS),
     ("rotalg/sandbox.py", "if q[0] or q[1]:", "if True:", _PRODUCT_TESTS),
     ("rotalg/exactnum.py", "return _reduce(x[0] * d", "return (x[0] * d", _ADDMUL_TESTS),
     ("rotalg/exactnum.py", "if not y[0] and not y[1]:", "if not x[0] and not x[1]:",
      _ADDMUL_TESTS),
+    ("rotalg/sandbox.py", _ADJOINT, "(-n, -k, -k * n - j)",
+     [*_ADJOINT_TESTS, "tests/test_sandbox.py::test_adjoint_examples"]),
+    ("rotalg/sandbox.py", _ADJOINT, "(-n, -k, k * n + j)", _ADJOINT_TESTS),
+    ("rotalg/sandbox.py", "qi_conj(q) for", "q for", _ADJOINT_TESTS),
+    ("rotalg/exactnum.py", "return _reduce(a * d, c * b, b * d)", "return (a * d, c * b, b * d)",
+     _QI_FRAC_TESTS),
+    ("rotalg/suites.py", "flat[key] = qi_add(flat[key], q) if key in flat else q",
+     "flat[key] = q", ["tests/test_sandbox.py::test_random_exact_element_is_the_sum_of_its_draws"]),
+    # re-derived from the mutants that earlier changes ran by hand
+    ("rotalg/angle.py", "            if y < 0:\n                a, b = b, a\n", "",
+     ["tests/test_angle.py::test_decisions_match_256_bit_oracle"]),
+    ("rotalg/circleset.py", "(p[0], p[1], p[2] - k) in moved", "(p[0], p[1], p[2] + k) in moved",
+     ["tests/test_circleset.py::test_intersect_union_cases"]),
+    ("rotalg/circleset.py", "e = (abs(p[2]) + 2) * 2.0**-50", "e = 0.0",
+     [f"{_NEAR_TIES}[_fibonacci_ties]", f"{_NEAR_TIES}[_wrap_ties]"]),
+    ("rotalg/idealfn.py", "    def __bool__(self) -> bool:  # a one-field tuple is always truthy\n"
+     "        return self.ok\n", "", ["tests/test_idealfn.py::test_c_ideal_failure_and_triviality"]),
+    ("rotalg/idealfn.py", "                quiet = False\n                yield (\"product\"",
+     "                yield (\"product\"",
+     ["tests/test_closure.py::test_mirror_rule_yields_what_a_full_visit_yields"]),
+    ("rotalg/finitegroup.py", "            if len(rows) == dim:\n                break\n", "",
+     ["tests/test_finitegroup.py::test_m2_closure_stops_at_rank_four"]),
 ]
 
 

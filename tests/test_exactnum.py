@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from rotalg.exactnum import (PhasePoly, qi, qi_add, qi_addmul, qi_conj, qi_div,
+from rotalg.exactnum import (PhasePoly, qi, qi_add, qi_addmul, qi_conj, qi_div, qi_frac,
                              qi_is_zero, qi_mul, qi_neg, qi_parts, qi_to_complex)
 from rotalg.sandbox import CrossedElement, element_from_json, element_to_json
 
@@ -31,6 +31,23 @@ def test_qi_is_canonical_and_round_trips(a):
     x = qi(*a)
     assert_canonical(x)
     assert qi_parts(x) == a
+
+
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**9),
+       st.integers(-10**12, 10**12), st.integers(1, 10**9))
+def test_qi_frac_is_qi_of_two_fractions(a, b, c, d):
+    x = qi_frac(a, b, c, d)
+    assert_canonical(x)
+    assert x == qi(F(a, b), F(c, d))
+
+
+def test_qi_frac_zero_negative_and_reducible_cases():
+    assert qi_frac(0, 4, 0, 6) == qi(0) == (0, 0, 1)
+    assert qi_frac(-6, 4) == qi(F(-6, 4)) == (-3, 0, 2)
+    assert qi_frac(6, 4, -9, 6) == qi(F(6, 4), F(-9, 6)) == (3, -3, 2)
+    assert qi_frac(0, 3, -4, 2) == qi(0, F(-4, 2)) == (0, -2, 1)
+    assert qi_frac(2, 4, 3, 9) == qi(F(2, 4), F(3, 9)) == (3, 2, 6)
+    assert qi_frac(-5, 7, 5, 7) == qi(F(-5, 7), F(5, 7)) == (-5, 5, 7)
 
 
 @given(pairs, pairs)

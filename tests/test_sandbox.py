@@ -15,7 +15,7 @@ from rotalg import (Arc, ClosedCircleSet, CrossedElement, TrigPoly, adjoint,
                     section_norm, silver_angle, truncated_norm)
 from rotalg.angle import named_angle
 from rotalg.circleset import pt
-from rotalg.exactnum import PhasePoly
+from rotalg.exactnum import PhasePoly, qi
 from rotalg.sandbox import (PhaseSearchFailed, bump_power, conjugate_by_shift,
                             derivative_extract)
 from rotalg.suites import center_instance, random_exact_element
@@ -63,6 +63,25 @@ def test_adjoint_examples():
     # conj flips the dual frequency and the stored phase twists by -k*n
     assert set(star.terms) == {-1}
     assert star.terms[-1].coeffs == {-1: PhasePoly.unit(1)}
+
+
+def _adjoint_by_layers(a: CrossedElement) -> CrossedElement:
+    """The adjoint as the sum over layers of e^{-inx} (conj(f) o rot^{-n})."""
+    out = CrossedElement.zero(_G)
+    for n, f in a.terms.items():
+        out = out + CrossedElement(_G, "exact",
+                                   {-n: f.conjugate_function().compose_rotation(_G, -n)})
+    return out
+
+
+def test_exact_adjoint_matches_conjugate_then_rotate():
+    rng = random.Random(13)
+    for _ in range(20):
+        a, b, c, d = (random_exact_element(_G, rng) for _ in range(4))
+        ab, cd = multiply(a, b), multiply(c, d)
+        for x in (a, ab, multiply(ab, cd)):
+            star = adjoint(x)
+            assert star == _adjoint_by_layers(x) and _zero_free(star)
 
 
 def test_involution_and_antimultiplicativity():
@@ -115,6 +134,31 @@ def test_exact_product_matches_composed_convolutions():
             widest = max([widest] + [len(q.terms) for t in p.terms.values()
                                      for q in t.coeffs.values()])
     assert widest >= 3  # products of products hold PhasePolys of several terms
+
+
+def _drawn_as_monomials(rng: random.Random) -> tuple[CrossedElement, bool]:
+    """random_exact_element's draws, in its order, summed as monomials; and
+    whether an (n, k, j) repeated."""
+    el, keys = CrossedElement.zero(_G), set()
+    for _ in range(4):
+        n, k, j = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-1, 1)
+        c = qi(F(rng.randint(-6, 6), rng.randint(1, 4)), F(rng.randint(-6, 6), rng.randint(1, 4)))
+        el = el + mono(n, k, PhasePoly({j: c}))
+        keys.add((n, k, j))
+    return el, len(keys) < 4
+
+
+def test_random_exact_element_is_the_sum_of_its_draws():
+    repeats = 0
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            want, repeated = _drawn_as_monomials(ref)
+            got = random_exact_element(_G, rng)
+            assert got == want and _zero_free(got)
+            repeats += repeated
+        assert rng.getstate() == ref.getstate()
+    assert repeats >= 20  # keys that repeat, where adding and overwriting differ
 
 
 def test_elements_over_equal_angles_are_equal():
