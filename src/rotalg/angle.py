@@ -9,20 +9,22 @@ descriptor kinds are supported:
 * continued-fraction coefficient streams given by a finite prefix plus a
   production rule for the tail.
 
-Both kinds are read through their continued fraction, whose consecutive
-convergents bracket rho.  Everything downstream (circle sets, ideal
-functions) funnels its order decisions through
-:meth:`Angle.compare_linear` and :meth:`Angle.floor_linear`, which test
-integer expressions against a convergent pair and walk on to narrower
-pairs until the sign or floor is determined.  Termination is guaranteed
-because rho is irrational, so ``q + n*rho`` never vanishes for n != 0.
+Both rules give an eventually periodic continued fraction, so a cf angle
+is a quadratic surd too (Euler and Lagrange), and it is converted to one
+when it is built.  Everything downstream (circle sets, ideal functions)
+funnels its order decisions through :meth:`Angle.compare_linear` and
+:meth:`Angle.floor_linear`, which read the surd alone: the floor of
+``(x + y*rho)/d`` is one ``math.isqrt`` and one integer division, exact
+because ``y*b*sqrt(c)`` is irrational for y != 0.  Rational enclosures,
+the float value and best denominators come from the continued fraction
+of the surd, whose consecutive convergents bracket rho.
 """
 from __future__ import annotations
 
 import json
 import threading
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional
 
 __all__ = [
@@ -33,6 +35,12 @@ __all__ = [
     "NAMED_ANGLES",
     "PhaseSearchFailed",
 ]
+
+
+# bits of a descriptor: a surd's a, b, c and den each, a cf prefix's
+# quotients in total; a decision costs one isqrt of a number about four
+# times this size
+ANGLE_BITS = 4096
 
 
 class PhaseSearchFailed(RuntimeError):
@@ -47,11 +55,11 @@ def _is_square(c: int) -> bool:
 class Angle:
     """An exact irrational rotation parameter in (0, 1).
 
-    Immutable except for internal caches (continued fraction coefficients
-    and convergents, the narrowest convergent pair read, and the integer
-    pairs read by the decision kernel), which grow under a lock so
-    instances can be shared across threads.  Decisions are not memoised:
-    each one is a few integer products against the cached pairs.
+    Held as the surd ``self._surd = (a, b, c, den)``, den > 0, whatever
+    the descriptor; decisions read only that tuple.  The continued
+    fraction coefficients and convergents, and the narrowest convergent
+    pair read, are caches that grow under a lock, so instances can be
+    shared across threads.
     """
 
     def __init__(self, kind: str, *, surd: tuple[int, int, int, int] | None = None,
@@ -62,26 +70,17 @@ class Angle:
         self._float: float | None = None
         self._coeffs: list[int] = []
         self._convergents = [(0, 1), (1, 0)]  # (p_k, q_k) for k >= -2
-        # integer enclosures read by the decision kernel, see _level
-        self._levels: list[tuple[int, int, int, int]] = []
 
         if kind == "surd":
             a, b, c, den = surd
+            if max(abs(v).bit_length() for v in surd) > ANGLE_BITS:
+                raise ValueError(f"angle-too-large: a surd term has more than {ANGLE_BITS} bits")
             if den == 0:
                 raise ValueError("zero denominator")
             if den < 0:
                 a, b, den = -a, -b, -den
             if b == 0 or c <= 1 or _is_square(c):
                 raise ValueError("surd must be irrational: need b != 0 and c a non-square > 1")
-            self._surd = (a, b, c, den)
-            # CF expansion state: x_k = (P + sqrt(D)) / Q with Q | D - P^2
-            if b > 0:
-                P, D, Q = a, b * b * c, den
-            else:
-                P, D, Q = -a, b * b * c, -den
-            if (D - P * P) % Q != 0:
-                P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-            self._cf_state = (P, D, Q)
         elif kind == "cf":
             if not cf_prefix or cf_prefix[0] != 0:
                 raise ValueError("prefix must start with 0 for a value in (0, 1)")
@@ -90,16 +89,30 @@ class Angle:
             if cf_rule == "repeat-last":
                 if len(cf_prefix) < 2:
                     raise ValueError("repeat-last rule needs at least one partial quotient")
+                k = 1
             elif cf_rule.startswith("periodic:"):
                 k = int(cf_rule.split(":", 1)[1])
                 if not (1 <= k <= len(cf_prefix) - 1):
                     raise ValueError("period length out of range")
             else:
                 raise ValueError(f"unknown rule {cf_rule!r}")
+            if sum(a.bit_length() for a in cf_prefix) > ANGLE_BITS:
+                raise ValueError(f"angle-too-large: the prefix has more than {ANGLE_BITS} bits")
             self._cf_prefix = list(cf_prefix)
             self._cf_rule = cf_rule
+            a, b, c, den = _periodic_surd(cf_prefix, k)
         else:
             raise ValueError(f"unknown descriptor kind {kind!r}")
+
+        self._surd = (a, b, c, den)
+        # CF expansion state: x_k = (P + sqrt(D)) / Q with Q | D - P^2
+        if b > 0:
+            P, D, Q = a, b * b * c, den
+        else:
+            P, D, Q = -a, b * b * c, -den
+        if (D - P * P) % Q != 0:
+            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+        self._cf_state = (P, D, Q)
 
         # rho is irrational, so it lies in (0, 1) exactly when its floor is 0
         if self._coeff(0) != 0:
@@ -111,19 +124,11 @@ class Angle:
         """i-th partial quotient (a_0 = 0)."""
         with self._lock:
             while len(self._coeffs) <= i:
-                self._coeffs.append(self._next_coeff(len(self._coeffs)))
+                self._coeffs.append(self._next_coeff())
             return self._coeffs[i]
 
-    def _next_coeff(self, i: int) -> int:
-        if self.kind == "cf":
-            prefix, rule = self._cf_prefix, self._cf_rule
-            if i < len(prefix):
-                return prefix[i]
-            if rule == "repeat-last":
-                return prefix[-1]
-            k = int(rule.split(":", 1)[1])
-            return prefix[len(prefix) - k + (i - len(prefix)) % k]
-        # surd: advance the (P, D, Q) state by one step
+    def _next_coeff(self) -> int:
+        """The next partial quotient: advance the (P, D, Q) state one step."""
         P, D, Q = self._cf_state
         a = _floor_quad(P, D, Q)
         P1 = a * Q - P
@@ -178,59 +183,28 @@ class Angle:
         return self._float
 
     # -- exact decisions ---------------------------------------------------
-    # One integer kernel decides both signs and floors.  It reads cached
-    # convergent pairs ln/ld < rho < hn/hd, the k-th of width at most
-    # 2**-(24 + 16k), and asks refine() for the next one only when every
-    # cached pair leaves the decision open.
-
-    def _level(self, k: int) -> tuple[int, int, int, int]:
-        """The k-th integer enclosure (ln, ld, hn, hd) of rho."""
-        levels = self._levels
-        if k < len(levels):
-            return levels[k]
-        with self._lock:
-            while len(levels) <= k:
-                lo, hi = self.refine(Fraction(1, 1 << (24 + 16 * len(levels))))
-                levels.append((lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-            return levels[k]
-
-    def _sign(self, x: int, y: int) -> int:
-        """Exact sign of x + y*rho for ints x, y."""
-        if y == 0:
-            return (x > 0) - (x < 0)
-        k = 0
-        while True:
-            ln, ld, hn, hd = self._level(k)
-            # x + y*rho lies strictly between x + y*lo and x + y*hi
-            a, b = x * ld + y * ln, x * hd + y * hn
-            if y < 0:
-                a, b = b, a
-            if a >= 0:
-                return 1
-            if b <= 0:
-                return -1
-            k += 1
 
     def _floor(self, x: int, y: int, d: int) -> int:
-        """Exact floor of (x + y*rho)/d for ints x, y and d > 0."""
-        if y == 0:
-            return x // d
-        k = 0
-        while True:
-            ln, ld, hn, hd = self._level(k)
-            # (x + y*rho)/d lies strictly between a/da and b/db
-            a, da, b, db = x * ld + y * ln, d * ld, x * hd + y * hn, d * hd
-            if y < 0:
-                a, da, b, db = b, db, a, da
-            f = a // da
-            if b <= (f + 1) * db:
-                return f
-            k += 1
+        """Exact floor of (x + y*rho)/d for ints x, y and d > 0.
+
+        (x + y*rho)/d = (u + v*sqrt(c))/(d*den); v*sqrt(c) is irrational
+        for v != 0, so its floor is isqrt(v*v*c) for v >= 0 and
+        -isqrt(v*v*c) - 1 for v < 0.
+        """
+        a, b, c, den = self._surd
+        u, v = x * den + y * a, y * b
+        r = isqrt(v * v * c)
+        if v >= 0:
+            return (u + r) // (d * den)
+        return (u - r - 1) // (d * den)
 
     def compare_linear(self, q, n: int) -> int:
         """Exact sign of q + n*rho for q an int or a Fraction, in {-1, 0, +1}."""
-        d = q.denominator
-        return self._sign(q.numerator, n * d)
+        x, y = q.numerator, n * q.denominator
+        if x == 0 and y == 0:
+            return 0
+        # x + y*rho is not 0, so it is positive exactly when its floor is >= 0
+        return 1 if self._floor(x, y, 1) >= 0 else -1
 
     def floor_linear(self, q, n: int, d: int = 1) -> int:
         """Exact floor of (q + n*rho)/d for q an int or a Fraction and d > 0."""
@@ -336,6 +310,30 @@ def json_of(kind: type, value, field: str):
     if not isinstance(value, kind):
         raise ValueError(f"{field} must be a {kind.__name__}, got {value!r}")
     return value
+
+
+def _convergents(quotients: list[int]) -> tuple[int, int, int, int]:
+    """(p, q, p1, q1): the last two convergents p/q, p1/q1 of the quotients."""
+    p, q, p1, q1 = 1, 0, 0, 1
+    for a in quotients:
+        p, q, p1, q1 = a * p + p1, a * q + q1, p, q
+    return p, q, p1, q1
+
+
+def _periodic_surd(prefix: list[int], k: int) -> tuple[int, int, int, int]:
+    """(a, b, c, den), den > 0 and gcd(a, b, den) = 1, with (a + b*sqrt(c))/den
+    the continued fraction of the prefix whose last k quotients repeat."""
+    # the tail t = [period; t] = (p*t + p1)/(q*t + q1) solves
+    # q*t**2 + (q1 - p)*t - p1 = 0, so t = (e + sqrt(c))/f
+    p, q, p1, q1 = _convergents(prefix[-k:])
+    e, f = p - q1, 2 * q
+    c = e * e + 4 * q * p1
+    # the value (P*t + P1)/(Q*t + Q1) = (g + P*sqrt(c))/(h + Q*sqrt(c)), rationalised
+    P, Q, P1, Q1 = _convergents(prefix[:-k])
+    g, h = P * e + P1 * f, Q * e + Q1 * f
+    a, b, den = g * h - P * Q * c, P * h - g * Q, h * h - Q * Q * c
+    n = gcd(a, b, den) * (1 if den > 0 else -1)
+    return a // n, b // n, c, den // n
 
 
 def _floor_quad(P: int, D: int, Q: int) -> int:

@@ -6,9 +6,11 @@
 Run from anywhere; it finds the checkout from its own path.  For each entry
 (file under src/, old text, new text, test ids) it copies src/, tests/ and
 pyproject.toml to a temporary directory, replaces the old text by the new
-one in the copy, and runs the named tests there with pytest.  A mutant that
-passes them survives.  Exits 1 when a mutant survives, pytest cannot run its
-tests, or an old text does not occur exactly once in its file; 0 otherwise.
+one in the copy, and runs each named test there in its own pytest call.  A
+mutant is killed only when every test named with it fails; one that passes
+any of them survives.  Exits 1 when a mutant survives, pytest cannot run one
+of its tests, or an old text does not occur exactly once in its file; 0
+otherwise.
 Standard library only; pytest runs in a child process.
 """
 from __future__ import annotations
@@ -50,9 +52,14 @@ MUTANTS = [
      _QI_FRAC_TESTS),
     ("rotalg/suites.py", "flat[key] = qi_add(flat[key], q) if key in flat else q",
      "flat[key] = q", ["tests/test_sandbox.py::test_random_exact_element_is_the_sum_of_its_draws"]),
-    # re-derived from the mutants that earlier changes ran by hand
-    ("rotalg/angle.py", "            if y < 0:\n                a, b = b, a\n", "",
+    ("rotalg/angle.py", "(u - r - 1) // (d * den)", "(u - r) // (d * den)",
      ["tests/test_angle.py::test_decisions_match_256_bit_oracle"]),
+    ("rotalg/angle.py", "        if x == 0 and y == 0:\n            return 0\n", "",
+     ["tests/test_angle.py::test_compare_linear_examples"]),
+    ("rotalg/angle.py", "e, f = p - q1,", "e, f = q1 - p,",
+     ["tests/test_angle.py::test_cf_angle_is_the_surd_of_its_quotient_stream",
+      "tests/test_angle.py::test_golden_surd_and_cf_refine_alike"]),
+    # re-derived from the mutants that earlier changes ran by hand
     ("rotalg/circleset.py", "(p[0], p[1], p[2] - k) in moved", "(p[0], p[1], p[2] + k) in moved",
      ["tests/test_circleset.py::test_intersect_union_cases"]),
     ("rotalg/circleset.py", "e = (abs(p[2]) + 2) * 2.0**-50", "e = 0.0",
@@ -77,9 +84,11 @@ def stale() -> list[str]:
     return out
 
 
-def run_mutant(path: str, old: str, new: str, tests: list[str]) -> subprocess.CompletedProcess:
-    """pytest on the named tests over a copy of the sources with old -> new:
-    exit code 0 means the mutant survives, 1 that a test killed it."""
+def run_mutant(path: str, old: str, new: str,
+               tests: list[str]) -> list[subprocess.CompletedProcess]:
+    """pytest on each named test alone over a copy of the sources with
+    old -> new: exit code 0 means the test passes on the mutant, 1 that it
+    fails."""
     with tempfile.TemporaryDirectory(prefix="rotalg-mutant-") as tmp:
         work = Path(tmp)
         shutil.copytree(SRC, work / "src", ignore=shutil.ignore_patterns("__pycache__"))
@@ -88,8 +97,9 @@ def run_mutant(path: str, old: str, new: str, tests: list[str]) -> subprocess.Co
         shutil.copy(ROOT / "pyproject.toml", work)
         target = work / "src" / path
         target.write_text(target.read_text().replace(old, new))
-        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                               *tests], cwd=work, capture_output=True, text=True)
+        return [subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                test], cwd=work, capture_output=True, text=True)
+                for test in tests]
 
 
 def main() -> int:
@@ -99,12 +109,15 @@ def main() -> int:
     if bad:
         return 1
     for path, old, new, tests in MUTANTS:
-        proc = run_mutant(path, old, new, tests)
-        verdict = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, f"ERROR {proc.returncode}")
+        procs = run_mutant(path, old, new, tests)
+        codes = {proc.returncode for proc in procs}
+        verdict = "killed" if codes == {1} else "SURVIVED" if 0 in codes else f"ERROR {codes}"
         print(f"{verdict}: {path}: {old!r} -> {new!r}")
-        if proc.returncode != 1:  # a survivor, or pytest could not run the tests
-            bad.append(path)
-            print(proc.stdout[-2000:] + proc.stderr[-2000:])
+        for test, proc in zip(tests, procs):
+            if proc.returncode != 1:  # passes on the mutant, or pytest could not run it
+                bad.append(path)
+                print(f"  not killed by {test}:")
+                print(proc.stdout[-2000:] + proc.stderr[-2000:])
     return 1 if bad else 0
 
 

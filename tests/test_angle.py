@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from rotalg import Angle, golden_angle, named_angle, silver_angle
-from rotalg.angle import _floor_quad
+from rotalg.angle import ANGLE_BITS, _floor_quad
 
 import oracles
 
@@ -189,6 +189,44 @@ def test_descriptor_validation():
         Angle("cf", cf_prefix=[1, 2], cf_rule="repeat-last")  # a0 != 0
 
 
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=7), st.data())
+def test_cf_angle_is_the_surd_of_its_quotient_stream(quotients, data):
+    prefix = [0, *quotients]
+    k = data.draw(st.integers(1, len(quotients)))
+    rule = data.draw(st.sampled_from(["repeat-last", f"periodic:{k}"]))
+    if rule == "repeat-last":
+        k = 1
+    stream = prefix + [prefix[len(prefix) - k + i % k] for i in range(61 - len(prefix))]
+    # textbook recurrence from p_{-1}/q_{-1} = 1/0, p_0/q_0 = 0/1
+    conv = [(1, 0), (0, 1)]
+    for a in stream[1:]:
+        (p0, q0), (p1, q1) = conv[-2:]
+        conv.append((a * p1 + p0, a * q1 + q0))
+    angle = Angle("cf", cf_prefix=prefix, cf_rule=rule)
+    assert angle.best_denominators(30) == [q for _, q in conv[2:32]]
+    assert abs(Fraction(angle.float_value()) - Fraction(*conv[61])) <= Fraction(1, 2**50)
+
+
+def test_descriptors_past_angle_bits_are_refused():
+    big = 1 << ANGLE_BITS  # ANGLE_BITS + 1 bits
+    for surd in ((-big, big, 5, 2 * big), (-1, 1, 5 * big * big, 2), (-1, 1, 5, 2 * big)):
+        with pytest.raises(ValueError, match="angle-too-large"):
+            Angle("surd", surd=surd)
+    for prefix in ([0] + [1] * (ANGLE_BITS + 1), [0, 2, big], [0] + [7] * 50_000):
+        with pytest.raises(ValueError, match="angle-too-large"):
+            Angle("cf", cf_prefix=prefix)
+    # at the bound: a surd term or the prefix of ANGLE_BITS bits is accepted
+    half = 1 << (ANGLE_BITS - 2)
+    golden = Angle("surd", surd=(-half, half, 5, 2 * half))
+    assert golden.float_value() == golden_angle().float_value()
+    assert golden.best_denominators(5) == [1, 2, 3, 5, 8]
+    ones = Angle("cf", cf_prefix=[0] + [1] * ANGLE_BITS)
+    assert ones.best_denominators(5) == [1, 2, 3, 5, 8]
+    wide = Angle("cf", cf_prefix=[0, 2, (1 << (ANGLE_BITS - 3)) - 1])
+    assert wide.compare_linear(Fraction(-1, 2), 1) == -1
+    assert wide.floor_linear(Fraction(-1, 3), 1) == 0
+
+
 def test_json_round_trip(golden):
     doc = golden.to_json()
     assert doc == {"kind": "surd", "a": -1, "b": 1, "c": 5, "den": 2}
@@ -211,7 +249,7 @@ def test_concurrent_refinement():
     import sys
     import threading
     g = golden_angle()
-    fresh = golden_angle()  # its integer enclosures grow while the threads run
+    fresh = golden_angle()  # decided only while the threads run
     errs = []
     # near-ties -p_k + q_k*rho at Fibonacci convergents: each one needs a
     # narrower enclosure than the last
@@ -249,13 +287,6 @@ def test_concurrent_refinement():
     assert not errs
     lo, hi = g.refine(Fraction(1, 2**39))
     assert hi - lo <= Fraction(1, 2**39)
-    # the levels are nested enclosures of rho, each within its width bound
-    levels = [(Fraction(ln, ld), Fraction(hn, hd)) for ln, ld, hn, hd in fresh._levels]
-    assert len(levels) > 3
-    for k, (lo, hi) in enumerate(levels):
-        assert 0 < hi - lo <= Fraction(1, 2**(24 + 16 * k))
-    for (lo0, hi0), (lo1, hi1) in zip(levels, levels[1:]):
-        assert lo0 <= lo1 < hi1 <= hi0
 
 
 # -- the decision kernel against an independent 256-bit oracle ---------------
@@ -323,7 +354,6 @@ def test_near_ties_refine_past_the_first_enclosure():
         p, q = _convergent(name, 60)
         assert q > 2**30
         assert angle.floor_linear(-p, q, 1) == _oracle_floor(name, -p, q, 1)
-        assert len(angle._levels) > 1, name
         for s in (1, -1):
             assert angle.compare_linear(-s * p, s * q) == _oracle_sign(name, -s * p, s * q)
             assert angle.floor_linear(-s * p, s * q, 3) == _oracle_floor(name, -s * p, s * q, 3)

@@ -591,6 +591,13 @@ def test_flags_nothing_reads_exit_4(argv, flag, inputs, capsys, tmp_path):
                    id=f"{suite[1]}-tolerance-{value}")
       for suite in (["--suite", "membership", "--n", "2"], ["--suite", "center"])
       for value in ("nan", "inf", "0", "-1")],
+    # an angle descriptor past ANGLE_BITS is refused before it is converted
+    *[pytest.param(["eval", "{A}", "-n", "1", "--angle", json.dumps(doc)], id=name)
+      for name, doc in (
+          ("angle-cf-4000-digit-quotients", {"kind": "cf", "prefix": [0] + [10**3999] * 39}),
+          ("angle-cf-50000-quotients", {"kind": "cf", "prefix": [0] + [7] * 50_000}),
+          ("angle-surd-2000-digit-den", {"kind": "surd", "a": -1, "b": 1, "c": 5,
+                                         "den": 2 * 10**2000}))],
 ])
 def test_out_of_range_values_exit_4(argv, inputs, capsys):
     subs = {"{A}": str(inputs["a"]), "{B}": str(inputs["b"])}
