@@ -11,18 +11,16 @@ descriptor kinds are supported:
 
 Both rules give an eventually periodic continued fraction, so a cf angle
 is a quadratic surd too (Euler and Lagrange), and it is converted to one
-when it is built.  Everything downstream (circle sets, ideal functions)
-funnels its order decisions through :meth:`Angle.compare_linear` and
-:meth:`Angle.floor_linear`, which read the surd alone: the floor of
-``(x + y*rho)/d`` is one ``math.isqrt`` and one integer division, exact
-because ``y*b*sqrt(c)`` is irrational for y != 0.  Rational enclosures,
-the float value and best denominators come from the continued fraction
-of the surd, whose consecutive convergents bracket rho.
+when it is built.  Every read goes through one kernel, the floor of
+``(x + y*rho)/d``: one ``math.isqrt`` and one integer division, exact
+because ``y*b*sqrt(c)`` is irrational for y != 0.  Order decisions
+(:meth:`Angle.compare_linear`, :meth:`Angle.floor_linear`), the range
+check and the dyadic enclosures of :meth:`Angle.refine` read it directly;
+only :meth:`Angle.best_denominators` walks the continued fraction.
 """
 from __future__ import annotations
 
 import json
-import threading
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional
@@ -55,21 +53,16 @@ def _is_square(c: int) -> bool:
 class Angle:
     """An exact irrational rotation parameter in (0, 1).
 
-    Held as the surd ``self._surd = (a, b, c, den)``, den > 0, whatever
-    the descriptor; decisions read only that tuple.  The continued
-    fraction coefficients and convergents, and the narrowest convergent
-    pair read, are caches that grow under a lock, so instances can be
-    shared across threads.
+    Immutable: held as the surd ``self._surd = (a, b, c, den)``, den > 0
+    and gcd(a, b, den) = 1, whatever the descriptor, and every read is a
+    function of that tuple.  The one memo is the float value, which is
+    the same whichever thread writes it first.
     """
 
     def __init__(self, kind: str, *, surd: tuple[int, int, int, int] | None = None,
                  cf_prefix: list[int] | None = None, cf_rule: str = "repeat-last"):
         self.kind = kind
-        self._lock = threading.RLock()
-        self._pair = 2  # k of the narrowest convergent pair read, see refine
         self._float: float | None = None
-        self._coeffs: list[int] = []
-        self._convergents = [(0, 1), (1, 0)]  # (p_k, q_k) for k >= -2
 
         if kind == "surd":
             a, b, c, den = surd
@@ -81,6 +74,7 @@ class Angle:
                 a, b, den = -a, -b, -den
             if b == 0 or c <= 1 or _is_square(c):
                 raise ValueError("surd must be irrational: need b != 0 and c a non-square > 1")
+            self._given = (a, b, c, den)  # echoed by to_json and repr
         elif kind == "cf":
             if not cf_prefix or cf_prefix[0] != 0:
                 raise ValueError("prefix must start with 0 for a value in (0, 1)")
@@ -104,71 +98,31 @@ class Angle:
         else:
             raise ValueError(f"unknown descriptor kind {kind!r}")
 
-        self._surd = (a, b, c, den)
-        # CF expansion state: x_k = (P + sqrt(D)) / Q with Q | D - P^2
-        if b > 0:
-            P, D, Q = a, b * b * c, den
-        else:
-            P, D, Q = -a, b * b * c, -den
-        if (D - P * P) % Q != 0:
-            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-        self._cf_state = (P, D, Q)
-
+        # reduced, so a scaled descriptor decides at the cost of the reduced one
+        g = gcd(a, b, den)
+        self._surd = (a // g, b // g, c, den // g)
         # rho is irrational, so it lies in (0, 1) exactly when its floor is 0
-        if self._coeff(0) != 0:
+        if self._floor(0, 1, 1) != 0:
             raise ValueError("angle value must lie in (0, 1)")
-
-    # -- continued fraction machinery ------------------------------------
-
-    def _coeff(self, i: int) -> int:
-        """i-th partial quotient (a_0 = 0)."""
-        with self._lock:
-            while len(self._coeffs) <= i:
-                self._coeffs.append(self._next_coeff())
-            return self._coeffs[i]
-
-    def _next_coeff(self) -> int:
-        """The next partial quotient: advance the (P, D, Q) state one step."""
-        P, D, Q = self._cf_state
-        a = _floor_quad(P, D, Q)
-        P1 = a * Q - P
-        Q1 = (D - P1 * P1) // Q
-        self._cf_state = (P1, D, Q1)
-        return a
-
-    def _convergent(self, k: int) -> tuple[int, int]:
-        """(p_k, q_k) with p_k = a_k p_{k-1} + p_{k-2}, from p_{-2}/q_{-2} = 0/1
-        and p_{-1}/q_{-1} = 1/0."""
-        with self._lock:
-            conv = self._convergents
-            while len(conv) <= k + 2:
-                a = self._coeff(len(conv) - 2)
-                (p0, q0), (p1, q1) = conv[-2:]
-                conv.append((a * p1 + p0, a * q1 + q0))
-            return conv[k + 2]
 
     # -- enclosure and refinement ----------------------------------------
 
     def refine(self, precision: Fraction) -> tuple[Fraction, Fraction]:
         """Rational interval of width <= precision containing the value.
 
-        The interval is the first pair of consecutive convergents p_k/q_k,
-        p_{k+1}/q_{k+1} from k = 2 on (both inside (0, 1)) of width
-        1/(q_k q_{k+1}) <= precision, or the narrowest pair already read
-        when that one is narrow enough.  Convergents alternate about the
-        value and each lies between the two before it, so successive calls
-        return nested intervals.
+        The interval is (f/2**k, (f+1)/2**k) with f = floor(rho*2**k), for
+        the least k with 2**-k <= precision and both ends strictly inside
+        (0, 1).  It depends on the precision alone, and dyadic intervals
+        nest, so a finer precision gives a subinterval.
         """
         precision = Fraction(precision)
         if precision <= 0:
             raise ValueError("precision must be positive")
-        with self._lock:
-            k = self._pair
-            while self._convergent(k)[1] * self._convergent(k + 1)[1] * precision < 1:
-                k += 1
-            self._pair = k
-            x, y = Fraction(*self._convergent(k)), Fraction(*self._convergent(k + 1))
-            return (x, y) if x < y else (y, x)
+        # least k with 2**k >= ceil(1/precision)
+        k = (-(-precision.denominator // precision.numerator) - 1).bit_length()
+        while (f := self._floor(0, 1 << k, 1)) == 0 or f + 1 == 1 << k:
+            k += 1
+        return Fraction(f, 1 << k), Fraction(f + 1, 1 << k)
 
     def float_value(self) -> float:
         """rho rounded to the nearest float: the rounding of both ends of
@@ -217,11 +171,25 @@ class Angle:
         """First `count` convergent denominators q_1, q_2, ...
 
         Along this sequence the distance from q_k * rho to the nearest
-        integer is strictly decreasing.
+        integer is strictly decreasing.  The partial quotients come from
+        the complete quotients x_k = (P + sqrt(D))/Q, Q | D - P**2, and
+        q_k = a_k q_{k-1} + q_{k-2} from q_{-2}, q_{-1} = 1, 0.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        return [self._convergent(k)[1] for k in range(1, count + 1)]
+        a, b, c, den = self._surd
+        s = 1 if b > 0 else -1  # b*sqrt(c) = s*sqrt(b*b*c)
+        P, D, Q = s * a, b * b * c, s * den
+        if (D - P * P) % Q != 0:
+            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+        q0, q1, out = 1, 0, []
+        for _ in range(count + 1):  # a_0 = 0 gives q_0 = 1, then q_1 ...
+            a_k = _floor_quad(P, D, Q)
+            P = a_k * Q - P
+            Q = (D - P * P) // Q
+            q0, q1 = q1, a_k * q1 + q0
+            out.append(q1)
+        return out[1:]
 
     def match_phase(self, target: Fraction, tolerance: Fraction,
                     search_bound: int) -> Optional[int]:
@@ -268,7 +236,7 @@ class Angle:
 
     def to_json(self) -> dict:
         if self.kind == "surd":
-            a, b, c, den = self._surd
+            a, b, c, den = self._given
             return {"kind": "surd", "a": a, "b": b, "c": c, "den": den}
         return {"kind": "cf", "prefix": list(self._cf_prefix), "rule": self._cf_rule}
 
@@ -291,7 +259,7 @@ class Angle:
 
     def __repr__(self) -> str:
         if self.kind == "surd":
-            a, b, c, den = self._surd
+            a, b, c, den = self._given
             return f"Angle(({a}{b:+}*sqrt({c}))/{den})"
         return f"Angle(cf {self._cf_prefix} {self._cf_rule})"
 

@@ -35,6 +35,7 @@ _ADJOINT_TESTS = ["tests/test_sandbox.py::test_exact_adjoint_matches_conjugate_t
 _QI_FRAC_TESTS = ["tests/test_exactnum.py::test_qi_frac_is_qi_of_two_fractions",
                   "tests/test_exactnum.py::test_qi_frac_zero_negative_and_reducible_cases"]
 _NEAR_TIES = "tests/test_circleset.py::test_position_order_of_near_ties_falls_back_to_the_exact_sort"
+_OUT_OF_RANGE = "tests/test_cli.py::test_out_of_range_values_exit_4"
 
 # (file under src/, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -59,6 +60,25 @@ MUTANTS = [
     ("rotalg/angle.py", "e, f = p - q1,", "e, f = q1 - p,",
      ["tests/test_angle.py::test_cf_angle_is_the_surd_of_its_quotient_stream",
       "tests/test_angle.py::test_golden_surd_and_cf_refine_alike"]),
+    # the immutable angle: dyadic refine, local best denominators, reduced surd
+    ("rotalg/angle.py", "== 0 or f + 1 == 1 << k:", "== 0:",
+     ["tests/test_angle.py::test_refine_vacuous_precision",
+      "tests/test_angle.py::test_refine_is_the_dyadic_floor_of_the_256_bit_oracle"]),
+    ("rotalg/angle.py", "q0, q1, out = 1, 0, []", "q0, q1, out = 0, 1, []",
+     ["tests/test_angle.py::test_best_denominators_golden"]),
+    ("rotalg/angle.py", "s = 1 if b > 0 else -1", "s = 1",
+     ["tests/test_angle.py::test_best_denominators_negative_surd_coefficient"]),
+    ("rotalg/angle.py", "g = gcd(a, b, den)", "g = 1",
+     ["tests/test_angle.py::test_scaled_surd_reads_as_its_reduced_surd"]),
+    # input checks
+    ("rotalg/cli.py", 'return f"missing field {exc}" if type(exc) is KeyError else str(exc)',
+     "return str(exc)", ["tests/test_cli.py::test_missing_fields_are_named"]),
+    ("rotalg/cli.py", "if not 0 < value < INFINITY:", "if not 0 < value <= INFINITY:",
+     [f"{_OUT_OF_RANGE}[membership-tolerance-inf]", f"{_OUT_OF_RANGE}[center-tolerance-inf]"]),
+    ("rotalg/idealfn.py", "if depth > DEPTH_LIMIT:", "if depth > 10 * DEPTH_LIMIT:",
+     [f"{_OUT_OF_RANGE}[join-document-depth-past-depth-limit]"]),
+    ("rotalg/cli.py", "_int_in(0, DEPTH_LIMIT,", "_int_in(0, 10 * DEPTH_LIMIT,",
+     ["tests/test_cli.py::test_depth_is_bounded_by_depth_limit"]),
     # re-derived from the mutants that earlier changes ran by hand
     ("rotalg/circleset.py", "(p[0], p[1], p[2] - k) in moved", "(p[0], p[1], p[2] + k) in moved",
      ["tests/test_circleset.py::test_intersect_union_cases"]),

@@ -13,13 +13,8 @@ import oracles
 def test_refine_golden_hundredth(golden):
     lo, hi = golden.refine(Fraction(1, 100))
     assert hi - lo <= Fraction(1, 100)
-    # the two consecutive convergents 13/21 and 21/34 bracket the value
-    assert lo <= Fraction(21, 34) or lo <= Fraction(13, 21)
-    assert Fraction(21, 34) <= hi or lo <= Fraction(21, 34) <= hi
-    # Fibonacci convergents: (5/8, 3/5) has width 1/40, (8/13, 5/8) is the
-    # first pair of width <= 1/100, at 1/104
-    lo, hi = golden_angle().refine(Fraction(1, 100))
-    assert (lo, hi) == (Fraction(8, 13), Fraction(5, 8))
+    # 2**-7 is the first dyadic width <= 1/100, and floor(rho * 128) = 79
+    assert (lo, hi) == (Fraction(79, 128), Fraction(5, 8))
     olo, ohi = oracles.surd_enclosure(-1, 1, 5, 2)
     assert lo < olo and ohi < hi
 
@@ -66,13 +61,15 @@ def test_refine_silver_micro(silver):
     assert abs(float(lo) - 0.4142135) < 1e-5
 
 
-def test_refine_nested(golden):
-    a = golden.refine(Fraction(1, 10))
-    b = golden.refine(Fraction(1, 10**9))
-    c = golden.refine(Fraction(1, 100))
-    assert a[0] <= b[0] and b[1] <= a[1]
-    # later coarse requests never loosen the cached enclosure
-    assert c[0] >= b[0] and c[1] <= b[1]
+def test_refine_nested():
+    golden = golden_angle()  # fresh: nothing refined before the first call
+    mid = golden.refine(Fraction(1, 100))
+    fine = golden.refine(Fraction(1, 10**9))
+    # the interval depends on the precision alone, not on a finer call before it
+    assert golden.refine(Fraction(1, 100)) == mid
+    # dyadic intervals nest: coarse ones contain fine ones
+    coarse = golden.refine(Fraction(1, 10))
+    assert coarse[0] <= mid[0] <= fine[0] < fine[1] <= mid[1] <= coarse[1]
 
 
 def test_compare_linear_examples(golden):
@@ -227,6 +224,26 @@ def test_descriptors_past_angle_bits_are_refused():
     assert wide.floor_linear(Fraction(-1, 3), 1) == 0
 
 
+def test_scaled_surd_reads_as_its_reduced_surd():
+    # a descriptor scaled to ANGLE_BITS decides at the cost of (-1, 1, 5, 2)
+    half = 1 << (ANGLE_BITS - 2)
+    golden = golden_angle()
+    for desc in ((-half, half, 5, 2 * half), (half, -half, 5, -2 * half)):
+        big = Angle("surd", surd=desc)
+        assert big._surd == golden._surd == (-1, 1, 5, 2)
+        for q, n in ((Fraction(-13, 21), 1), (Fraction(-21, 34), 1), (-832040, 1346269), (7, -3)):
+            assert big.compare_linear(q, n) == golden.compare_linear(q, n)
+            assert big.floor_linear(q, n, 5) == golden.floor_linear(q, n, 5)
+        assert big.refine(Fraction(1, 10**30)) == golden.refine(Fraction(1, 10**30))
+        assert big.float_value() == golden.float_value()
+        assert big.best_denominators(30) == golden.best_denominators(30)
+        # the descriptor is echoed sign-normalised, not reduced
+        assert big.to_json() == {"kind": "surd", "a": -half, "b": half, "c": 5, "den": 2 * half}
+        assert repr(big) == f"Angle(({-half}{half:+}*sqrt(5))/{2 * half})"
+        assert big.same_as(Angle("surd", surd=(-half, half, 5, 2 * half)))
+        assert not big.same_as(golden)
+
+
 def test_json_round_trip(golden):
     doc = golden.to_json()
     assert doc == {"kind": "surd", "a": -1, "b": 1, "c": 5, "den": 2}
@@ -370,3 +387,16 @@ def test_floor_quad_matches_256_bit_oracle(P, D, Q, sign):
     a, b = sorted(oracles.surd_enclosure(P, 1, D, Q))
     assert floor(a) == floor(b), "256 bits do not decide"
     assert _floor_quad(P, D, Q) == floor(a)
+
+
+def test_refine_is_the_dyadic_floor_of_the_256_bit_oracle():
+    # refine(2**-k) is (f/2**j, (f+1)/2**j), f = floor(rho*2**j), for the
+    # least j >= k that puts both ends strictly inside (0, 1)
+    for name, (make, _, _) in ORACLE_ANGLES.items():
+        angle = make()
+        for k in range(1, 201):
+            j = k
+            while not 0 < (f := _oracle_floor(name, 0, 1 << j, 1)) < (1 << j) - 1:
+                j += 1
+            assert angle.refine(Fraction(1, 1 << k)) == (Fraction(f, 1 << j),
+                                                          Fraction(f + 1, 1 << j)), (name, k)
