@@ -198,37 +198,29 @@ class Angle:
         Minimizes the circle distance from frac(k*rho) to `target` over the
         search range; returns k only when that distance is < tolerance,
         otherwise None.  All comparisons are exact; ties prefer smaller |k|,
-        then positive k.
+        then positive k.  With target a/b and tolerance p/s, b times each
+        distance is an integer form x + y*rho, decided by the kernel.
         """
-        target = Fraction(target)
         tolerance = Fraction(tolerance)
         if not (0 < tolerance < Fraction(1, 2)):
             raise ValueError("tolerance must lie in (0, 1/2)")
-        if not (0 <= target < 1):
-            target %= 1
+        target = Fraction(target) % 1
+        a, b = target.numerator, target.denominator
+        p, s = tolerance.numerator, tolerance.denominator
 
-        best_dist: tuple[Fraction, int] | None = None  # (q, n) linear expr
-        best_k = None
+        best = best_k = None  # best = (x, y): b times the least distance so far
         for mag in range(1, search_bound + 1):
             for k in (mag, -mag):
-                # e = frac(k*rho - target) in [0, 1)
-                m = self.floor_linear(-target, k)
-                eq, en = -target - m, k
-                # circle distance = min(e, 1 - e)
-                if self.compare_linear(2 * eq - 1, 2 * en) <= 0:
-                    dq, dn = eq, en
-                else:
-                    dq, dn = 1 - eq, -en
-                if best_dist is None:
-                    better = True
-                else:
-                    s = self.compare_linear(dq - best_dist[0], dn - best_dist[1])
-                    better = s < 0  # ties keep the earlier (smaller |k|, positive) hit
-                if better:
-                    best_dist, best_k = (dq, dn), k
-        if best_dist is None:
-            return None
-        if self.compare_linear(best_dist[0] - tolerance, best_dist[1]) < 0:
+                # b*frac(k*rho - a/b) = x + y*rho, in [0, b)
+                y = b * k
+                x = -a - b * self.floor_linear(-a, y, b)
+                # circle distance: that, or b minus it past b/2
+                if self.compare_linear(2 * x - b, 2 * y) > 0:
+                    x, y = b - x, -y
+                # ties keep the earlier (smaller |k|, positive) hit
+                if best is None or self.compare_linear(x - best[0], y - best[1]) < 0:
+                    best, best_k = (x, y), k
+        if best is not None and self.compare_linear(best[0] * s - p * b, best[1] * s) < 0:
             return best_k
         return None
 

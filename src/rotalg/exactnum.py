@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .angle import Angle
-
 __all__ = ["QI", "qi", "qi_frac", "qi_parts", "qi_add", "qi_mul", "qi_addmul", "qi_div",
            "qi_conj", "qi_neg", "qi_is_zero", "qi_to_complex", "PhasePoly"]
 
@@ -92,7 +90,8 @@ def qi_to_complex(a: QI) -> complex:
 
 
 class PhasePoly:
-    """Finite sum of c_j * z**j with Gaussian-rational c_j, z the rotation phase."""
+    """Finite sum of c_j * z**j with Gaussian-rational c_j, z the rotation phase
+    held symbolically (only `sandbox` evaluates it); not hashable."""
 
     __slots__ = ("terms",)
 
@@ -165,15 +164,6 @@ class PhasePoly:
         if not isinstance(other, PhasePoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def to_complex(self, angle: Angle) -> complex:
-        import cmath
-        rho = angle.float_value()
-        return sum((qi_to_complex(c) * cmath.exp(2j * cmath.pi * rho * j)
-                    for j, c in self.terms.items()), 0j)
 
     def __repr__(self) -> str:
         if not self.terms:

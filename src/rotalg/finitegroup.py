@@ -416,7 +416,7 @@ class M2Report(NamedTuple):
     all_generated_full: bool
 
 
-def check_no_intermediate_M2(trials: int = 1000) -> M2Report:
+def check_no_intermediate_M2(trials: int) -> M2Report:
     """Two points swapped by an order-two shift: the crossed product is the
     full 2x2 matrix algebra and nothing sits strictly between it and the
     embedded group algebra.

@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import inf
 from typing import NamedTuple, Sequence
 
-from .angle import Angle, PhaseSearchFailed
+from .angle import Angle, PhaseSearchFailed, json_int, json_of
 from .circleset import Arc, ClosedCircleSet
-from .exactnum import PhasePoly, qi, qi_addmul, qi_conj, qi_mul, qi_parts
+from .exactnum import PhasePoly, qi, qi_addmul, qi_conj, qi_mul, qi_parts, qi_to_complex
 from .idealfn import BasicFunction, IdealFunction
 
 __all__ = [
@@ -122,7 +122,9 @@ class TrigPoly:
     def as_float(self, angle: Angle) -> "TrigPoly":
         if self.mode == "float":
             return self
-        return TrigPoly("float", {k: c.to_complex(angle) for k, c in self.coeffs.items()})
+        return TrigPoly("float", {k: sum((qi_to_complex(q) * _phase(angle, j)
+                                          for j, q in c.terms.items()), 0j)
+                                  for k, c in self.coeffs.items()})
 
 
 class CrossedElement:
@@ -500,7 +502,7 @@ def derivative_extract(a: CrossedElement, j_count: int = 8) -> ExtractionResult:
     dens = angle.best_denominators(j_count)
     for nj in reversed(dens):
         # signed fractional part of nj*rho in (-1/2, 1/2], decided exactly
-        sf = nj * rho - angle.floor_linear(Fraction(1, 2), nj)
+        sf = nj * rho - angle.floor_linear(1, 2 * nj, 2)
         if abs(sf) >= 1e-15:
             break
     else:
@@ -651,15 +653,17 @@ def element_to_json(a: CrossedElement) -> dict:
 
 
 def element_from_json(angle: Angle, doc: dict) -> CrossedElement:
-    mode = doc.get("mode", "exact")
+    mode = json_of(dict, doc, "element").get("mode", "exact")
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     terms: dict[int, TrigPoly] = {}
-    for td in doc["terms"]:
-        n = int(td["n"])
+    for td in json_of(list, doc["terms"], "terms"):
+        n = json_int(json_of(dict, td, "term")["n"], "n")
         coeffs: dict[int, object] = {}
-        for e in td["coeffs"]:
-            k = int(e["k"])
+        for e in json_of(list, td["coeffs"], "coeffs"):
+            k = json_int(json_of(dict, e, "coefficient")["k"], "k")
             if mode == "exact":
-                j = int(e.get("zeta", 0))
+                j = json_int(e.get("zeta", 0), "zeta")
                 add = PhasePoly({j: qi(Fraction(e["re"]), Fraction(e["im"]))})
             else:
                 add = complex(float(e["re"]), float(e["im"]))

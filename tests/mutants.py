@@ -36,6 +36,8 @@ _QI_FRAC_TESTS = ["tests/test_exactnum.py::test_qi_frac_is_qi_of_two_fractions",
                   "tests/test_exactnum.py::test_qi_frac_zero_negative_and_reducible_cases"]
 _NEAR_TIES = "tests/test_circleset.py::test_position_order_of_near_ties_falls_back_to_the_exact_sort"
 _OUT_OF_RANGE = "tests/test_cli.py::test_out_of_range_values_exit_4"
+_PHASE_BRUTE = "tests/test_angle.py::test_match_phase_matches_a_256_bit_brute_force"
+_RECORDS = "tests/test_sandbox.py::test_elements_compare_by_value_without_zeros_and_are_unhashable"
 
 # (file under src/, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -70,6 +72,16 @@ MUTANTS = [
      ["tests/test_angle.py::test_best_denominators_negative_surd_coefficient"]),
     ("rotalg/angle.py", "g = gcd(a, b, den)", "g = 1",
      ["tests/test_angle.py::test_scaled_surd_reads_as_its_reduced_surd"]),
+    # the integer phase search
+    ("rotalg/angle.py", "x, y = b - x, -y", "x, y = b - x, y",
+     [_PHASE_BRUTE, "tests/test_angle.py::test_match_phase_third_bound_200"]),
+    ("rotalg/angle.py", "self.compare_linear(x - best[0], y - best[1]) < 0:",
+     "self.compare_linear(x - best[0], y - best[1]) <= 0:",
+     [_PHASE_BRUTE, "tests/test_angle.py::test_match_phase_zero_hits_denominator",
+      "tests/test_angle.py::test_match_phase_half"]),
+    ("rotalg/angle.py", "x = -a - b * self.floor_linear", "x = -a + b * self.floor_linear",
+     [_PHASE_BRUTE]),
+    ("rotalg/angle.py", "best[0] * s - p * b,", "best[0] * s - p,", [_PHASE_BRUTE]),
     # input checks
     ("rotalg/cli.py", 'return f"missing field {exc}" if type(exc) is KeyError else str(exc)',
      "return str(exc)", ["tests/test_cli.py::test_missing_fields_are_named"]),
@@ -91,6 +103,20 @@ MUTANTS = [
      ["tests/test_closure.py::test_mirror_rule_yields_what_a_full_visit_yields"]),
     ("rotalg/finitegroup.py", "            if len(rows) == dim:\n                break\n", "",
      ["tests/test_finitegroup.py::test_m2_closure_stops_at_rank_four"]),
+    # records: numpy off the exact path, zero-free value equality, no hash
+    ("rotalg/sandbox.py", "import cmath\n", "import cmath\nimport numpy as np\n",
+     ["tests/test_cli.py::test_lattice_verbs_leave_numpy_unimported"]),
+    ("rotalg/sandbox.py", "self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}",
+     "self.coeffs = dict(coeffs or {})", [_RECORDS]),
+    ("rotalg/sandbox.py", "(terms or {}).items() if not t.is_zero()}", "(terms or {}).items()}",
+     [_RECORDS]),
+    ("rotalg/sandbox.py", "return (self.mode, self.coeffs) == (other.mode, other.coeffs)",
+     "return self.coeffs == other.coeffs", [_RECORDS]),
+    ("rotalg/sandbox.py", "\n                and self.angle.same_as(other.angle))", ")", [_RECORDS]),
+    ("rotalg/sandbox.py", "coefficients are equal; not hashable.\"\"\"\n",
+     "coefficients are equal; not hashable.\"\"\"\n    __hash__ = object.__hash__\n", [_RECORDS]),
+    ("rotalg/finitegroup.py", "for u in rep.basis) and rep.proper)", "for u in rep.basis))",
+     ["tests/test_finitegroup.py::test_extend_ideal_report_keeps_its_proper_value"]),
 ]
 
 

@@ -389,6 +389,49 @@ def test_floor_quad_matches_256_bit_oracle(P, D, Q, sign):
     assert _floor_quad(P, D, Q) == floor(a)
 
 
+@st.composite
+def phase_cases(draw):
+    """(angle name, target a/b with b <= 60, tolerance in [1e-9, 1/3], bound)."""
+    name = draw(st.sampled_from(sorted(ORACLE_ANGLES)))
+    b = draw(st.integers(min_value=1, max_value=60))
+    target = Fraction(draw(st.integers(min_value=-b, max_value=2 * b - 1)), b)
+    tolerance = Fraction(draw(st.integers(min_value=1, max_value=333)),
+                         10 ** draw(st.integers(min_value=3, max_value=9)))
+    return name, target, tolerance, draw(st.integers(min_value=0, max_value=60))
+
+
+def _brute_match_phase(name, target, tolerance, bound):
+    """match_phase by its contract.  Each distance is a form x + y*rho with
+    x a Fraction; equal forms tie, others are ordered at 256 bits."""
+    lo, hi = oracles.surd_enclosure(*ORACLE_ANGLES[name][1])
+
+    def less(f, g):
+        x, y = f[0] - g[0], f[1] - g[1]
+        if x == 0 and y == 0:
+            return False
+        ends = (x + y * lo, x + y * hi)
+        assume(min(ends) > 0 or max(ends) < 0)  # 256 bits decide
+        return max(ends) < 0
+
+    best = best_k = None
+    for mag in range(1, bound + 1):
+        for k in (mag, -mag):
+            m = floor(k * lo - target)
+            assume(floor(k * hi - target) == m)
+            e = (-target - m, k)  # frac(k*rho - target)
+            d = e if less(e, (Fraction(1, 2), 0)) else (1 - e[0], -e[1])
+            if best is None or less(d, best):
+                best, best_k = d, k
+    return best_k if best is not None and less(best, (tolerance, 0)) else None
+
+
+@given(phase_cases())
+def test_match_phase_matches_a_256_bit_brute_force(case):
+    name, target, tolerance, bound = case
+    expected = _brute_match_phase(name, target, tolerance, bound)
+    assert ORACLE_ANGLES[name][0]().match_phase(target, tolerance, bound) == expected
+
+
 def test_refine_is_the_dyadic_floor_of_the_256_bit_oracle():
     # refine(2**-k) is (f/2**j, (f+1)/2**j), f = floor(rho*2**j), for the
     # least j >= k that puts both ends strictly inside (0, 1)

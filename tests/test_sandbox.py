@@ -222,7 +222,7 @@ def test_elements_compare_by_value_without_zeros_and_are_unhashable():
     assert CrossedElement(_G, "float", {}) != CrossedElement(_G, "exact", {})
     assert CrossedElement(silver_angle(), "exact", {2: t}) != a
     assert a != CrossedElement(_G, "exact", {1: t})
-    for x in (t, a):
+    for x in (one, t, a):
         with pytest.raises(TypeError):
             hash(x)
 
@@ -525,6 +525,19 @@ def test_element_json_round_trip_float():
     got = element_from_json(_G, doc)
     assert got.terms[1].coeffs == el.terms[1].coeffs
     assert got.terms[-3].coeffs == el.terms[-3].coeffs
+
+
+def test_element_from_json_refuses_an_unknown_mode_and_non_integer_indices():
+    # each was read before: mode "flaot" built an element whose norm then
+    # crashed, n = 1.9 was truncated to 1 and k = true read as 1
+    entry = {"k": 0, "re": "1.0", "im": "0.0"}
+    for doc, message in (
+            ({"mode": "flaot", "terms": [{"n": 1, "coeffs": [entry]}]}, "mode must be"),
+            ({"mode": "float", "terms": [{"n": 1.9, "coeffs": [entry]}]}, "n must be an integer"),
+            ({"mode": "float", "terms": [{"n": 1, "coeffs": [{**entry, "k": True}]}]},
+             "k must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            element_from_json(_G, doc)
 
 
 def _compression_norm(terms, radius, rho):
