@@ -264,6 +264,15 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_number(value, field: str):
+    """A number field of a JSON document: an int, a float or a string such
+    as "3/4" or "0.1", for the caller to parse.  A bool, list, object or
+    null is rejected, not read as 1 or 0 or left to crash further in."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{field} must be a number or a numeric string, got {value!r}")
+    return value
+
+
 def json_of(kind: type, value, field: str):
     """A field of a JSON document that must be of the given type (dict,
     list or str): anything else is bad input, not a crash further in."""

@@ -23,7 +23,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Collection, Iterable, NamedTuple, Optional
 
-from .angle import Angle, json_int, json_of
+from .angle import Angle, json_int, json_number, json_of
 
 __all__ = [
     "CirclePoint",
@@ -88,6 +88,9 @@ def pt(q, n: int = 0) -> CirclePoint:
     return CirclePoint(q, n)
 
 
+_ORIGIN = pt(0)  # positions are _delta from here
+
+
 # -- exact position arithmetic -------------------------------------------
 # Positions are int triples, so comparing and shifting them is integer
 # arithmetic; every order decision goes through the angle.
@@ -97,14 +100,6 @@ def _cmp(angle: Angle, a: _Expr, b: _Expr) -> int:
     ax, ay, ad = a
     bx, by, bd = b
     return angle.compare_linear(ax * bd - bx * ad, ay * bd - by * ad)
-
-
-def _offset(angle: Angle, p: CirclePoint) -> _Expr:
-    """Position of p as an expression in [0, 1) measured from 0."""
-    x, d, n = p
-    y = n * d
-    f = angle.floor_linear(x, y, d)
-    return (x - f * d, y, d)
 
 
 def _delta(angle: Angle, a: CirclePoint, b: CirclePoint) -> _Expr:
@@ -280,8 +275,8 @@ class ClosedCircleSet:
 
         Presentation/sampling only; exact decisions never go through this.
         """
-        pts = [_expr_float(self.angle, _offset(self.angle, p)) for p in self.points]
-        arcs = [(_expr_float(self.angle, _offset(self.angle, a.start)),
+        pts = [_expr_float(self.angle, _delta(self.angle, _ORIGIN, p)) for p in self.points]
+        arcs = [(_expr_float(self.angle, _delta(self.angle, _ORIGIN, a.start)),
                  _expr_float(self.angle, _delta(self.angle, a.start, a.end)))
                 for a in self.arcs]
         return pts, arcs
@@ -319,7 +314,7 @@ def _normalize(angle: Angle, points: list[CirclePoint], arcs: list[Arc]) -> Clos
 def _position_order(angle: Angle, ends: Collection[CirclePoint]) -> list[CirclePoint]:
     """The distinct ends sorted by position from 0: by float keys when their
     error intervals are disjoint and clear of 0 and 1, else by the exact
-    sort (`_offset`, `_cmp`), which the float order presorts.
+    sort (`_delta` from 0, `_cmp`), which the float order presorts.
 
     A key is within (|n| + 2) * 2**-51 of its end: |r - rho| <= 2**-54 for
     the nearest float r, and the roundings of x/d, float(n), n*r, the sum
@@ -342,7 +337,7 @@ def _position_order(angle: Angle, ends: Collection[CirclePoint]) -> list[CircleP
                 return order
     except OverflowError:  # n beyond float range
         order = list(ends)
-    pos = {p: _offset(angle, p) for p in order}
+    pos = {p: _delta(angle, _ORIGIN, p) for p in order}
     return sorted(order, key=cmp_to_key(lambda a, b: _cmp(angle, pos[a], pos[b])))
 
 
@@ -428,10 +423,10 @@ def _pt_to_json(p: CirclePoint) -> dict:
 
 
 def _pt_from_json(doc: dict) -> CirclePoint:
-    q = json_of(dict, doc, "point")["q"]
+    q = json_number(json_of(dict, doc, "point")["q"], "q")
     try:  # a string such as "3/4", an int or a finite float
         q = Fraction(q)
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"q must be a rational, got {q!r}") from exc
     return CirclePoint(q, json_int(doc["n"], "n"))
 

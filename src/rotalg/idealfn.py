@@ -358,8 +358,7 @@ class ClosednessReport(NamedTuple):
         return self.ok
 
 
-def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
-                        parent: Optional[dict[int, ClosedCircleSet]] = None):
+def _broken_constraints(D: dict[int, ClosedCircleSet], w: int):
     """Yield (label, t, cut) for each closure constraint that D breaks,
     that is each one where cut, D[t] intersected with its bound, is not D[t].
 
@@ -367,12 +366,10 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     D[-n] against D[n].rotate(n) and D[n] against D[-n].rotate(-n).  Then
     the product axiom, ("product", m, n), for m and n off the full circle
     in [-w, w] and targets m + n that are keys of D: D[m+n] against
-    D[n].rotate(-m) u side[m], where side is the parent's map when given
-    (the one-sided rule of an ideal) and D itself otherwise.  Constraints
-    met trivially (equal reflection sides, a full side, an empty target)
-    are skipped.  A product cut is one `intersect_union`, which returns D[t]
-    itself when nothing is cut.  D is read live, so a caller may set D[t]
-    to cut before asking for the next one.
+    D[n].rotate(-m) u D[m].  Constraints met trivially (equal reflection
+    sides, a full side, an empty target) are skipped.  A product cut is one
+    `intersect_union`, which returns D[t] itself when nothing is cut.  D is
+    read live, so a caller may set D[t] to cut before asking for the next one.
 
     Mirror rule: when D is reflective, D[-k] = D[k].rotate(k) on every key,
     the constraint at (-n, -m) is the one at (m, n) rotated by t = m + n:
@@ -382,9 +379,8 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     with t > 0 was visited earlier in the pass.  While nothing has been
     yielded, D is the D it was visited on and it was not broken, so those
     constraints are skipped.  The yielded sequence is the full visit's.
-    The parent's one-sided rule has no mirror and is visited in full.
     """
-    quiet = parent is None  # no yield yet, and D reflective on every key
+    quiet = True  # no yield yet, and D reflective on every key
     for n in range(1, w + 1):
         if D[-n] == D[n].rotate(n):
             continue  # equality is cheap; containment on arcs is not
@@ -396,26 +392,23 @@ def _broken_constraints(D: dict[int, ClosedCircleSet], w: int,
     # keys past w (check_closed reads targets out to 2w) are only the
     # mirror rule's precondition; they never report a label
     quiet = quiet and all(-k in D and D[-k] == D[k].rotate(k) for k in D if k > w)
-    side = D if parent is None else parent
-    nsupp = [n for n in range(-w, w + 1) if not D[n].full]
-    msupp = [m for m in range(-w, w + 1) if not side[m].full]
-    for m in msupp:
-        for n in nsupp:
+    supp = [n for n in range(-w, w + 1) if not D[n].full]
+    for m in supp:
+        for n in supp:
             t = m + n
             if quiet and t > 0:
-                break  # nsupp ascends: the rest of the row mirrors visited constraints
+                break  # supp ascends: the rest of the row mirrors visited constraints
             if t not in D or D[t].is_empty():
                 continue
-            cut = D[t].intersect_union(D[n], -m, side[m])
+            cut = D[t].intersect_union(D[n], -m, D[m])
             if cut is not D[t]:
                 quiet = False
                 yield ("product", m, n), t, cut
 
 
-def _labels(D: dict[int, ClosedCircleSet], w: int,
-            parent: Optional[dict[int, ClosedCircleSet]] = None) -> list[tuple]:
+def _labels(D: dict[int, ClosedCircleSet], w: int) -> list[tuple]:
     """Labels of the broken constraints, each once, in visiting order."""
-    return list(dict.fromkeys(label for label, _, _ in _broken_constraints(D, w, parent)))
+    return list(dict.fromkeys(label for label, _, _ in _broken_constraints(D, w)))
 
 
 def check_closed(c: IdealFunction, window: int) -> ClosednessReport:
@@ -467,18 +460,18 @@ def extend_from_positive(angle: Angle, values: dict[int, ClosedCircleSet],
         # None: unconstrained
         return full if n <= W or default == "full" else None
 
+    # a rule holds when its one cut, target n (a.rotate(k) u b), is the target
     supp = [n for n in range(1, W + 1) if n in values and not values[n].full]
     for m in supp:
         for n in supp:
             target = val(m + n)
-            if target is not None and not (
-                    val(n).rotate(-m).union(val(m)).contains_set(target)):
+            if target is not None and target.intersect_union(val(n), -m, val(m)) is not target:
                 raise ExtensionViolation("sum-rule", m, n)
             if n < m:
                 diff = val(m - n)
-                if not val(n).rotate(n - m).union(val(m)).contains_set(diff):
+                if diff.intersect_union(val(n), n - m, val(m)) is not diff:
                     raise ExtensionViolation("difference-rule", m, n)
-                if not val(n).union(val(m)).rotate(n).contains_set(diff):
+                if diff.intersect_union(val(n), n, val(m).rotate(n)) is not diff:
                     raise ExtensionViolation("shifted-difference-rule", m, n)
     out = {n: values.get(n, full) for n in range(0, W + 1)}
     out[0] = ClosedCircleSet.empty(angle)
@@ -644,29 +637,23 @@ def canonical_decomposition(c: IdealFunction, window: int,
                             depth: int = DEFAULT_DEPTH) -> DecompositionReport:
     """Critical indices and generating data of the decomposition into basics.
 
-    n is critical when the join of the basics collected so far still
-    disagrees with c at n; the returned basics re-join to c on the window
-    (asserted and reported).
+    n is critical when the join of the basics collected so far (the trivial
+    function before the first) still disagrees with c at n.  rejoin_ok
+    reports whether that join equals c on all of [-window, window].
     """
-    angle = c.angle
-    full = ClosedCircleSet.full_circle(angle)
     crit: list[tuple[int, ClosedCircleSet]] = []
     basics: list[IdealFunction] = []
-    approx: Optional[JoinFunction] = None
+    # the join of no basics: the trivial function, full off 0
+    approx: IdealFunction = BasicFunction(0, ClosedCircleSet.empty(c.angle))
     certs = [c.value(n)[1] for n in range(-window, window + 1)]
     for n in range(1, window + 1):
         vn = c.value(n)[0]
-        av = full if approx is None else approx.value(n)[0]
-        if av != vn:
+        if approx.value(n)[0] != vn:
             crit.append((n, vn))
             basics.append(make_basic(n, vn))
             approx = join_many(basics, window, depth)
             certs.append(approx.certificate)
-    if approx is None:
-        rejoin_ok = all(c.value(n)[0] == full for n in range(1, window + 1))
-    else:
-        rejoin_ok = values_equal(c, approx, window)
-    return DecompositionReport(crit, rejoin_ok, _meet_certs(*certs))
+    return DecompositionReport(crit, values_equal(c, approx, window), _meet_certs(*certs))
 
 
 def omega(c: IdealFunction, window: int) -> tuple[ClosedCircleSet, bool]:
@@ -758,22 +745,25 @@ def check_c_closed(j: CIdealFunction, window: int) -> ClosednessReport:
 
     Checks domination, reflection, the one-sided product rule for m in the
     parent support and n in the ideal support, and the symmetric four-term
-    bound when both indices are in the ideal support.
+    bound when both indices are in the ideal support.  Each product-type
+    rule is `intersect_union` cuts of the target: it holds when none cuts.
     """
     jv = {n: j.value_set(n) for n in range(-2 * window, 2 * window + 1)}
     cv = {n: j.parent.value_set(n) for n in range(-2 * window, 2 * window + 1)}
-    viols = [("domination", n) for n in range(-window, window + 1)
-             if not jv[n].contains_set(cv[n])]
-    viols += _labels(jv, window, parent=cv)
-    jsupp = [n for n in range(-window, window + 1) if not jv[n].full]
+    span = range(-window, window + 1)
+    viols = [("domination", n) for n in span if not jv[n].contains_set(cv[n])]
+    viols += [("reflection", n) for n in range(1, window + 1) if jv[-n] != jv[n].rotate(n)]
+    jsupp = [n for n in span if not jv[n].full]
+    for m in span:
+        if not cv[m].full:
+            viols += [("product", m, n) for n in jsupp
+                      if jv[m + n].intersect_union(jv[n], -m, cv[m]) is not jv[m + n]]
     for m in jsupp:
         for n in jsupp:
-            target = jv[m + n]
-            bound = (jv[n].rotate(-m).union(cv[m])
-                     .intersect(jv[m].rotate(-n).union(cv[n]))
-                     .intersect(cv[n].rotate(-m).union(jv[m]))
-                     .intersect(cv[m].rotate(-n).union(jv[n])))
-            if not bound.contains_set(target):
+            t = jv[m + n]
+            if any(t.intersect_union(a, k, b) is not t
+                   for a, k, b in ((jv[n], -m, cv[m]), (jv[m], -n, cv[n]),
+                                   (cv[n], -m, jv[m]), (cv[m], -n, jv[n]))):
                 viols.append(("product-symmetric", m, n))
     return ClosednessReport(viols)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import inf
 from typing import NamedTuple, Sequence
 
-from .angle import Angle, PhaseSearchFailed, json_int, json_of
+from .angle import Angle, PhaseSearchFailed, json_int, json_number, json_of
 from .circleset import Arc, ClosedCircleSet
 from .exactnum import PhasePoly, qi, qi_addmul, qi_conj, qi_mul, qi_parts, qi_to_complex
 from .idealfn import BasicFunction, IdealFunction
@@ -597,7 +597,7 @@ def center_check(c, phi: TrigPoly, tolerance: float) -> CenterReport:
     angle = c.angle
     arc = P.arcs[0]
     # J is the complementary (open) arc; sample its interior
-    _, arc_view = ClosedCircleSet.from_components(angle, (), (arc,)).float_components()
+    _, arc_view = P.float_components()
     p_start, p_len = arc_view[0]
     j_start = (p_start + p_len) % 1.0
     j_len = 1.0 - p_len
@@ -662,11 +662,12 @@ def element_from_json(angle: Angle, doc: dict) -> CrossedElement:
         coeffs: dict[int, object] = {}
         for e in json_of(list, td["coeffs"], "coeffs"):
             k = json_int(json_of(dict, e, "coefficient")["k"], "k")
+            re, im = json_number(e["re"], "re"), json_number(e["im"], "im")
             if mode == "exact":
                 j = json_int(e.get("zeta", 0), "zeta")
-                add = PhasePoly({j: qi(Fraction(e["re"]), Fraction(e["im"]))})
+                add = PhasePoly({j: qi(Fraction(re), Fraction(im))})
             else:
-                add = complex(float(e["re"]), float(e["im"]))
+                add = complex(float(re), float(im))
             coeffs[k] = coeffs[k] + add if k in coeffs else add
         t = TrigPoly(mode, coeffs)
         if t.is_zero():

@@ -38,6 +38,15 @@ _NEAR_TIES = "tests/test_circleset.py::test_position_order_of_near_ties_falls_ba
 _OUT_OF_RANGE = "tests/test_cli.py::test_out_of_range_values_exit_4"
 _PHASE_BRUTE = "tests/test_angle.py::test_match_phase_matches_a_256_bit_brute_force"
 _RECORDS = "tests/test_sandbox.py::test_elements_compare_by_value_without_zeros_and_are_unhashable"
+_C_CLOSED = "tests/test_idealfn.py::test_closedness_violation_lists_match_brute_force"
+_FILTER = "tests/test_closure.py::test_point_filter_cuts_like_set_operations"
+_MIRROR = "tests/test_closure.py::test_mirror_rule_yields_what_a_full_visit_yields"
+_CUT_TWICE = ("self.points * 2 + a.points + b.points,\n"
+              "                         self.arcs * 2 + a.arcs + b.arcs, 3)")
+_CUT_ONCE = ("self.points + a.points + b.points,\n"
+             "                         self.arcs + a.arcs + b.arcs, {})")
+_CUT_TESTS = ["tests/test_circleset.py::test_intersect_union_cases",
+              "tests/test_circleset.py::test_intersect_union_is_the_set_expression"]
 
 # (file under src/, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -117,6 +126,59 @@ MUTANTS = [
      "coefficients are equal; not hashable.\"\"\"\n    __hash__ = object.__hash__\n", [_RECORDS]),
     ("rotalg/finitegroup.py", "for u in rep.basis) and rep.proper)", "for u in rep.basis))",
      ["tests/test_finitegroup.py::test_extend_ideal_report_keeps_its_proper_value"]),
+    # one cut per closure rule: the ideal's four symmetric cuts and its
+    # one-sided m, the extension's shifts, the decomposition's start
+    ("rotalg/idealfn.py", "((jv[n], -m, cv[m]), (jv[m]", "((jv[m]", [_C_CLOSED]),
+    ("rotalg/idealfn.py", ", (jv[m], -n, cv[n]),", ",", [_C_CLOSED]),
+    ("rotalg/idealfn.py", "(cv[n], -m, jv[m]), ", "", [_C_CLOSED]),
+    ("rotalg/idealfn.py", ", (cv[m], -n, jv[n]))):", ")):", [_C_CLOSED]),
+    ("rotalg/idealfn.py", "if not cv[m].full:", "if not jv[m].full:", [_C_CLOSED, _FILTER]),
+    ("rotalg/idealfn.py", "val(n), n - m, val(m)", "val(n), m - n, val(m)",
+     ["tests/test_idealfn.py::test_extension_difference_rule"]),
+    ("rotalg/idealfn.py", "val(m).rotate(n)) is not diff", "val(m)) is not diff",
+     ["tests/test_idealfn.py::test_extension_shifted_difference_rule"]),
+    ("rotalg/idealfn.py",
+     "approx: IdealFunction = BasicFunction(0, ClosedCircleSet.empty(c.angle))",
+     "approx: IdealFunction = all_empty(c.angle)",
+     ["tests/test_closure.py::test_decomposition_of_trivial",
+      "tests/test_closure.py::test_decomposition_of_basic",
+      "tests/test_cli.py::test_decompose_checks_the_whole_window"]),
+    ("rotalg/angle.py", "        if (D - P * P) % Q != 0:\n"
+     "            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)\n", "",
+     ["tests/test_angle.py::test_best_denominators_silver"]),
+    # integer circle positions: the product cut shifted by +m, swapped
+    # denominators, an arc basic built one copy a step
+    ("rotalg/idealfn.py", "intersect_union(D[n], -m, D[m])", "intersect_union(D[n], m, D[m])",
+     [_FILTER, _MIRROR]),
+    ("rotalg/circleset.py", "ax * bd - bx * ad, ay * bd - by * ad",
+     "ax * ad - bx * bd, ay * ad - by * bd",
+     [f"{_NEAR_TIES}[_fibonacci_ties]",
+      "tests/test_circleset.py::test_intersect_decisions_are_sort_bounded_on_near_ties"]),
+    ("rotalg/circleset.py", "x, d = xb * da - xa * db, da * db",
+     "x, d = xb * db - xa * da, da * db",
+     ["tests/test_circleset.py::test_covering_index",
+      "tests/test_circleset.py::test_intersect_wrapping_arc"]),
+    ("rotalg/idealfn.py", "top = min(k, 2 * below + 1) if", "top = min(k, below + 1) if",
+     ["tests/test_idealfn.py::test_far_arc_basic_value_stops_at_the_covering_index",
+      "tests/test_idealfn.py::test_basic_value_is_bounded_by_value_limit"]),
+    # the certified sweep order: no wrap check at 0 or at 1, the target
+    # counted once at need 3 or at need 2
+    ("rotalg/circleset.py", "lo = 0.0  # the top", "lo = -1.0  # the top",
+     [f"{_NEAR_TIES}[_fibonacci_ties]", f"{_NEAR_TIES}[_wrap_ties]"]),
+    ("rotalg/circleset.py", "if lo < 1.0:", "if True:", [f"{_NEAR_TIES}[_wrap_ties]"]),
+    ("rotalg/circleset.py", _CUT_TWICE, _CUT_ONCE.format(3), _CUT_TESTS),
+    ("rotalg/circleset.py", _CUT_TWICE, _CUT_ONCE.format(2), _CUT_TESTS),
+    # the mirror rule: quiet kept after a reflection yield, no w < k <= 2w check
+    ("rotalg/idealfn.py", "                quiet = False\n                yield (\"reflection\"",
+     "                yield (\"reflection\"", [_MIRROR, _C_CLOSED]),
+    ("rotalg/idealfn.py", "    quiet = quiet and all(-k in D and D[-k] == D[k].rotate(k) "
+     "for k in D if k > w)\n", "", [_MIRROR]),
+    # exact views: a full target or an uncut sweep returned as a new set
+    ("rotalg/circleset.py", "return self if bound.full else bound", "return bound",
+     ["tests/test_circleset.py::test_intersect_union_cases",
+      "tests/test_closure.py::test_join_idempotent_on_closed"]),
+    ("rotalg/circleset.py", "return self if cut == self else cut", "return cut",
+     ["tests/test_idealfn.py::test_basics_are_closed", _MIRROR]),
 ]
 
 

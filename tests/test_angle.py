@@ -105,8 +105,27 @@ def test_best_denominators_golden(golden):
     assert golden.best_denominators(5) == [1, 2, 3, 5, 8]
 
 
+def _expansion_denominators(surd, count, digits=300):
+    """Convergent denominators of the continued fraction of a 300-digit
+    rational approximation of (a + b*sqrt(c))/den."""
+    a, b, c, den = surd
+    N = 10**digits
+    x = Fraction(a * N + b * isqrt(c * N * N), den * N)
+    q0, q1, out = 1, 0, []
+    while len(out) <= count:
+        k = floor(x)
+        q0, q1 = q1, k * q1 + q0
+        out.append(q1)
+        x = 1 / (x - k)
+    return out[1:]
+
+
 def test_best_denominators_silver(silver):
     assert silver.best_denominators(4) == [2, 5, 12, 29]
+    # (D - P**2) % Q != 0 for these two: the expansion state is rescaled first
+    for surd in ((-1, 1, 2, 5), (1, 1, 2, 3)):  # silver5 and (1 + sqrt(2))/3
+        dens = Angle("surd", surd=surd).best_denominators(40)
+        assert dens == _expansion_denominators(surd, 40) and dens[-1] > 10**15
 
 
 def test_best_denominators_negative_surd_coefficient():

@@ -526,13 +526,13 @@ def _model_order(ends):
 
 def _sweep_order(ends):
     """The sweep's order of these ends, and whether the exact sort ran."""
-    offsets = [0]
-    offset = circleset._offset
+    deltas = [0]
+    delta = circleset._delta
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(circleset, "_offset",
-                   lambda *a: offsets.__setitem__(0, offsets[0] + 1) or offset(*a))
+        mp.setattr(circleset, "_delta",
+                   lambda *a: deltas.__setitem__(0, deltas[0] + 1) or delta(*a))
         order = circleset._position_order(_G, ends)
-    return order, offsets[0] > 0
+    return order, deltas[0] > 0
 
 
 def test_position_order_of_random_ends_is_decided_by_float_keys():
@@ -597,7 +597,7 @@ def test_position_order_beyond_float_range_is_the_exact_sort():
     ends = {pt(0, 2**1100 + j) for j in range(4)} | {pt(F(1, 2), -2**1100), pt(0)}
     order, exact = _sweep_order(ends)
     assert exact and order[0] == pt(0)
-    pos = {p: circleset._offset(_G, p) for p in ends}
+    pos = {p: circleset._delta(_G, pt(0), p) for p in ends}
     assert order == sorted(ends, key=cmp_to_key(lambda a, b: circleset._cmp(_G, pos[a], pos[b])))
 
 
@@ -687,3 +687,5 @@ def test_svg_render(golden):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "path" in svg and svg.count("circle") >= 2
     assert "path" not in render_svg(ClosedCircleSet.from_points(golden, [pt(0)]))
+    full = render_svg(ClosedCircleSet.full_circle(golden))  # one ring over the outline
+    assert "path" not in full and full.count("<circle") == 2 and 'stroke="#c0392b"' in full

@@ -103,6 +103,15 @@ def test_decompose_classify_simplicity(inputs, capsys):
     assert code == 0 and rep["verdict"] == "simple"
 
 
+def test_decompose_checks_the_whole_window(capsys, tmp_path):
+    # no positive index is critical, so the re-join is the trivial function,
+    # which is full at -1, where this document is not
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(function_to_json(window_function(_G, {-1: _P}))))
+    code, rep = run(capsys, "decompose", path, "--window", "3")
+    assert code == 2 and rep["ok"] is False and rep["critical"] == []
+
+
 def test_plot(inputs, capsys, tmp_path):
     out = tmp_path / "out.svg"
     code, _ = run(capsys, "plot", inputs["set"], "-o", out)
@@ -872,6 +881,7 @@ def _fields(doc, path=()):
     ("join", ("gens",), 5),
     ("join", ("gens", 0, "angle"), "1/0"),
     ("join", ("gens", 1, "angle"), {"kind": "surd", "a": -1, "b": 1, "c": 2, "den": 1}),
+    ("basic", ("P", "components", 0, "pt", "q"), True),  # was read as the point 0
 ])
 def test_malformed_documents_exit_4(name, path, value, capsys):
     code = main(["eval", _replaced(_DOCS[name], path, value), "-n", "1"])

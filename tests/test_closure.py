@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rotalg import (Arc, BasicFunction, Certificate, ClosedCircleSet, WindowFunction,
-                    all_empty, canonical_decomposition, check_c_closed, check_closed,
-                    classify_algebra, close, closed_join, closed_join_value, golden_angle,
-                    join_many, make_basic, meet, naive_join, omega, q_intersection,
-                    simplicity_report, support, triviality, values_equal, window_function)
+from rotalg import (Arc, BasicFunction, CIdealFunction, Certificate, ClosedCircleSet,
+                    WindowFunction, all_empty, canonical_decomposition, check_c_closed,
+                    check_closed, classify_algebra, close, closed_join, closed_join_value,
+                    golden_angle, join_many, make_basic, meet, naive_join, omega,
+                    q_intersection, simplicity_report, support, triviality, values_equal,
+                    window_function)
 from rotalg.circleset import pt
 from rotalg.idealfn import SEED_LIMIT
 
@@ -77,9 +78,13 @@ def _product_cuts_by_set_operations(D, w, parent=None):
 @given(point_windows(), point_windows(), st.booleans())
 def test_point_filter_cuts_like_set_operations(D, parent, with_parent):
     from rotalg.idealfn import _broken_constraints
-    parent = parent if with_parent else None
-    got = [c for c in _broken_constraints(D, 2, parent) if c[0][0] == "product"]
-    want = _product_cuts_by_set_operations(D, 2, parent)
+    if with_parent:  # the one-sided rule of an ideal D over the parent
+        j = CIdealFunction(window_function(_G, parent), D)
+        got = [v for v in check_c_closed(j, 2).violations if v[0] == "product"]
+        assert got == [label for label, _, _ in _product_cuts_by_set_operations(D, 2, parent)]
+        return
+    got = [c for c in _broken_constraints(D, 2) if c[0][0] == "product"]
+    want = _product_cuts_by_set_operations(D, 2)
     assert [(label, t) for label, t, _ in got] == [(label, t) for label, t, _ in want]
     for (_, _, cut), (_, _, ref) in zip(got, want):
         assert cut == ref and cut.points == ref.points and cut.arcs == ref.arcs
@@ -435,6 +440,9 @@ def test_decomposition_of_meet_two_three():
 def test_decomposition_of_trivial():
     rep = canonical_decomposition(make_basic(0, _P), 6)
     assert rep.critical == [] and rep.rejoin_ok
+    # with no critical index the re-join is still checked on the whole window
+    rep = canonical_decomposition(window_function(_G, {-1: _P}), 6)
+    assert rep.critical == [] and not rep.rejoin_ok
 
 
 def test_decomposition_window_values_match():

@@ -87,6 +87,9 @@ def test_equality_after_cancellation():
     assert qi_add(qi(F(1, 6), F(1, 3)), qi(F(1, 3), F(-1, 3))) == qi(F(1, 2))
     assert qi_mul(qi(0, 1), qi(0, 1)) == qi(-1)
     assert qi_add(qi(F(5, 7), 2), qi(F(-5, 7), -2)) == qi(0) == (0, 0, 1)
+    # (1 + z)(1 - z) = 1 - z**2: the z terms cancel and are dropped
+    product = PhasePoly({0: qi(1), 1: qi(1)}) * PhasePoly({0: qi(1), 1: qi(-1)})
+    assert product.terms == {0: qi(1), 2: qi(-1)}
 
 
 @given(pairs, pairs, pairs)

@@ -284,6 +284,15 @@ def test_extension_difference_rule():
         extend_from_positive(_G, {2: two, 3: three, 4: ClosedCircleSet.empty(_G)})
     assert exc.value.condition == "difference-rule"
     assert (exc.value.m, exc.value.n) == (3, 2)
+    # at (m, n) = (2, 1) the sum rule holds (the target at 3 is empty), and
+    # the difference rule asks the points -2, -1 of 1 rotated by n - m = -1,
+    # that is -3, -2, together with the points -3, -2 of 2 to contain -2, -1
+    # of 1; rotated by m - n = +1 instead they would
+    with pytest.raises(ExtensionViolation) as exc:
+        extend_from_positive(_G, {1: orbit_set(-2, -1), 2: orbit_set(-3, -2),
+                                  3: ClosedCircleSet.empty(_G)})
+    assert exc.value.condition == "difference-rule"
+    assert (exc.value.m, exc.value.n) == (2, 1)
 
 
 # -- support and classification ---------------------------------------------
@@ -503,6 +512,13 @@ def test_closedness_violation_lists_match_brute_force():
         (CIdealFunction(b1, {1: orbit_set(0, 3), -1: orbit_set(4, 1)}), 4),
         (CIdealFunction(make_basic(1, orbit_set(0, 1)), {0: orbit_set(1)}), 4),
         (CIdealFunction(b1, {}), 4),
+        # full at 1, where the parent is not: the one-sided rule still reads m = 1
+        (CIdealFunction(b1, {1: ClosedCircleSet.full_circle(_G)}), 2),
+        # each of the four symmetric bounds is the only one to cut some target:
+        # at (m, n) = (1, 0) the first, (0, 1) the second, (2, -1) the third
+        # and (-1, 2) the fourth
+        (CIdealFunction(make_basic(1, orbit_set(1)),
+                        {1: orbit_set(1, 2), 0: orbit_set(2), -1: orbit_set(2, 4)}), 2),
     ]
     kinds = set()
     for j, w in c_cases:

@@ -14,7 +14,7 @@ from rotalg import (Arc, ClosedCircleSet, CrossedElement, TrigPoly, adjoint,
                     membership_test, multiply, project_qn, q_of,
                     section_norm, silver_angle, truncated_norm)
 from rotalg.angle import named_angle
-from rotalg.circleset import pt
+from rotalg.circleset import pt, set_from_json
 from rotalg.exactnum import PhasePoly, qi
 from rotalg.sandbox import (PhaseSearchFailed, bump_power, conjugate_by_shift,
                             derivative_extract)
@@ -288,6 +288,7 @@ def test_fejer_weights():
     assert f1.terms[0].coeffs == {2: PhasePoly.const(1)}
     assert f1.terms[1].coeffs == {0: PhasePoly.const(F(1, 2))}
     assert fejer_bracket(a, 9).terms[1].coeffs == {0: PhasePoly.const(F(9, 10))}
+    assert set(fejer_bracket(a, 0).terms) == {0}  # layers past n are dropped
 
 
 def test_fejer_error_scales_exactly():
@@ -447,6 +448,10 @@ def test_membership_constant_fails():
     a = mono(1, 0, 1.0, "float")
     rep = membership_test(c, a, 1e-9)
     assert not rep.ok and rep.per_frequency[1][1] > 0.5
+    # off the step-2 progression the value is full: the layer must vanish
+    # on the whole circle
+    rep = membership_test(make_basic(2, ClosedCircleSet.from_points(_G, [pt(F(1, 8))])), a, 1e-9)
+    assert not rep.ok and rep.per_frequency[1][1] == pytest.approx(1.0)
 
 
 def test_membership_dual_side_always_passes():
@@ -517,6 +522,9 @@ def test_element_json_round_trip_exact():
     el = random_exact_element(_G, rng)
     doc = json.loads(json.dumps(element_to_json(el)))
     assert element_from_json(_G, doc).terms == el.terms
+    # a term whose entries sum to zero is dropped
+    entries = [{"k": 0, "re": "1/2", "im": "0"}, {"k": 0, "re": "-1/2", "im": "0"}]
+    assert element_from_json(_G, {"terms": [{"n": 3, "coeffs": entries}]}).terms == {}
 
 
 def test_element_json_round_trip_float():
@@ -538,6 +546,21 @@ def test_element_from_json_refuses_an_unknown_mode_and_non_integer_indices():
              "k must be an integer")):
         with pytest.raises(ValueError, match=message):
             element_from_json(_G, doc)
+
+
+@pytest.mark.parametrize("value", [True, False, [1], None, {"re": 1}],
+                         ids=["true", "false", "list", "null", "object"])
+def test_json_numbers_refuse_bools_containers_and_null(value):
+    # true was read as 1 and false as 0, the others raised TypeError; the
+    # round trips above still read the strings element_to_json writes (a
+    # float's repr, as the benchmark's float documents do)
+    for mode in ("exact", "float"):
+        for field in ("re", "im"):
+            entry = {"k": 0, "re": "0.5", "im": "0.25", field: value}
+            with pytest.raises(ValueError, match=f"{field} must be a number"):
+                element_from_json(_G, {"mode": mode, "terms": [{"n": 1, "coeffs": [entry]}]})
+    with pytest.raises(ValueError, match="q must be a number"):
+        set_from_json(_G, {"components": [{"pt": {"q": value, "n": 0}}]})
 
 
 def _compression_norm(terms, radius, rho):
