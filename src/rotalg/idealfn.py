@@ -431,18 +431,24 @@ class ExtensionViolation(Exception):
         return f"{self.condition} violated at (m={self.m}, n={self.n})"
 
 
+_EXTENSION_RULES = ("sum-rule", "difference-rule", "shifted-difference-rule")
+
+
 def extend_from_positive(angle: Angle, values: dict[int, ClosedCircleSet],
                          default: str = "unknown") -> WindowFunction:
     """Extend values given on 0..N to a closed function on the integers.
 
-    Three one-sided conditions (sums, differences, shifted differences)
-    are verified on the given window; on success the negative side is
-    produced by reflection.  An index of 1..N missing from the data is
-    the full circle.  With default "unknown" constraints whose
-    target falls outside the window are left open; with default "full"
-    the data is read as a finite-support function and those constraints
-    are enforced against the full circle.  Raises ExtensionViolation with
-    the first failing condition.
+    The negative side is produced by reflection, and an index of 1..N
+    missing from the data is the full circle.  The reflected window is
+    checked by the closure sweep; with default "unknown" constraints whose
+    target falls outside it are left open, with default "full" the data is
+    read as a finite-support function and the targets out to 2N are the
+    full circle.  A broken product constraint (m, n) is named by the
+    positive-side rule it is, read through its mirror (-n, -m) when
+    m + n < 0: the sum rule (m, n) for m, n > 0, the difference rule
+    (m, -n) for n < 0 and the shifted difference rule (n, -m) for m < 0.
+    Raises ExtensionViolation with the least broken (m, n, rule), rules
+    in that order.
     """
     if any(n < 0 for n in values):
         raise ValueError("positive-side data only")
@@ -451,32 +457,17 @@ def extend_from_positive(angle: Angle, values: dict[int, ClosedCircleSet],
         raise ValueError("value at 0 must be the empty set")
     full = ClosedCircleSet.full_circle(angle)
     W = max((n for n in values), default=0)
-
-    def val(n: int) -> Optional[ClosedCircleSet]:
-        # asked only for n >= 1: m + n, m - n with n < m, and m, n themselves
-        if n in values:
-            return values[n]
-        # a gap inside the window is the full circle, as in the output;
-        # None: unconstrained
-        return full if n <= W or default == "full" else None
-
-    # a rule holds when its one cut, target n (a.rotate(k) u b), is the target
-    supp = [n for n in range(1, W + 1) if n in values and not values[n].full]
-    for m in supp:
-        for n in supp:
-            target = val(m + n)
-            if target is not None and target.intersect_union(val(n), -m, val(m)) is not target:
-                raise ExtensionViolation("sum-rule", m, n)
-            if n < m:
-                diff = val(m - n)
-                if diff.intersect_union(val(n), n - m, val(m)) is not diff:
-                    raise ExtensionViolation("difference-rule", m, n)
-                if diff.intersect_union(val(n), n, val(m).rotate(n)) is not diff:
-                    raise ExtensionViolation("shifted-difference-rule", m, n)
-    out = {n: values.get(n, full) for n in range(0, W + 1)}
-    out[0] = ClosedCircleSet.empty(angle)
-    for n in range(1, W + 1):
-        out[-n] = out[n].rotate(n)
+    out = {0: ClosedCircleSet.empty(angle)} | {n: values.get(n, full) for n in range(1, W + 1)}
+    out |= {-n: out[n].rotate(n) for n in range(1, W + 1)}
+    pad = {t: full for k in range(W + 1, 2 * W + 1) for t in (k, -k)} if default == "full" else {}
+    broken = []
+    for _, m, n in _labels(out | pad, W):  # all products: the window is reflective
+        if m + n < 0:
+            m, n = -n, -m
+        broken.append((m, -n, 1) if n < 0 else (n, -m, 2) if m < 0 else (m, n, 0))
+    if broken:
+        m, n, rule = min(broken)
+        raise ExtensionViolation(_EXTENSION_RULES[rule], m, n)
     return WindowFunction(angle, out, default=default)
 
 

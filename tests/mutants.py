@@ -41,6 +41,12 @@ _RECORDS = "tests/test_sandbox.py::test_elements_compare_by_value_without_zeros_
 _C_CLOSED = "tests/test_idealfn.py::test_closedness_violation_lists_match_brute_force"
 _FILTER = "tests/test_closure.py::test_point_filter_cuts_like_set_operations"
 _MIRROR = "tests/test_closure.py::test_mirror_rule_yields_what_a_full_visit_yields"
+_EXTENSION = ["tests/test_idealfn.py::test_extension_violation",
+              "tests/test_idealfn.py::test_extension_gap_reads_as_full_circle",
+              "tests/test_idealfn.py::test_extension_shifted_difference_rule",
+              "tests/test_idealfn.py::test_extension_difference_rule"]
+_EXTENSION_MODEL = ("tests/test_idealfn.py::"
+                    "test_extension_matches_the_one_sided_rules_in_the_exponent_model")
 _CUT_TWICE = ("self.points * 2 + a.points + b.points,\n"
               "                         self.arcs * 2 + a.arcs + b.arcs, 3)")
 _CUT_ONCE = ("self.points + a.points + b.points,\n"
@@ -127,16 +133,12 @@ MUTANTS = [
     ("rotalg/finitegroup.py", "for u in rep.basis) and rep.proper)", "for u in rep.basis))",
      ["tests/test_finitegroup.py::test_extend_ideal_report_keeps_its_proper_value"]),
     # one cut per closure rule: the ideal's four symmetric cuts and its
-    # one-sided m, the extension's shifts, the decomposition's start
+    # one-sided m, the decomposition's start
     ("rotalg/idealfn.py", "((jv[n], -m, cv[m]), (jv[m]", "((jv[m]", [_C_CLOSED]),
     ("rotalg/idealfn.py", ", (jv[m], -n, cv[n]),", ",", [_C_CLOSED]),
     ("rotalg/idealfn.py", "(cv[n], -m, jv[m]), ", "", [_C_CLOSED]),
     ("rotalg/idealfn.py", ", (cv[m], -n, jv[n]))):", ")):", [_C_CLOSED]),
     ("rotalg/idealfn.py", "if not cv[m].full:", "if not jv[m].full:", [_C_CLOSED, _FILTER]),
-    ("rotalg/idealfn.py", "val(n), n - m, val(m)", "val(n), m - n, val(m)",
-     ["tests/test_idealfn.py::test_extension_difference_rule"]),
-    ("rotalg/idealfn.py", "val(m).rotate(n)) is not diff", "val(m)) is not diff",
-     ["tests/test_idealfn.py::test_extension_shifted_difference_rule"]),
     ("rotalg/idealfn.py",
      "approx: IdealFunction = BasicFunction(0, ClosedCircleSet.empty(c.angle))",
      "approx: IdealFunction = all_empty(c.angle)",
@@ -173,6 +175,17 @@ MUTANTS = [
      "                yield (\"reflection\"", [_MIRROR, _C_CLOSED]),
     ("rotalg/idealfn.py", "    quiet = quiet and all(-k in D and D[-k] == D[k].rotate(k) "
      "for k in D if k > w)\n", "", [_MIRROR]),
+    # the extension read from the sweep: no mirror flip, the greatest
+    # violation named, the difference rule's n unnegated, no full padding
+    ("rotalg/idealfn.py", "        if m + n < 0:\n            m, n = -n, -m\n", "",
+     [*_EXTENSION, _EXTENSION_MODEL]),
+    ("rotalg/idealfn.py", "m, n, rule = min(broken)", "m, n, rule = max(broken)",
+     [_EXTENSION[1], _EXTENSION[3], _EXTENSION_MODEL]),
+    ("rotalg/idealfn.py", "broken.append((m, -n, 1)", "broken.append((m, n, 1)",
+     [_EXTENSION[3], _EXTENSION_MODEL]),
+    ("rotalg/idealfn.py", "_labels(out | pad, W)", "_labels(out, W)",
+     ["tests/test_idealfn.py::test_extension_full_default_bounds_targets_past_the_window",
+      _EXTENSION_MODEL]),
     # exact views: a full target or an uncut sweep returned as a new set
     ("rotalg/circleset.py", "return self if bound.full else bound", "return bound",
      ["tests/test_circleset.py::test_intersect_union_cases",

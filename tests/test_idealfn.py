@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -293,6 +294,75 @@ def test_extension_difference_rule():
                                   3: ClosedCircleSet.empty(_G)})
     assert exc.value.condition == "difference-rule"
     assert (exc.value.m, exc.value.n) == (2, 1)
+
+
+def test_extension_full_default_bounds_targets_past_the_window():
+    # W = 1: the sum rule's target at 2 lies past the window.  Under "full"
+    # it is the full circle, which {1/7} rotated by -1 together with {1/7}
+    # does not contain; under "unknown" it is left open
+    with pytest.raises(ExtensionViolation) as exc:
+        extend_from_positive(_G, {1: _P}, default="full")
+    assert (exc.value.condition, exc.value.m, exc.value.n) == ("sum-rule", 1, 1)
+    ext = extend_from_positive(_G, {1: _P}, default="unknown")
+    assert ext.value_set(1) == _P and ext.value_set(-1) == _P.rotate(1)
+
+
+def _positive_rules(E, W, default):
+    """The first broken one-sided rule (condition, m, n) of exponent data E
+    on 1..W, in the order m, n, then sum, difference, shifted difference;
+    None when all hold.  A gap inside the window is the full circle, a
+    target past it the full circle under "full" and open under "unknown"."""
+    def val(k):
+        return E.get(k, oracles.FULL) if k <= W or default == "full" else "open"
+
+    def holds(target, bound):
+        return target == "open" or oracles.intersect(target, bound) == target
+
+    supp = [k for k in range(1, W + 1) if E.get(k, oracles.FULL) is not oracles.FULL]
+    for m in supp:
+        for n in supp:
+            if not holds(val(m + n), oracles.union(oracles.shift(val(n), -m), val(m))):
+                return "sum-rule", m, n
+            if n < m and not holds(val(m - n),
+                                   oracles.union(oracles.shift(val(n), n - m), val(m))):
+                return "difference-rule", m, n
+            if n < m and not holds(val(m - n), oracles.union(oracles.shift(val(n), n),
+                                                             oracles.shift(val(m), n))):
+                return "shifted-difference-rule", m, n
+    return None
+
+
+def test_extension_matches_the_one_sided_rules_in_the_exponent_model():
+    # exponents in [-1, 1], so that shifted sets overlap and rules hold often
+    # enough for every outcome to occur
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(400):
+        W, default = rng.randint(1, 6), rng.choice(("full", "unknown"))
+        E = {}
+        for k in range(1, W + 1):
+            r = rng.random()
+            if r < 0.15 and k < W:
+                continue  # a gap
+            E[k] = (oracles.FULL if r < 0.25 else frozenset() if r < 0.35 else
+                    frozenset(rng.randint(-1, 1) for _ in range(rng.randint(1, 3))))
+        values = {k: ClosedCircleSet.full_circle(_G) if e is oracles.FULL else orbit_set(*e)
+                  for k, e in E.items()}
+        expected = _positive_rules(E, W, default)
+        outcomes.add(expected and expected[0])
+        if expected is not None:
+            with pytest.raises(ExtensionViolation) as exc:
+                extend_from_positive(_G, values, default=default)
+            assert (exc.value.condition, exc.value.m, exc.value.n) == expected, (E, default)
+            continue
+        ext = extend_from_positive(_G, values, default=default)
+        assert ext.default == default and sorted(ext.values) == list(range(-W, W + 1))
+        for k in range(1, W + 1):
+            e = E.get(k, oracles.FULL)
+            assert exps_of(ext.value_set(k)) == e
+            assert exps_of(ext.value_set(-k)) == oracles.shift(e, k)
+        assert ext.value_set(0).is_empty()
+    assert outcomes == {None, "sum-rule", "difference-rule", "shifted-difference-rule"}
 
 
 # -- support and classification ---------------------------------------------
