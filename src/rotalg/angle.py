@@ -21,8 +21,9 @@ only :meth:`Angle.best_denominators` walks the continued fraction.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isfinite, isqrt
 from typing import Optional
 
 __all__ = [
@@ -39,6 +40,11 @@ __all__ = [
 # quotients in total; a decision costs one isqrt of a number about four
 # times this size
 ANGLE_BITS = 4096
+# the largest decimal exponent, in size, of a numeric string read as a
+# Fraction: Fraction("1e10000000") builds 10**10000000 first, 8.7 s on a
+# 2-CPU box; 10**1000 has 3,322 bits, within ANGLE_BITS
+EXPONENT_LIMIT = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 class PhaseSearchFailed(RuntimeError):
@@ -264,13 +270,27 @@ def json_int(value, field: str) -> int:
     return value
 
 
-def json_number(value, field: str):
+def json_number(value, field: str, exact: bool = True) -> Fraction | float:
     """A number field of a JSON document: an int, a float or a string such
-    as "3/4" or "0.1", for the caller to parse.  A bool, list, object or
-    null is rejected, not read as 1 or 0 or left to crash further in."""
+    as "3/4" or "0.1", read as a `Fraction`, or with exact=False as the
+    finite float `float(value)`.  A bool, list, object or null is rejected,
+    not read as 1 or 0, and so is a value that is no rational (no finite
+    float), and a string whose decimal exponent exceeds EXPONENT_LIMIT in
+    size, checked before the Fraction is built."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"{field} must be a number or a numeric string, got {value!r}")
-    return value
+    kind = "rational" if exact else "finite float"
+    try:
+        exponent = _EXPONENT.search(value) if exact and isinstance(value, str) else None
+        past = exponent is not None and abs(int(exponent[1])) > EXPONENT_LIMIT
+        number = None if past else Fraction(value) if exact else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{field} must be a {kind}, got {value!r}") from exc
+    if past:
+        raise ValueError(f"{field} has a decimal exponent past EXPONENT_LIMIT = {EXPONENT_LIMIT}")
+    if not exact and not isfinite(number):
+        raise ValueError(f"{field} must be a {kind}, got {value!r}")
+    return number
 
 
 def json_of(kind: type, value, field: str):

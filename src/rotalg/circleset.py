@@ -424,10 +424,6 @@ def _pt_to_json(p: CirclePoint) -> dict:
 
 def _pt_from_json(doc: dict) -> CirclePoint:
     q = json_number(json_of(dict, doc, "point")["q"], "q")
-    try:  # a string such as "3/4", an int or a finite float
-        q = Fraction(q)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"q must be a rational, got {q!r}") from exc
     return CirclePoint(q, json_int(doc["n"], "n"))
 
 

@@ -12,7 +12,9 @@ crossed product) are characterized by two axioms checked throughout:
 Supported representations: explicit windows, the basic family (rotated
 unions of one generating set along one arithmetic progression), lazy
 pointwise meets/naive joins, and certified closed joins computed by a
-constraint-propagation engine for the closure operator.
+constraint-propagation engine for the closure operator.  The same
+constraint sweep checks closedness and the extension of positive-side
+data, which names a broken constraint by the one-sided rule it is.
 
 Certificate discipline: every computed value carries an exactness flag.
 A closed join is exact on all of Z when it holds a closed form: basic(d,
@@ -827,6 +829,17 @@ def function_to_json(c: IdealFunction, window: int = DEFAULT_WINDOW) -> dict:
     return base | {"repr": "window", "default": "unknown", "values": vals}
 
 
+def _window_index(key: str) -> int:
+    """A window key: an integer written as str(int) writes it, so that no
+    two keys name one index ("01", "+1", " 1", "1_0" and "٣" are refused)."""
+    try:
+        if str(n := int(key)) == key:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(f"window key {key!r} must be an integer written in canonical form")
+
+
 def function_from_json(doc: dict, angle: Optional[Angle] = None, *,
                        outer: Optional[Angle] = None) -> IdealFunction:
     """A given `angle` is read in place of every angle field of the document.
@@ -841,7 +854,7 @@ def function_from_json(doc: dict, angle: Optional[Angle] = None, *,
     if kind == "basic":
         return BasicFunction(json_int(doc["q"], "q"), set_from_json(own, doc["P"]))
     if kind == "window":
-        values = {int(k): set_from_json(own, v)
+        values = {_window_index(k): set_from_json(own, v)
                   for k, v in json_of(dict, doc["values"], "values").items()}
         return WindowFunction(own, values, doc.get("default", "full"))
     if kind == "join":

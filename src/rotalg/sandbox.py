@@ -662,12 +662,12 @@ def element_from_json(angle: Angle, doc: dict) -> CrossedElement:
         coeffs: dict[int, object] = {}
         for e in json_of(list, td["coeffs"], "coeffs"):
             k = json_int(json_of(dict, e, "coefficient")["k"], "k")
-            re, im = json_number(e["re"], "re"), json_number(e["im"], "im")
-            if mode == "exact":
-                j = json_int(e.get("zeta", 0), "zeta")
-                add = PhasePoly({j: qi(Fraction(re), Fraction(im))})
+            exact = mode == "exact"
+            re, im = json_number(e["re"], "re", exact), json_number(e["im"], "im", exact)
+            if exact:
+                add = PhasePoly({json_int(e.get("zeta", 0), "zeta"): qi(re, im)})
             else:
-                add = complex(float(re), float(im))
+                add = complex(re, im)
             coeffs[k] = coeffs[k] + add if k in coeffs else add
         t = TrigPoly(mode, coeffs)
         if t.is_zero():

@@ -47,6 +47,7 @@ _EXTENSION = ["tests/test_idealfn.py::test_extension_violation",
               "tests/test_idealfn.py::test_extension_difference_rule"]
 _EXTENSION_MODEL = ("tests/test_idealfn.py::"
                     "test_extension_matches_the_one_sided_rules_in_the_exponent_model")
+_NUMBERS = "tests/test_sandbox.py::test_json_numbers_refuse_what_their_mode_cannot_read"
 _CUT_TWICE = ("self.points * 2 + a.points + b.points,\n"
               "                         self.arcs * 2 + a.arcs + b.arcs, 3)")
 _CUT_ONCE = ("self.points + a.points + b.points,\n"
@@ -186,6 +187,14 @@ MUTANTS = [
     ("rotalg/idealfn.py", "_labels(out | pad, W)", "_labels(out, W)",
      ["tests/test_idealfn.py::test_extension_full_default_bounds_targets_past_the_window",
       _EXTENSION_MODEL]),
+    # number and window-key readers: the exponent bound ten times too
+    # loose, non-finite floats read, any integer spelling taken as a key
+    ("rotalg/angle.py", "abs(int(exponent[1])) > EXPONENT_LIMIT",
+     "abs(int(exponent[1])) > 10 * EXPONENT_LIMIT", [f"{_NUMBERS}[exact-1E+1001]"]),
+    ("rotalg/angle.py", "if not exact and not isfinite(number):", "if False:",
+     [f"{_NUMBERS}[float-1e400]", f"{_NUMBERS}[float--Infinity]"]),
+    ("rotalg/idealfn.py", "if str(n := int(key)) == key:", "if (n := int(key)) is not None:",
+     ["tests/test_cli.py::test_window_keys_that_name_one_index_exit_4"]),
     # exact views: a full target or an uncut sweep returned as a new set
     ("rotalg/circleset.py", "return self if bound.full else bound", "return bound",
      ["tests/test_circleset.py::test_intersect_union_cases",

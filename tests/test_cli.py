@@ -945,6 +945,44 @@ def test_document_readers_fuzz(field, value):
             assert code == 4  # a join generator's angle is read and checked
 
 
+_WINDOW_KEYS = st.sampled_from(["01", "+1", " 1", "1 ", "1_0", "\u0663", "-0", "1.0", "", "x",
+                                "None", "1" * 5000])
+
+
+@given(_WINDOW_KEYS, st.sampled_from([{"full": True}, {"components": []}, _SET]))
+def test_window_key_reader_fuzz(key, value):
+    # int(key) read each of these as an index, and two keys naming one
+    # index kept only the later value
+    doc = copy.deepcopy(_DOCS["window"])
+    doc["values"][key] = value
+    for argv in (["eval", json.dumps(doc), "-n", "1"],
+                 ["check-closed", json.dumps(doc), "--window", "1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 4
+        assert f"window key {key!r} must be an integer" in json.loads(err.getvalue())["error"]
+
+
+def test_window_keys_that_name_one_index_exit_4(capsys):
+    doc = {"angle": _G.to_json(), "repr": "window",
+           "values": {"01": {"full": True}, "1": {"components": []}}}
+    assert main(["eval", json.dumps(doc), "-n", "1"]) == 4
+    assert "window key '01'" in _error(capsys)["error"]
+    del doc["values"]["01"]
+    code, rep = run(capsys, "eval", json.dumps(doc), "-n", "1")
+    assert code == 0 and rep["result"]["set"] == {"components": []}
+
+
+@pytest.mark.parametrize("q", ["1e-10000000", "1e10000000"])
+def test_point_with_a_huge_decimal_exponent_exits_4_at_once(q, capsys):
+    doc = _basic_doc()
+    doc["P"]["components"][0]["pt"]["q"] = q
+    start = time.perf_counter()
+    code = main(["eval", json.dumps(doc), "-n", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 4 and "q has a decimal exponent past EXPONENT_LIMIT" in _error(capsys)["error"]
+
+
 @given(st.sampled_from(list(_fields(_SET))), _FUZZ_VALUES)
 def test_set_reader_fuzz(path, value):
     _main_quietly(["plot", _replaced(_SET, path, value), "-o", os.devnull])

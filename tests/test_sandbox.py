@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -561,6 +562,42 @@ def test_json_numbers_refuse_bools_containers_and_null(value):
                 element_from_json(_G, {"mode": mode, "terms": [{"n": 1, "coeffs": [entry]}]})
     with pytest.raises(ValueError, match="q must be a number"):
         set_from_json(_G, {"components": [{"pt": {"q": value, "n": 0}}]})
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("mode, value", [
+    ("exact", "1/0"), ("exact", _INF), ("exact", -_INF), ("exact", _NAN), ("exact", "inf"),
+    ("exact", "nan"), ("exact", "1e10000000"), ("exact", "1e-10000000"), ("exact", "1E+1001"),
+    ("float", _INF), ("float", _NAN), ("float", "inf"), ("float", "nan"), ("float", "1e400"),
+    ("float", "-Infinity"), pytest.param("float", 10**400, id="float-10**400"),
+    ("float", "3/4"),
+])
+def test_json_numbers_refuse_what_their_mode_cannot_read(mode, value):
+    # exact "1/0" raised ZeroDivisionError and Infinity OverflowError; float
+    # mode read inf and nan into the element; an exponent of 10**7 made
+    # Fraction build 10**10000000 first, for seconds
+    start = time.perf_counter()
+    for field in ("re", "im"):
+        entry = {"k": 0, "re": "0.5", "im": "0.25", field: value}
+        with pytest.raises(ValueError, match=f"{field} (must be a|has a decimal exponent)"):
+            element_from_json(_G, {"mode": mode, "terms": [{"n": 1, "coeffs": [entry]}]})
+    if mode == "exact":
+        with pytest.raises(ValueError, match="q (must be a|has a decimal exponent)"):
+            set_from_json(_G, {"components": [{"pt": {"q": value, "n": 0}}]})
+    assert time.perf_counter() - start < 1
+
+
+def test_json_numbers_read_exponents_within_the_limit():
+    from rotalg.angle import EXPONENT_LIMIT, json_number
+    assert json_number(f"1e-{EXPONENT_LIMIT}", "q") == Fraction(1, 10**EXPONENT_LIMIT)
+    assert json_number(f"2.5E+{EXPONENT_LIMIT}", "q") == 25 * 10**(EXPONENT_LIMIT - 1)
+    assert json_number("3/4", "q") == Fraction(3, 4) and json_number(0.1, "q") == Fraction(0.1)
+    # float mode reads float(text), finite values past the exact bound included
+    for text in ("0.1", "1e-10000000", "1e308", "-2.5"):
+        assert json_number(text, "re", exact=False) == float(text)
+    assert json_number(7, "re", exact=False) == 7.0
 
 
 def _compression_norm(terms, radius, rho):
