@@ -9,8 +9,9 @@ for norm and limit experiments.
 Operator norms are estimated from below by compressions, monotone in their
 radius: the suites' `section_norm` cuts the orbit representation at x = 0
 to |j| <= radius (one dense SVD); `truncated_norm` cuts the regular
-representation to a frequency box.  numpy is imported by the norms and
-`layer_block` alone, so the exact arithmetic runs without it.
+representation to a frequency box (one Lanczos recurrence on its Gram,
+with a dense eigensolve as the fallback).  numpy is imported by the norms
+and `layer_block` alone, so the exact arithmetic runs without it.
 """
 from __future__ import annotations
 
@@ -331,13 +332,13 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
     A lower bound of the operator norm, monotone nondecreasing in the
     radius (compressions are nested).  Layer n compresses to (truncated
     shift u -> u+n) kron `layer_block`; the top eigenvalue of the Gram
-    G = M^H M of their sum is solved to a relative accuracy of 1e-11.  Up
-    to radius 7 (N = (2r+1)^2 <= 225), where it is the quicker solve, and
-    as the fallback when ARPACK does not converge within 100 restarts, by
-    a dense Hermitian eigensolve; above, by ARPACK's Lanczos on the real
-    form [[Re G, -Im G], [Im G, Re G]] (each eigenvalue of G twice),
-    applied through M without forming G.  ARPACK's Lanczos is real only:
-    on complex G, eigsh runs the non-symmetric Arnoldi iteration.
+    G = M^H M of their sum is solved to a relative accuracy of 1e-11 by
+    one unrestarted Lanczos recurrence on G, applied through M without
+    forming G and with no reorthogonalization (lost orthogonality only
+    adds copies of converged Ritz values, Paige 1980).  Every 20 steps the
+    top Ritz pair (theta, s) of the tridiagonal T_j is tested with
+    ARPACK's residual bound beta_j |s_j| <= 1e-11 theta; a dense Hermitian
+    eigensolve of G is the fallback past 4N steps, N = (2r+1)^2.
     """
     import numpy as np
     a = a.as_float()
@@ -354,7 +355,7 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
         return float(np.linalg.norm(layer_block(n, t, radius, rho), 2))
 
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    from scipy.linalg import eigh_tridiagonal
     N = dim * dim
     rows, cols, vals = [], [], []
     for n, t in live.items():
@@ -368,28 +369,26 @@ def truncated_norm(a: CrossedElement, radius: int = 32) -> float:
                       shape=(N, N))
     if not M.nnz:
         return 0.0
-    top = None
-    if radius >= 8:
-        MH = M.getH().tocsr()
-
-        def gram_real(x):
-            y = MH @ (M @ (x[:N] + 1j * x[N:]))
-            return np.concatenate((y.real, y.imag))
-        # a seeded random start: the constant vector can be (nearly)
-        # orthogonal to the top eigenvector of symmetric elements, and
-        # Lanczos then converges to a lower eigenvalue
-        v0 = np.random.default_rng(0).standard_normal(2 * N)
-        # a top eigenvalue that is (nearly) multiple can stall Lanczos for
-        # thousands of restarts, and then the dense solve is the quicker one
-        op = spla.LinearOperator((2 * N, 2 * N), matvec=gram_real, dtype=float)
-        try:
-            top = float(spla.eigsh(op, k=1, which="LA", return_eigenvectors=False,
-                                   tol=1e-11, ncv=48, maxiter=100, v0=v0)[0])
-        except spla.ArpackError:
-            pass  # the dense solve below keeps the 1e-11 accuracy
-    if top is None:
-        top = float(np.linalg.eigvalsh((M.getH() @ M).toarray())[-1])
-    return math.sqrt(max(top, 0.0))
+    MH = M.getH().tocsr()
+    # a seeded random start: the constant vector can be (nearly) orthogonal
+    # to the top eigenvector of symmetric elements, and Lanczos then
+    # converges to a lower eigenvalue
+    q = np.dot([1, 1j], np.random.default_rng(0).standard_normal((2, N)))
+    q /= np.linalg.norm(q)
+    prev, beta, alphas, betas = 0.0, 0.0, [], []
+    for j in range(1, 4 * N + 1):
+        w = MH @ (M @ q)
+        w -= beta * prev
+        alphas.append(np.vdot(q, w).real)
+        w -= alphas[-1] * q
+        beta = np.linalg.norm(w)
+        if j % 20 == 0 or beta == 0.0 or j == 4 * N:
+            theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(j - 1, j - 1))
+            if beta * abs(s[-1, 0]) <= 1e-11 * theta[0] or beta == 0.0:
+                return math.sqrt(max(theta[0], 0.0))
+        betas.append(beta)
+        prev, q = q, w / beta
+    return math.sqrt(max(np.linalg.eigvalsh((MH @ M).toarray())[-1], 0.0))
 
 
 # -- averaging operators -----------------------------------------------------

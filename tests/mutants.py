@@ -54,6 +54,9 @@ _CUT_ONCE = ("self.points + a.points + b.points,\n"
              "                         self.arcs + a.arcs + b.arcs, {})")
 _CUT_TESTS = ["tests/test_circleset.py::test_intersect_union_cases",
               "tests/test_circleset.py::test_intersect_union_is_the_set_expression"]
+_DENSE_SPLIT = "tests/test_sandbox.py::test_norm_matches_dense_svd_across_the_split"
+_NO_FALLBACK = ["tests/test_sandbox.py::test_norm_converges_on_a_near_multiple_top_eigenvalue",
+                "tests/test_sandbox.py::test_norm_reaches_the_top_of_a_dense_cluster"]
 
 # (file under src/, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -201,6 +204,14 @@ MUTANTS = [
       "tests/test_closure.py::test_join_idempotent_on_closed"]),
     ("rotalg/circleset.py", "return self if cut == self else cut", "return cut",
      ["tests/test_idealfn.py::test_basics_are_closed", _MIRROR]),
+    # the box norm's recurrence: no three-term subtraction, the residual
+    # test without the Ritz vector's last entry, a constant start
+    ("rotalg/sandbox.py", "        w -= beta * prev\n", "",
+     [f"{_DENSE_SPLIT}[pattern-8]", f"{_DENSE_SPLIT}[averaged-10]"]),
+    ("rotalg/sandbox.py", "if beta * abs(s[-1, 0]) <=", "if beta <=", _NO_FALLBACK),
+    ("rotalg/sandbox.py", "q = np.dot([1, 1j], np.random.default_rng(0).standard_normal((2, N)))",
+     "q = np.ones(N, dtype=complex)",
+     ["tests/test_sandbox.py::test_norm_lanczos_branch_matches_dense_svd_on_symmetric_element"]),
 ]
 
 

@@ -230,6 +230,26 @@ for argv in (["ring", "--n", "2"], ["fejer"], ["averaging", "--n", "2"],
     assert proc.returncode == 0, proc.stderr
 
 
+
+def test_box_norm_leaves_arpack_unimported():
+    # the box norm's Lanczos recurrence is plain numpy with scipy.linalg's
+    # tridiagonal eigensolver; scipy.sparse.linalg (ARPACK) stays unloaded
+    script = """
+import sys
+from rotalg import CrossedElement, golden_angle, truncated_norm
+g = golden_angle()
+a = (CrossedElement.monomial(g, 0, 1, 1.0, mode="float")
+     + CrossedElement.monomial(g, 1, 0, 0.5j, mode="float"))
+assert truncated_norm(a, radius=12) > 1.0
+assert "scipy.linalg" in sys.modules
+assert "scipy.sparse.linalg" not in sys.modules
+"""
+    src = str(Path(rotalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
 # every name that `rotalg` exported by eager imports before the sandbox
 # was loaded on first use, by the module that defines it
 PACKAGE_NAMES = {
