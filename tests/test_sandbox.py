@@ -678,6 +678,27 @@ def test_norm_lanczos_branch_matches_dense_svd_on_symmetric_element():
     assert truncated_norm(_float_element(_SYMMETRIC), radius=18) == pytest.approx(ref, abs=1e-9)
 
 
+@pytest.mark.parametrize("radius, arpack_before", [(7, False), (8, True)])
+def test_norm_solver_split_at_radius_8_matches_dense_svd(monkeypatch, radius, arpack_before):
+    # arpack_before marks the side of the former split: radius 7 (N = 225)
+    # was the largest box of the dense solve and radius 8 (N = 289) the
+    # smallest of ARPACK; both are now answered by the one recurrence,
+    # within its 4N steps
+    import scipy.linalg
+    steps, tridiagonal = [], scipy.linalg.eigh_tridiagonal
+
+    def watched(d, e, **kwargs):
+        steps.append(len(d))
+        return tridiagonal(d, e, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", watched)
+    calls = _watch_dense(monkeypatch)
+    terms = _pattern_terms(1301)
+    ref = _compression_norm(terms, radius, _G.float_value())
+    assert truncated_norm(_float_element(terms), radius=radius) == pytest.approx(ref, abs=1e-9)
+    N = (2 * radius + 1) ** 2
+    assert calls == [] and 0 < steps[-1] < 4 * N
+
+
 @pytest.mark.parametrize("radius", range(1, 11))
 @pytest.mark.parametrize("element", sorted(_NORM_ELEMENTS))
 def test_norm_matches_dense_svd_across_the_split(monkeypatch, element, radius):
